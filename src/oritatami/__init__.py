@@ -15,7 +15,6 @@ from .folding import (
     fold_all,
     is_deterministic_run,
     stabilize_next,
-    transcript_is_cyclic,
 )
 from .grid import DIRECTIONS, Point, neighbors, path_is_valid, to_cartesian
 from .nfa import (

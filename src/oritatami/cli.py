@@ -27,23 +27,39 @@ from .seed import build_seed
 
 
 def _tokenize_word(raw: str, alphabet: tuple[str, ...]) -> list[str]:
-    """Split a word argument into letters: whitespace/commas first, then greedy
-    longest-match against the alphabet for glued multi-character letters."""
+    """Split a word argument into letters: whitespace/commas first; a chunk
+    that is not itself a letter must have exactly one split into alphabet
+    letters, else ValueError."""
     letters: list[str] = []
     for chunk in raw.replace(",", " ").split():
         if chunk in alphabet:
             letters.append(chunk)
-            continue
-        rest = chunk
-        by_length = sorted(alphabet, key=len, reverse=True)
-        while rest:
-            for letter in by_length:
-                if rest.startswith(letter):
-                    letters.append(letter)
-                    rest = rest[len(letter) :]
-                    break
-            else:
-                raise ValueError(f"cannot split {chunk!r} into alphabet letters")
+        else:
+            letters.extend(_split_chunk(chunk, alphabet))
+    return letters
+
+
+def _split_chunk(chunk: str, alphabet: tuple[str, ...]) -> list[str]:
+    """The unique split of ``chunk`` into alphabet letters, by dynamic
+    programming over suffixes: linear in the chunk length."""
+    n = len(chunk)
+    # ways[k]: splits of chunk[k:], capped at 2; first[k]: a letter starting one.
+    ways = [0] * n + [1]
+    first: list[str | None] = [None] * n
+    for k in range(n - 1, -1, -1):
+        for letter in alphabet:
+            if chunk.startswith(letter, k) and ways[k + len(letter)]:
+                ways[k] = min(2, ways[k] + ways[k + len(letter)])
+                first[k] = letter
+    if ways[0] == 0:
+        raise ValueError(f"cannot split {chunk!r} into alphabet letters")
+    if ways[0] > 1:
+        raise ValueError(f"{chunk!r} splits into alphabet letters in more than one way")
+    letters: list[str] = []
+    k = 0
+    while k < n:
+        letters.append(first[k])
+        k += len(first[k])
     return letters
 
 

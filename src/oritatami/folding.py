@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .grid import DIRECTIONS, Point, are_adjacent, neighbors, path_is_valid
+from .grid import DIRECTIONS, Point, are_adjacent, path_is_valid
 
 
 class DeadEnd(Exception):
@@ -36,16 +36,28 @@ def _normalize_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+_NO_PARTNERS: frozenset[str] = frozenset()
+
+
 class RuleSet:
     """Symmetric relation on bead types licensing bonds."""
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_partners")
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()):
         self._pairs = frozenset(_normalize_pair(str(a), str(b)) for a, b in pairs)
+        partners: dict[str, set[str]] = {}
+        for a, b in self._pairs:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        self._partners = {t: frozenset(s) for t, s in partners.items()}
 
     def allows(self, a: str, b: str) -> bool:
-        return _normalize_pair(a, b) in self._pairs
+        return b in self.partners(a)
+
+    def partners(self, bead: str) -> frozenset[str]:
+        """Every bead type that ``bead`` may bond with (empty if none)."""
+        return self._partners.get(bead, _NO_PARTNERS)
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -188,29 +200,40 @@ class _Fold:
         self.bond_log: list[tuple[int, int]] = sorted(start.bonds)
         self.total_bonds = len(start.bonds)
 
+    def placements(self, bead: str) -> list[tuple[Point, list[int]]]:
+        """Each free point next to the path end, in direction order, with the
+        indices of the beads it could bond with there (in neighbor order)."""
+        last_x, last_y = self.path[-1]
+        last = len(self.path) - 1
+        mates = self.rules.partners(bead)
+        occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
+        out = []
+        for dx, dy in DIRECTIONS:
+            x, y = last_x + dx, last_y + dy
+            if (x, y) in occupied:
+                continue
+            eligible = []
+            if mates:
+                for ex, ey in DIRECTIONS:
+                    idx = occupied.get((x + ex, y + ey))
+                    if (
+                        idx is not None
+                        and idx != last
+                        and bond_count[idx] < arity
+                        and beads[idx] in mates
+                    ):
+                        eligible.append(idx)
+            out.append((Point(x, y), eligible))
+        return out
+
     def choices(self, bead: str) -> list[StabilizationChoice]:
         """Every legal (placement, bond subset) for ``bead``, in canonical order.
 
         Canonical order: direction order around the path end, then bond
         subsets sorted lexicographically (the empty subset first).
         """
-        last = self.path[-1]
-        new_index = len(self.path)
         out: list[StabilizationChoice] = []
-        for d in DIRECTIONS:
-            p = Point(last[0] + d[0], last[1] + d[1])
-            if p in self.occupied:
-                continue
-            eligible = []
-            for q in neighbors(p):
-                idx = self.occupied.get(q)
-                if (
-                    idx is not None
-                    and idx + 2 <= new_index
-                    and self.bond_count[idx] < self.arity
-                    and self.rules.allows(self.beads[idx], bead)
-                ):
-                    eligible.append(idx)
+        for p, eligible in self.placements(bead):
             eligible.sort()
             max_take = min(len(eligible), self.arity)
             subsets = sorted(
@@ -219,16 +242,16 @@ class _Fold:
             out.extend(StabilizationChoice(p, s) for s in subsets)
         return out
 
-    def push(self, choice: StabilizationChoice, bead: str) -> None:
+    def push(self, point: Point, partners: Sequence[int], bead: str) -> None:
         idx = len(self.path)
-        self.path.append(choice.point)
+        self.path.append(point)
         self.beads.append(bead)
-        self.occupied[choice.point] = idx
-        self.bond_count.append(len(choice.bonds))
-        for partner in choice.bonds:
+        self.occupied[point] = idx
+        self.bond_count.append(len(partners))
+        for partner in partners:
             self.bond_count[partner] += 1
             self.bond_log.append((partner, idx))
-        self.total_bonds += len(choice.bonds)
+        self.total_bonds += len(partners)
 
     def pop(self) -> None:
         p = self.path.pop()
@@ -253,34 +276,135 @@ def elongations(
     return _Fold(rules, arity_cap, c).choices(bead)
 
 
-def _best_reachable_energy(fold: _Fold, transcript: Sequence[str], next_i: int, depth: int) -> int:
-    """Minimum energy over every elongation by at most ``depth`` further transcript beads."""
-    best = -fold.total_bonds
-    if depth == 0 or next_i >= len(transcript):
+# A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
+_MAX_NEW_BONDS = 5
+_DIRECTION_RANK = {d: k for k, d in enumerate(DIRECTIONS)}
+
+
+def _hex_disk(radius: int) -> tuple[tuple[int, int], ...]:
+    """Every offset within ``radius`` grid steps of the origin, in a fixed order."""
+    span = range(-radius, radius + 1)
+    return tuple(
+        (dx, dy) for dx in span for dy in span if max(abs(dx), abs(dy), abs(dx + dy)) <= radius
+    )
+
+
+class _Lookahead:
+    """Exact delay-bounded argmin search for one system.
+
+    Scores are bond totals, maximised, so the argmin over energy is the argmax
+    here. Below the root a branch-and-bound search gives up on a subtree once
+    its admissible bound (each remaining bead adds at most ``min(arity, 5)``
+    bonds, none if its type has no partner) falls strictly below the best
+    score already found, so ties stay exact. The last level needs no push:
+    its best gain is the largest partner count of any free placement.
+
+    With ``table`` set, argmin sets are remembered relative to the path end,
+    keyed by the transcript window and every occupied point within
+    ``delay + 1`` steps (with bead type and bond count): that is everything
+    the search can touch, so a translated repeat of a situation is answered
+    without searching. Only windows that recur later in the transcript are
+    stored, and the table lives as long as this object.
+    """
+
+    __slots__ = ("transcript", "delay", "arity", "headroom", "table", "window_ids", "recurs", "disk")
+
+    def __init__(self, system: OritatamiSystem, table: bool = False):
+        self.transcript = t = system.transcript
+        self.delay = delay = system.delay
+        self.arity = system.arity
+        cap = min(system.arity, _MAX_NEW_BONDS)
+        # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
+        self.headroom = list(
+            accumulate((cap if system.rules.partners(b) else 0 for b in t), initial=0)
+        )
+        self.table: dict | None = None
+        if table:
+            self.table = {}
+            windows = [t[i : i + delay] for i in range(len(t))]
+            ids: dict[tuple[str, ...], int] = {}
+            last: dict[tuple[str, ...], int] = {}
+            for i, w in enumerate(windows):
+                ids.setdefault(w, len(ids))
+                last[w] = i
+            self.window_ids = [ids[w] for w in windows]
+            self.recurs = [last[w] > i for i, w in enumerate(windows)]
+            self.disk = _hex_disk(delay + 1)
+
+    def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
+        if self.table is None:
+            return self._search(fold, i)
+        ex, ey = fold.path[-1]
+        occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
+        hood = []
+        for dx, dy in self.disk:
+            idx = occupied.get((ex + dx, ey + dy))
+            if idx is not None:
+                hood.append((dx, dy, beads[idx], counts[idx]))
+        key = (self.window_ids[i], tuple(hood))
+        entry = self.table.get(key)
+        if entry is not None:
+            # Partner offsets map back to indices whose order may differ from
+            # the stored situation's, so canonical order is rebuilt.
+            restored = []
+            for (dx, dy), mates in entry:
+                bonds = tuple(sorted(occupied[(ex + mx, ey + my)] for mx, my in mates))
+                restored.append((_DIRECTION_RANK[(dx, dy)], bonds, Point(ex + dx, ey + dy)))
+            restored.sort()
+            return [StabilizationChoice(p, bonds) for _, bonds, p in restored]
+        options = self._search(fold, i)
+        if self.recurs[i]:
+            path = fold.path
+            self.table[key] = tuple(
+                (
+                    (ch.point[0] - ex, ch.point[1] - ey),
+                    tuple((path[q][0] - ex, path[q][1] - ey) for q in ch.bonds),
+                )
+                for ch in options
+            )
+        return options
+
+    def _search(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
+        bead = self.transcript[i]
+        options = fold.choices(bead)
+        if not options:
+            raise DeadEnd(f"no placement for transcript bead {i + 1} ({bead})")
+        best = -1
+        scores = []
+        for ch in options:
+            fold.push(ch.point, ch.bonds, bead)
+            score = self._value(fold, i + 1, self.delay - 1, best)
+            fold.pop()
+            scores.append(score)
+            if score > best:
+                best = score
+        return [ch for ch, score in zip(options, scores) if score == best]
+
+    def _value(self, fold: _Fold, next_i: int, depth: int, alpha: int) -> int:
+        """Most bonds reachable by placing up to ``depth`` more transcript beads
+        from ``next_i`` on (truncated at the transcript end). Exact when that
+        is at least ``alpha``; otherwise an upper bound strictly below it."""
+        base = fold.total_bonds
+        stop = min(next_i + depth, len(self.transcript))
+        bound = base + self.headroom[stop] - self.headroom[next_i]
+        if bound == base or bound < alpha:
+            return bound
+        bead = self.transcript[next_i]
+        if depth == 1:
+            arity = self.arity
+            return base + max((min(len(e), arity) for _, e in fold.placements(bead)), default=0)
+        best = base
+        for point, eligible in fold.placements(bead):
+            for r in range(min(len(eligible), self.arity), -1, -1):
+                for partners in combinations(eligible, r):
+                    fold.push(point, partners, bead)
+                    score = self._value(fold, next_i + 1, depth - 1, max(alpha, best + 1))
+                    fold.pop()
+                    if score > best:
+                        best = score
+                        if best == bound:
+                            return best
         return best
-    bead = transcript[next_i]
-    for ch in fold.choices(bead):
-        fold.push(ch, bead)
-        s = _best_reachable_energy(fold, transcript, next_i + 1, depth - 1)
-        if s < best:
-            best = s
-        fold.pop()
-    return best
-
-
-def _minimizers(fold: _Fold, system: OritatamiSystem, i: int) -> list[StabilizationChoice]:
-    bead = system.transcript[i]
-    options = fold.choices(bead)
-    if not options:
-        raise DeadEnd(f"no placement for transcript bead {i + 1} ({bead})")
-    scored: list[tuple[int, StabilizationChoice]] = []
-    for ch in options:
-        fold.push(ch, bead)
-        score = _best_reachable_energy(fold, system.transcript, i + 1, system.delay - 1)
-        fold.pop()
-        scored.append((score, ch))
-    best = min(s for s, _ in scored)
-    return [ch for s, ch in scored if s == best]
 
 
 def stabilize_next(
@@ -293,8 +417,7 @@ def stabilize_next(
     the transcript end); every choice attaining the global minimum is
     returned, in canonical order. Raises DeadEnd when no placement exists.
     """
-    fold = _Fold(system.rules, system.arity, c_i)
-    return _minimizers(fold, system, i)
+    return _Lookahead(system).minimizers(_Fold(system.rules, system.arity, c_i), i)
 
 
 def fold_all(
@@ -307,7 +430,8 @@ def fold_all(
 
     enumerate -- branch over every nondeterministic stabilization and return
     all distinct terminal conformations (transcript completed, or stuck at a
-    dead end). Raises BranchBudgetExceeded past ``branch_budget`` terminals.
+    dead end), in depth-first order. Raises BranchBudgetExceeded past
+    ``branch_budget`` terminals.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
@@ -319,45 +443,59 @@ def fold_all(
         rng = random.Random(rng)
     elif rng is None:
         rng = random.Random(0)
+    search = _Lookahead(system, table=True)
     fold = _Fold(system.rules, system.arity, system.seed)
     for i in range(len(system.transcript)):
         try:
-            options = _minimizers(fold, system, i)
+            options = search.minimizers(fold, i)
         except DeadEnd:
             return (FoldOutcome(fold.snapshot(), False),)
         choice = rng.choice(options) if mode == "sample" else options[0]
-        fold.push(choice, system.transcript[i])
+        fold.push(choice.point, choice.bonds, system.transcript[i])
     return (FoldOutcome(fold.snapshot(), True),)
 
 
 def _fold_enumerate(system: OritatamiSystem, branch_budget: int) -> tuple[FoldOutcome, ...]:
+    search = _Lookahead(system, table=True)
+    fold = _Fold(system.rules, system.arity, system.seed)
+    transcript = system.transcript
     outcomes: list[FoldOutcome] = []
     seen: set[tuple] = set()
 
-    def record(fold: _Fold, completed: bool) -> None:
+    def expand(i: int) -> Iterator[StabilizationChoice] | None:
+        """The argmin choices for bead ``i``, or None after recording a terminal."""
+        if i < len(transcript):
+            try:
+                return iter(search.minimizers(fold, i))
+            except DeadEnd:
+                pass
         if len(outcomes) >= branch_budget:
             raise BranchBudgetExceeded(f"more than {branch_budget} terminal branches")
         snap = fold.snapshot()
+        completed = i == len(transcript)
         key = (snap.path, snap.beads, snap.bonds, completed)
         if key not in seen:
             seen.add(key)
             outcomes.append(FoldOutcome(snap, completed))
+        return None
 
-    def walk(fold: _Fold, i: int) -> None:
-        if i == len(system.transcript):
-            record(fold, True)
-            return
-        try:
-            options = _minimizers(fold, system, i)
-        except DeadEnd:
-            record(fold, False)
-            return
-        for ch in options:
-            fold.push(ch, system.transcript[i])
-            walk(fold, i + 1)
+    # Depth-first walk with an explicit stack: frame i iterates the choices for bead i.
+    root = expand(0)
+    stack = [root] if root is not None else []
+    while stack:
+        ch = next(stack[-1], None)
+        if ch is None:
+            stack.pop()
+            if stack:
+                fold.pop()
+            continue
+        i = len(stack) - 1
+        fold.push(ch.point, ch.bonds, transcript[i])
+        frame = expand(i + 1)
+        if frame is None:
             fold.pop()
-
-    walk(_Fold(system.rules, system.arity, system.seed), 0)
+        else:
+            stack.append(frame)
     return tuple(outcomes)
 
 
@@ -367,23 +505,14 @@ def is_deterministic_run(system: OritatamiSystem) -> bool:
     A single branch then exists, so walking it covers every reachable step;
     a dead end (zero minimizers) counts as not deterministic.
     """
+    search = _Lookahead(system, table=True)
     fold = _Fold(system.rules, system.arity, system.seed)
     for i in range(len(system.transcript)):
         try:
-            options = _minimizers(fold, system, i)
+            options = search.minimizers(fold, i)
         except DeadEnd:
             return False
         if len(options) != 1:
             return False
-        fold.push(options[0], system.transcript[i])
+        fold.push(options[0].point, options[0].bonds, system.transcript[i])
     return True
-
-
-def transcript_is_cyclic(transcript: Sequence[str]) -> bool:
-    """True iff the transcript admits a period no longer than half its length."""
-    w = list(transcript)
-    n = len(w)
-    for p in range(1, n // 2 + 1):
-        if all(w[i] == w[i + p] for i in range(n - p)):
-            return True
-    return False

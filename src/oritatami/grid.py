@@ -25,8 +25,6 @@ SE = Point(1, -1)
 
 DIRECTIONS: tuple[Point, ...] = (E, NE, NW, W, SW, SE)
 DIRECTION_NAMES: tuple[str, ...] = ("E", "NE", "NW", "W", "SW", "SE")
-DIRECTION_BY_NAME: dict[str, Point] = dict(zip(DIRECTION_NAMES, DIRECTIONS))
-NAME_BY_DIRECTION: dict[Point, str] = dict(zip(DIRECTIONS, DIRECTION_NAMES))
 
 _UNIT_OFFSETS = frozenset(DIRECTIONS)
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0

@@ -99,18 +99,20 @@ def choice_key(choice):
     return ((choice.point[0], choice.point[1]), frozenset(choice.bonds))
 
 
-def random_system(rng: random.Random) -> OritatamiSystem:
+def random_system(
+    rng: random.Random, max_delay: int = 3, max_arity: int = 4, max_transcript: int = 8
+) -> OritatamiSystem:
     """A small random oritatami system within the property-test bounds:
-    at most 6 bead types, 8 rule pairs, delay 3, arity 4, 6 seed beads,
-    8 transcript beads."""
+    at most 6 bead types, 8 rule pairs, delay ``max_delay``, arity
+    ``max_arity``, 6 seed beads, ``max_transcript`` transcript beads."""
     types = [f"b{i}" for i in range(rng.randint(1, 6))]
     pairs = {
         tuple(sorted((rng.choice(types), rng.choice(types))))
         for _ in range(rng.randint(0, 8))
     }
     rules = RuleSet(pairs)
-    arity = rng.randint(1, 4)
-    delay = rng.randint(1, 3)
+    arity = rng.randint(1, max_arity)
+    delay = rng.randint(1, max_delay)
 
     path = [(0, 0)]
     occupied = {(0, 0)}
@@ -143,7 +145,7 @@ def random_system(rng: random.Random) -> OritatamiSystem:
             counts[i] += 1
             counts[j] += 1
 
-    transcript = [rng.choice(types) for _ in range(rng.randint(1, 8))]
+    transcript = [rng.choice(types) for _ in range(rng.randint(1, max_transcript))]
     seed = Conformation.build(path, beads, bonds)
     return OritatamiSystem(rules, arity, delay, seed, tuple(transcript))
 

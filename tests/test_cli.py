@@ -108,6 +108,25 @@ class TestTokenizeWord:
         with pytest.raises(ValueError):
             _tokenize_word("10", ("100",))
 
+    def test_split_needs_backtracking(self):
+        # Longest match would take "ab" first and strand the "c".
+        assert _tokenize_word("abc", ("a", "ab", "bc")) == ["a", "bc"]
+
+    def test_ambiguous_split_is_rejected(self):
+        with pytest.raises(ValueError, match="more than one way"):
+            _tokenize_word("001", ("0", "1", "01"))
+        assert _tokenize_word("0 01", ("0", "1", "01")) == ["0", "01"]
+
+    def test_ambiguous_word_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "glued.nfa"
+        p.write_text(
+            "states: p\nalphabet: 0 1 01\ninitial: p\naccept: p\n"
+            "trans: p 0 p\ntrans: p 1 p\ntrans: p 01 p\n"
+        )
+        assert main(["run-nfa", str(p), "--word", "0 01"]) == 0
+        assert main(["run-nfa", str(p), "--word", "001"]) == 2
+        assert "more than one way" in capsys.readouterr().err
+
 
 class TestFoldCommand:
     def test_fold_writes_trace_and_svg(self, glider_file, tmp_path, capsys):

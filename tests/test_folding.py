@@ -1,11 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oritatami.fixtures import (
-    GLIDER_PERIOD,
     GLIDER_PERIOD_SHIFT,
     GLIDER_RULES,
     glider_seed,
@@ -15,6 +12,7 @@ from oritatami.folding import (
     BranchBudgetExceeded,
     Conformation,
     DeadEnd,
+    FoldOutcome,
     OritatamiSystem,
     RuleSet,
     StabilizationChoice,
@@ -24,12 +22,58 @@ from oritatami.folding import (
     fold_all,
     is_deterministic_run,
     stabilize_next,
-    transcript_is_cyclic,
     validate_conformation,
 )
+from oritatami.folding import _Fold, _Lookahead
 from oritatami.grid import Point, path_is_valid
 
 import oracles
+
+
+def extend(conf, choice, bead):
+    """``conf`` elongated by one stabilized bead."""
+    new_idx = len(conf.path)
+    return Conformation(
+        conf.path + (choice.point,),
+        conf.beads + (bead,),
+        conf.bonds | {(p, new_idx) for p in choice.bonds},
+    )
+
+
+def replay(system, mode, rng=0):
+    """``fold_all`` rebuilt from one ``stabilize_next`` call per step, which
+    keeps no table between steps: the reference for the fold drivers."""
+    transcript = system.transcript
+    if mode == "enumerate":
+        outcomes = []
+        seen = set()
+
+        def walk(conf, i):
+            if i < len(transcript):
+                try:
+                    options = stabilize_next(system, conf, i)
+                except DeadEnd:
+                    pass
+                else:
+                    for ch in options:
+                        walk(extend(conf, ch, transcript[i]), i + 1)
+                    return
+            terminal = FoldOutcome(conf, i == len(transcript))
+            if terminal not in seen:
+                seen.add(terminal)
+                outcomes.append(terminal)
+
+        walk(system.seed, 0)
+        return tuple(outcomes)
+    rng = random.Random(rng)
+    conf = system.seed
+    for i, bead in enumerate(transcript):
+        try:
+            options = stabilize_next(system, conf, i)
+        except DeadEnd:
+            return (FoldOutcome(conf, False),)
+        conf = extend(conf, rng.choice(options) if mode == "sample" else options[0], bead)
+    return (FoldOutcome(conf, True),)
 
 
 def two_bead_system(delay=1, transcript=("b",)):
@@ -219,29 +263,36 @@ class TestDeterminism:
 class TestOracleAgreement:
     """The engine's argmin sets against the standalone brute-force recursion."""
 
+    @staticmethod
+    def compare_along_first_branch(sys_):
+        """Check every step of the canonical-first branch; return the step count."""
+        conf = sys_.seed
+        for i in range(len(sys_.transcript)):
+            expected = oracles.brute_minimizers(sys_, conf, i)
+            if not expected:
+                with pytest.raises(DeadEnd):
+                    stabilize_next(sys_, conf, i)
+                return i
+            got = stabilize_next(sys_, conf, i)
+            assert set(map(oracles.choice_key, got)) == expected
+            conf = extend(conf, got[0], sys_.transcript[i])
+        return len(sys_.transcript)
+
     def test_small_corpus(self):
         rng = random.Random(424242)
-        compared = 0
-        for _ in range(120):
-            sys_ = oracles.random_system(rng)
-            conf = sys_.seed
-            for i in range(len(sys_.transcript)):
-                expected = oracles.brute_minimizers(sys_, conf, i)
-                if not expected:
-                    with pytest.raises(DeadEnd):
-                        stabilize_next(sys_, conf, i)
-                    break
-                got = stabilize_next(sys_, conf, i)
-                assert set(map(oracles.choice_key, got)) == expected
-                compared += 1
-                choice = got[0]
-                new_idx = len(conf.path)
-                conf = Conformation(
-                    conf.path + (choice.point,),
-                    conf.beads + (sys_.transcript[i],),
-                    conf.bonds | {(p, new_idx) for p in choice.bonds},
-                )
+        compared = sum(self.compare_along_first_branch(oracles.random_system(rng)) for _ in range(120))
         assert compared > 200
+
+    def test_corpus_up_to_delay_four(self):
+        rng = random.Random(31337)
+        compared = 0
+        by_delay = set()
+        for _ in range(60):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3, max_transcript=6)
+            by_delay.add(sys_.delay)
+            compared += self.compare_along_first_branch(sys_)
+        assert by_delay == {1, 2, 3, 4}
+        assert compared > 150
 
     def test_delay_one_equals_max_bond_greedy(self):
         rng = random.Random(11)
@@ -281,19 +332,65 @@ class TestGlider:
         assert e1 == -9  # two seed bonds plus seven new ones
         assert e2 - e1 == -7
 
+    def test_two_hundred_period_enumerate(self):
+        sys_ = glider_system(periods=200)
+        outcomes = fold_all(sys_, "enumerate")
+        assert len(outcomes) == 1 and outcomes[0].completed
+        assert energy(outcomes[0].conformation) == -(2 + 7 * 200)
+        assert outcomes == fold_all(sys_, "first")
 
-class TestCyclicity:
-    def test_glider_transcript_is_cyclic(self):
-        assert transcript_is_cyclic(GLIDER_PERIOD * 4)
 
-    def test_half_period_boundary(self):
-        assert transcript_is_cyclic(list("abcabc"))
-        assert not transcript_is_cyclic(list("abcabd"))
+class TestTableFreeReplay:
+    """``fold_all`` (with its per-fold table) against step-by-step ``stabilize_next``."""
 
-    def test_short_sequences(self):
-        assert not transcript_is_cyclic(["x"])
-        assert transcript_is_cyclic(["x", "x"])
+    def test_random_periodic_transcripts(self):
+        rng = random.Random(909)
+        folded = 0
+        for _ in range(60):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+            types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
+            period = [rng.choice(types) for _ in range(rng.randint(1, 3))]
+            transcript = tuple((period * 9)[: rng.randint(5, 9)])
+            sys_ = OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript)
+            for mode in ("first", "sample"):
+                assert list(fold_all(sys_, mode, rng=5)) == list(replay(sys_, mode, rng=5))
+            try:
+                outcomes = fold_all(sys_, "enumerate", branch_budget=200)
+            except BranchBudgetExceeded:
+                continue
+            assert list(outcomes) == list(replay(sys_, "enumerate"))
+            folded += 1
+        assert folded >= 20
 
-    @given(st.lists(st.sampled_from("ab"), min_size=1, max_size=6), st.integers(2, 4))
-    def test_any_repetition_is_cyclic(self, block, reps):
-        assert transcript_is_cyclic(block * reps)
+    def test_mirrored_glider(self):
+        sys_ = glider_system(periods=3, mirrored=True)
+        for mode in ("first", "enumerate"):
+            assert list(fold_all(sys_, mode)) == list(replay(sys_, mode))
+
+    def test_table_hit_restores_canonical_order(self):
+        # Two seeds occupy the same cells around the path end (0, 0) with the
+        # same bead types, but visit the two a-beads in opposite order. A
+        # b-bead at (1, 0) can bond either a-bead, so both one-bond choices
+        # tie, and canonical order puts the lower partner index first.
+        rules = RuleSet([("a", "b")])
+        cells_a = [(1, -1), (2, -1), (3, -1), (3, 0), (2, 1), (1, 1), (0, 1), (0, 0)]
+        cells_b = cells_a[-2::-1] + [(0, 0)]
+        beads = ["x", "a", "y", "y", "y", "a", "x", "x"]
+        first = Conformation.build(cells_a, beads)
+        second = Conformation.build(cells_b, beads[-2::-1] + ["x"])
+        sys_ = OritatamiSystem(rules, 1, 1, first, ("b", "b"))
+        search = _Lookahead(sys_, table=True)
+
+        got_first = search.minimizers(_Fold(rules, 1, first), 0)
+        assert got_first == [
+            StabilizationChoice(Point(1, 0), (1,)),  # the a-bead at (2, -1)
+            StabilizationChoice(Point(1, 0), (5,)),  # the a-bead at (1, 1)
+        ]
+        assert len(search.table) == 1
+        got_second = search.minimizers(_Fold(rules, 1, second), 0)
+        assert len(search.table) == 1  # answered from the table
+        assert got_second == stabilize_next(sys_, second, 0)
+        assert got_second == [
+            StabilizationChoice(Point(1, 0), (1,)),  # now the a-bead at (1, 1)
+            StabilizationChoice(Point(1, 0), (5,)),
+        ]
