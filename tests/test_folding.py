@@ -42,7 +42,7 @@ def extend(conf, choice, bead):
 
 def replay(system, mode, rng=0):
     """``fold_all`` rebuilt from one ``stabilize_next`` call per step, which
-    keeps no table between steps: the reference for the fold drivers."""
+    keeps no table between steps: the reference for ``fold_all``."""
     transcript = system.transcript
     if mode == "enumerate":
         outcomes = []
