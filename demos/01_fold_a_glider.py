@@ -12,7 +12,7 @@ Run:  python demos/01_fold_a_glider.py
 from pathlib import Path
 
 from oritatami import energy, fold_all, is_deterministic_run, stabilize_next
-from oritatami.render import RenderOptions, render_ascii, render_svg
+from oritatami.render import render_ascii, render_svg
 from oritatami.sysfile import format_trace, parse_system_file
 
 HERE = Path(__file__).parent
@@ -34,7 +34,7 @@ print(f"energy: {energy(conf)}  (two seed bonds + seven per period)")
 print(f"deterministic: {is_deterministic_run(system)}")
 
 print()
-print(render_ascii(conf, RenderOptions(format="ascii")))
+print(render_ascii(conf))
 
 out_svg = HERE / "glider.svg"
 out_svg.write_text(render_svg(conf))

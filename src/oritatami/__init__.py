@@ -54,6 +54,6 @@ from .harness import (
     explore_closure,
     fold_in_environment,
 )
-from .render import RenderOptions, render
+from .render import RenderOptions
 
 __version__ = "0.1.0"

@@ -283,8 +283,7 @@ def run_word(
 def step_count(nfa: AugmentedNfa, code: Encoding, word_len: int) -> int:
     """Exact brick-cell count for a word of the given length:
     (t + 1) periods x (4n + 2m + 2) zigzags x 2n cells per zigzag row."""
-    n, m = code.state_bits, code.letter_bits
-    return (word_len + 1) * (4 * n + 2 * m + 2) * (2 * n)
+    return (word_len + 1) * _period_shape(code.state_bits, code.letter_bits, halted=False)[1]
 
 
 def format_report(
@@ -306,7 +305,14 @@ def format_report(
                 lines.append(f"    module4 {format_row(trace.after_module4)}")
         tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
         lines.append(f"  states: {' -> '.join(outcome.states)} ({tail})")
+    lines.append(format_verdict(nfa, code, word, result))
+    return "\n".join(lines) + "\n"
+
+
+def format_verdict(
+    nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
+) -> str:
+    """The run's one-line verdict: the last line of ``format_report``."""
     verdict = "ACCEPT" if result.accepted else "REJECT (all branches halted)"
     cells = step_count(nfa, code, len(word))
-    lines.append(f"{verdict} branches={result.branch_count} steps={cells}")
-    return "\n".join(lines) + "\n"
+    return f"{verdict} branches={result.branch_count} steps={cells}"

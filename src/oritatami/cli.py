@@ -84,11 +84,10 @@ def _cmd_run_nfa(args) -> int:
     machine, code = prepare(nfa, state_codes, letter_codes)
     word = _tokenize_word(args.word, machine.alphabet) if args.word else []
     result = bricks.run_word(machine, code, word, mode=args.mode, rng=args.rng_seed)
-    report = bricks.format_report(machine, code, word, result)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    print(report.rstrip("\n").splitlines()[-1])
+            fh.write(bricks.format_report(machine, code, word, result))
+    print(bricks.format_verdict(machine, code, word, result))
     return 0 if result.accepted else 1
 
 
@@ -130,12 +129,13 @@ def _cmd_stats(args) -> int:
     nfa, state_codes, letter_codes = parse_nfa_file(args.nfa)
     machine, code = prepare(nfa, state_codes, letter_codes)
     n, m = code.state_bits, code.letter_bits
+    zigzags, cells = bricks._period_shape(n, m, halted=False)
     total = bricks.step_count(machine, code, args.word_len)
     print(f"transitions (n): {n}")
     print(f"letter bits (m): {m}")
     print(f"periods: {args.word_len + 1}")
-    print(f"zigzags per period: {4 * n + 2 * m + 2}")
-    print(f"cells per zigzag row: {2 * n}")
+    print(f"zigzags per period: {zigzags}")
+    print(f"cells per zigzag row: {cells // zigzags}")
     print(f"total cells: {total}")
     return 0
 

@@ -24,7 +24,7 @@ from .folding import (
     fold_all,
 )
 from .grid import Point
-from .sysfile import SystemFileError, parse_seed_block
+from .sysfile import SEED_KEYS, Directives, check_args, split_stanzas
 
 
 class UnexpectedFold(Exception):
@@ -291,58 +291,33 @@ def format_automaton(auto: BrickAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ENV_FIELDS = {"entry": "T|B", "input": "0|1|N|Y", "submodule": "NAME"}
+
+
 def parse_environments(text: str) -> list[Environment]:
     """Parse an environment catalog: ``env <name>`` stanzas holding seed lines
     (system-file syntax), ``entry T|B``, ``input 0|1|N|Y``, and an optional
     ``submodule <name>``."""
-    stanzas: list[tuple[str, list[str]]] = []
-    current: list[str] | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "env":
-            if len(tokens) != 2:
-                raise CatalogError("'env' takes exactly one name")
-            current = []
-            stanzas.append((tokens[1], current))
-        elif current is None:
-            raise CatalogError(f"directive {tokens[0]!r} before any 'env' stanza")
-        else:
-            current.append(line)
-    if not stanzas:
-        raise CatalogError("catalog declares no environments")
-
     envs: list[Environment] = []
-    for name, lines in stanzas:
-        entry = input_bit = submodule = None
-        seed_lines: list[str] = []
-        for line in lines:
-            tokens = line.split()
-            if tokens[0] == "entry":
-                (entry,) = tokens[1:]
-            elif tokens[0] == "input":
-                (input_bit,) = tokens[1:]
-            elif tokens[0] == "submodule":
-                (submodule,) = tokens[1:]
-            elif tokens[0] in ("seed", "seedbond"):
-                seed_lines.append(line)
-            else:
-                raise CatalogError(f"env {name}: unknown directive {tokens[0]!r}")
-        if entry is None or input_bit is None:
+    for name, directives in split_stanzas(text, "env", CatalogError):
+        found = Directives(CatalogError, SEED_KEYS)
+        fields: dict[str, str] = {}
+        for lineno, key, args in directives:
+            if key in _ENV_FIELDS:
+                (fields[key],) = check_args(CatalogError, lineno, key, args, _ENV_FIELDS[key])
+            elif not found.read(lineno, key, args):
+                raise CatalogError(f"line {lineno}: unknown directive {key!r}")
+        if "entry" not in fields or "input" not in fields:
             raise CatalogError(f"env {name}: needs both 'entry' and 'input'")
-        if not seed_lines:
-            raise CatalogError(f"env {name}: needs a seed conformation block")
         try:
-            conformation = parse_seed_block(seed_lines)
-        except SystemFileError as exc:
-            raise CatalogError(f"env {name}: {exc}") from None
-        try:
-            envs.append(Environment(name, conformation, entry, input_bit, submodule))
+            envs.append(Environment(name, found.seed(), fields["entry"], fields["input"],
+                                    fields.get("submodule")))
         except ValueError as exc:
             raise CatalogError(f"env {name}: {exc}") from None
     return envs
+
+
+_FLAGS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
 def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
@@ -350,56 +325,28 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
     ``arity``, ``rule`` lines, a ``fragment`` (or ``repeat``) transcript, an
     optional ``deterministic yes|no``, and optional declared bricks as
     ``expect <entry> <input> <exit> <bead> <bead> ...``."""
-    stanzas: list[tuple[str, list[list[str]]]] = []
-    current: list[list[str]] | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "submodule":
-            if len(tokens) != 2:
-                raise CatalogError("'submodule' takes exactly one name")
-            current = []
-            stanzas.append((tokens[1], current))
-        elif current is None:
-            raise CatalogError(f"directive {tokens[0]!r} before any 'submodule' stanza")
-        else:
-            current.append(tokens)
-    if not stanzas:
-        raise CatalogError("no submodules declared")
-
     defs: dict[str, SubmoduleDef] = {}
-    for name, lines in stanzas:
-        delay = arity = None
-        rules: list[tuple[str, str]] = []
-        fragment: list[str] = []
+    for name, directives in split_stanzas(text, "submodule", CatalogError):
+        found = Directives(CatalogError, ("delay", "arity", "rule", "fragment", "repeat"))
         deterministic = True
         expected: list[ExpectedBrick] = []
-        for tokens in lines:
-            key, args = tokens[0], tokens[1:]
-            if key == "delay":
-                delay = int(args[0])
-            elif key == "arity":
-                arity = int(args[0])
-            elif key == "rule":
-                a, b = args
-                rules.append((a, b))
-            elif key == "fragment":
-                fragment.extend(args)
-            elif key == "repeat":
-                fragment.extend(args[1:] * int(args[0]))
-            elif key == "deterministic":
-                deterministic = args[0].lower() in ("yes", "true", "1")
+        for lineno, key, args in directives:
+            if key == "deterministic":
+                (flag,) = check_args(CatalogError, lineno, key, args, "yes|no")
+                if flag.lower() not in _FLAGS:
+                    raise CatalogError(f"line {lineno}: expected 'deterministic yes|no'")
+                deterministic = _FLAGS[flag.lower()]
             elif key == "expect":
-                if len(args) < 3:
-                    raise CatalogError(f"submodule {name}: 'expect' needs entry input exit beads")
-                expected.append(ExpectedBrick(args[0], args[1], args[2], tuple(args[3:])))
-            else:
-                raise CatalogError(f"submodule {name}: unknown directive {key!r}")
-        if delay is None or arity is None or not fragment:
+                entry, input_bit, exit_height, *beads = check_args(
+                    CatalogError, lineno, key, args, "ENTRY INPUT EXIT ..."
+                )
+                expected.append(ExpectedBrick(entry, input_bit, exit_height, tuple(beads)))
+            elif not found.read(lineno, key, args):
+                raise CatalogError(f"line {lineno}: unknown directive {key!r}")
+        if found.delay is None or found.arity is None or not found.transcript:
             raise CatalogError(f"submodule {name}: needs delay, arity and a fragment")
         defs[name] = SubmoduleDef(
-            name, tuple(fragment), RuleSet(rules), delay, arity, deterministic, tuple(expected)
+            name, tuple(found.transcript), RuleSet(found.rules), found.delay, found.arity,
+            deterministic, tuple(expected),
         )
     return defs

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .sysfile import check_args, tokenize
+
 DOLLAR = "$"
 SINK = "qAcc"
 
@@ -245,52 +247,32 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     ``statecode: <state> <bits>``, ``lettercode: <letter> <bits>``.
     Code lines may name the future sink ``qAcc`` and the letter ``$``.
     """
-    states: list[str] = []
-    alphabet: list[str] = []
+    lists: dict[str, list[str]] = {"states:": [], "alphabet:": [], "accept:": []}
+    codes: dict[str, dict[str, str]] = {"statecode:": {}, "lettercode:": {}}
     initial: str | None = None
-    accepting: list[str] = []
     transitions: list[tuple[str, str, str]] = []
-    state_codes: dict[str, str] = {}
-    letter_codes: dict[str, str] = {}
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        key, args = tokens[0], tokens[1:]
-        if key == "states:":
-            states.extend(args)
-        elif key == "alphabet:":
-            alphabet.extend(args)
+    for lineno, key, args in tokenize(text.splitlines()):
+        if key in lists:
+            lists[key].extend(args)
         elif key == "initial:":
-            if len(args) != 1:
-                raise NfaFileError(f"line {lineno}: 'initial:' takes one state")
-            initial = args[0]
-        elif key == "accept:":
-            accepting.extend(args)
+            (initial,) = check_args(NfaFileError, lineno, key, args, "STATE")
         elif key == "trans:":
-            if len(args) != 3:
-                raise NfaFileError(f"line {lineno}: 'trans:' takes origin letter target")
-            transitions.append((args[0], args[1], args[2]))
-        elif key == "statecode:":
-            if len(args) != 2:
-                raise NfaFileError(f"line {lineno}: 'statecode:' takes state bits")
-            state_codes[args[0]] = args[1]
-        elif key == "lettercode:":
-            if len(args) != 2:
-                raise NfaFileError(f"line {lineno}: 'lettercode:' takes letter bits")
-            letter_codes[args[0]] = args[1]
+            usage = "ORIGIN LETTER TARGET"
+            origin, letter, target = check_args(NfaFileError, lineno, key, args, usage)
+            transitions.append((origin, letter, target))
+        elif key in codes:
+            name, bits = check_args(NfaFileError, lineno, key, args, "NAME BITS")
+            codes[key][name] = bits
         else:
             raise NfaFileError(f"line {lineno}: unknown directive {key!r}")
 
     if initial is None:
         raise NfaFileError("missing 'initial:' line")
     try:
-        nfa = Nfa(tuple(states), tuple(alphabet), initial, tuple(accepting), tuple(transitions))
+        nfa = Nfa(lists["states:"], lists["alphabet:"], initial, lists["accept:"], transitions)
     except ValueError as exc:
         raise NfaFileError(str(exc)) from None
-    return nfa, state_codes, letter_codes
+    return nfa, codes["statecode:"], codes["lettercode:"]
 
 
 def parse_nfa_file(path: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:

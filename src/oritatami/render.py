@@ -12,22 +12,15 @@ from .grid import to_cartesian
 
 @dataclass(frozen=True)
 class RenderOptions:
-    format: str = "svg"  # "svg" or "ascii"
+    """SVG drawing options."""
+
     scale: float = 40.0
     show_bonds: bool = True
     label_beads: bool = True
 
     def __post_init__(self):
-        if self.format not in ("svg", "ascii"):
-            raise ValueError(f"unknown render format {self.format!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-
-def render(c: Conformation, opts: RenderOptions = RenderOptions()) -> str:
-    if opts.format == "ascii":
-        return render_ascii(c, opts)
-    return render_svg(c, opts)
 
 
 def _bead_color(bead: str) -> str:
@@ -90,7 +83,7 @@ def render_svg(c: Conformation, opts: RenderOptions = RenderOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ascii(c: Conformation, opts: RenderOptions = RenderOptions()) -> str:
+def render_ascii(c: Conformation) -> str:
     """Bead names on offset rows (one text row per grid row, half-cell shifts)."""
     if not c.path:
         return ""

@@ -1,4 +1,9 @@
-"""Line-oriented text formats for folding systems and fold traces.
+"""Line-oriented text formats for folding systems and fold traces, and the
+directive reader that the system, NFA, submodule-def and environment-catalog
+formats share: one tokenizer, one argument check, one stanza splitter and
+one set of handlers for the directives two formats have in common. A
+malformed line raises the format's own ``ValueError`` subclass with a
+``line N:`` message.
 
 System file directives (one per line, ``#`` starts a comment):
 
@@ -8,7 +13,7 @@ System file directives (one per line, ``#`` starts a comment):
     seed <x> <y> <bead>            # path order
     seedbond <i> <j>               # 1-based conformation indices
     transcript <bead> <bead> ...
-    repeat <count> <bead> ... <bead>
+    repeat <count> <bead> ... <bead>    # count >= 0
 
 The fold trace is TSV, one line per stabilized transcript bead:
 index (1-based over the whole conformation, seed included), bead type,
@@ -17,7 +22,7 @@ x, y, and the bond partner indices joined by ``;``.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .folding import Conformation, OritatamiSystem, RuleSet, validate_conformation
 
@@ -26,93 +31,132 @@ class SystemFileError(ValueError):
     pass
 
 
-def parse_seed_block(lines: Iterable[str]) -> Conformation:
-    """Build a conformation from ``seed``/``seedbond`` lines alone, checking
-    geometry but not rule validity (callers supply the rule set later)."""
-    points: list[tuple[int, int]] = []
-    beads: list[str] = []
-    bonds: list[tuple[int, int]] = []
-    for line in lines:
-        tokens = line.split()
-        try:
-            if tokens[0] == "seed":
-                x, y, bead = tokens[1:]
-                points.append((int(x), int(y)))
-                beads.append(bead)
-            elif tokens[0] == "seedbond":
-                i, j = tokens[1:]
-                bonds.append((int(i) - 1, int(j) - 1))
-            else:
-                raise SystemFileError(f"unexpected directive {tokens[0]!r} in seed block")
-        except SystemFileError:
-            raise
-        except ValueError:
-            raise SystemFileError(f"malformed seed line {line!r}") from None
-    if not points:
-        raise SystemFileError("seed block declares no beads")
-    conformation = Conformation.build(points, beads, bonds)
+SEED_KEYS = ("seed", "seedbond")
+Line = tuple[int, str, list[str]]  # (lineno, key, args)
+
+
+def tokenize(lines: Iterable[str]) -> Iterator[Line]:
+    """``(lineno, key, args)`` for each directive line. ``#`` starts a
+    comment; blank lines are skipped but still counted."""
+    for lineno, raw in enumerate(lines, 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens[0], tokens[1:]
+
+
+def check_args(
+    error: type[ValueError], lineno: int, key: str, args: list[str], usage: str, ints: int = 0
+) -> list:
+    """``args`` checked against ``usage``, one space-separated name per
+    argument (a trailing ``...`` takes any number more), with the first
+    ``ints`` converted to int."""
+    more = usage.endswith("...")
+    need = usage.count(" ") + 1 - more
+    if len(args) != need and (len(args) < need or not more):
+        raise error(f"line {lineno}: expected '{key} {usage}'")
     try:
-        validate_conformation(conformation)
-    except ValueError as exc:
-        raise SystemFileError(str(exc)) from None
-    return conformation
+        return [*map(int, args[:ints]), *args[ints:]]
+    except ValueError:
+        names = " ".join(usage.split()[:ints])
+        raise error(f"line {lineno}: expected '{key} {usage}' with integer {names}") from None
 
 
-def _tokenized_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def split_stanzas(text: str, head: str, error: type[ValueError]) -> list[tuple[str, list[Line]]]:
+    """The ``<head> NAME`` stanzas of ``text`` as (NAME, its tokenized lines)."""
+    stanzas: list[tuple[str, list[Line]]] = []
+    for lineno, key, args in tokenize(text.splitlines()):
+        if key == head:
+            (name,) = check_args(error, lineno, key, args, "NAME")
+            stanzas.append((name, []))
+        elif not stanzas:
+            raise error(f"line {lineno}: {key!r} before any {head!r} stanza")
+        else:
+            stanzas[-1][1].append((lineno, key, args))
+    if not stanzas:
+        raise error(f"no {head!r} stanza")
+    return stanzas
+
+
+class Directives:
+    """The values set by the directives that two formats share: ``delay``,
+    ``arity``, ``rule``, ``seed``, ``seedbond``, and the transcript from
+    ``transcript`` (``fragment`` in submodule defs) and ``repeat`` lines.
+    ``read`` takes only the ``keys`` a format accepts and raises ``error``
+    on a malformed line."""
+
+    def __init__(self, error: type[ValueError], keys: Iterable[str]):
+        self.error, self.keys = error, frozenset(keys)
+        self.delay: int | None = None
+        self.arity: int | None = None
+        self.rules: list[tuple[str, str]] = []
+        self.points: list[tuple[int, int]] = []
+        self.beads: list[str] = []
+        self.bonds: list[tuple[int, int]] = []
+        self.transcript: list[str] = []
+
+    def read(self, lineno: int, key: str, args: list[str]) -> bool:
+        """Apply one directive line; False when ``key`` is not one of ``keys``."""
+        if key not in self.keys:
+            return False
+        if key in ("delay", "arity"):
+            (value,) = check_args(self.error, lineno, key, args, "N", ints=1)
+            setattr(self, key, value)
+        elif key == "rule":
+            a, b = check_args(self.error, lineno, key, args, "BEAD BEAD")
+            self.rules.append((a, b))
+        elif key == "seed":
+            x, y, bead = check_args(self.error, lineno, key, args, "X Y BEAD", ints=2)
+            self.points.append((x, y))
+            self.beads.append(bead)
+        elif key == "seedbond":
+            i, j = check_args(self.error, lineno, key, args, "I J", ints=2)
+            self.bonds.append((i - 1, j - 1))
+        elif key == "repeat":
+            count, *beads = check_args(self.error, lineno, key, args, "COUNT BEAD ...", ints=1)
+            if count < 0:
+                raise self.error(f"line {lineno}: 'repeat' COUNT must be >= 0, got {count}")
+            self.transcript.extend(beads * count)
+        else:  # "transcript" or "fragment"
+            self.transcript.extend(args)
+        return True
+
+    def seed(self) -> Conformation:
+        """The conformation of the ``seed``/``seedbond`` lines read, checked
+        for geometry but not for rule validity."""
+        if not self.points:
+            raise self.error("no 'seed' lines")
+        conformation = Conformation.build(self.points, self.beads, self.bonds)
+        try:
+            validate_conformation(conformation)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+        return conformation
+
+
+def parse_seed_block(lines: Iterable[str]) -> Conformation:
+    """Build a conformation from the ``seed``/``seedbond`` lines among
+    ``lines``, checking geometry but not rule validity (callers supply the
+    rule set later). Other directives are left to the caller to check; line
+    numbers in errors count every item of ``lines``."""
+    found = Directives(SystemFileError, SEED_KEYS)
+    for lineno, key, args in tokenize(lines):
+        found.read(lineno, key, args)
+    return found.seed()
 
 
 def parse_system(text: str) -> OritatamiSystem:
-    delay = arity = None
-    rules: list[tuple[str, str]] = []
-    seed_points: list[tuple[int, int]] = []
-    seed_beads: list[str] = []
-    seed_bonds: list[tuple[int, int]] = []
-    transcript: list[str] = []
-
-    for lineno, tokens in _tokenized_lines(text):
-        key, args = tokens[0], tokens[1:]
-        try:
-            if key == "delay":
-                (delay,) = args
-                delay = int(delay)
-            elif key == "arity":
-                (arity,) = args
-                arity = int(arity)
-            elif key == "rule":
-                a, b = args
-                rules.append((a, b))
-            elif key == "seed":
-                x, y, bead = args
-                seed_points.append((int(x), int(y)))
-                seed_beads.append(bead)
-            elif key == "seedbond":
-                i, j = args
-                seed_bonds.append((int(i) - 1, int(j) - 1))
-            elif key == "transcript":
-                transcript.extend(args)
-            elif key == "repeat":
-                count = int(args[0])
-                if count < 0 or not args[1:]:
-                    raise ValueError
-                transcript.extend(list(args[1:]) * count)
-            else:
-                raise SystemFileError(f"line {lineno}: unknown directive {key!r}")
-        except SystemFileError:
-            raise
-        except ValueError:
-            raise SystemFileError(f"line {lineno}: malformed {key!r} directive") from None
-
-    if delay is None or arity is None:
+    lines = text.splitlines()
+    found = Directives(SystemFileError, ("delay", "arity", "rule", "transcript", "repeat"))
+    for lineno, key, args in tokenize(lines):
+        if key not in SEED_KEYS and not found.read(lineno, key, args):
+            raise SystemFileError(f"line {lineno}: unknown directive {key!r}")
+    if found.delay is None or found.arity is None:
         raise SystemFileError("system file must set both 'delay' and 'arity'")
-    if not seed_points:
-        raise SystemFileError("system file must declare at least one 'seed' bead")
-    seed = Conformation.build(seed_points, seed_beads, seed_bonds)
+    seed = parse_seed_block(lines)
     try:
-        return OritatamiSystem(RuleSet(rules), arity, delay, seed, tuple(transcript))
+        return OritatamiSystem(
+            RuleSet(found.rules), found.arity, found.delay, seed, tuple(found.transcript)
+        )
     except ValueError as exc:
         raise SystemFileError(str(exc)) from None
 

@@ -242,3 +242,42 @@ class TestStatsCommand:
 
 def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
+
+
+# One malformed line per row: (file kind, the line, the line number it is
+# put at; None appends it).
+MALFORMED = [
+    ("defs", "delay", None),
+    ("defs", "repeat", None),
+    ("defs", "repeat -1 579", None),
+    ("defs", "deterministic", 2),
+    ("defs", "deterministic yess", 2),
+    ("sys", "repeat", None),
+    ("sys", "seed 0 0", 3),
+    ("cat", "entry T B", 2),
+    ("cat", "seed 0 0", None),
+    ("nfa", "trans: a x", None),
+]
+
+
+@pytest.mark.parametrize("kind, line, at", MALFORMED, ids=[f"{k}:{l}" for k, l, _ in MALFORMED])
+def test_malformed_line_is_input_error(tmp_path, capsys, kind, line, at):
+    texts = {"sys": GLIDER_SYS, "nfa": BRANCHING_NFA, "defs": DEFS, "cat": CATALOG}
+    lines = texts[kind].splitlines()
+    at = at or len(lines) + 1
+    lines.insert(at - 1, line)
+    texts[kind] = "\n".join(lines) + "\n"
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"input.{name}")
+        (tmp_path / f"input.{name}").write_text(text)
+    argv = {
+        "sys": ["fold", paths["sys"]],
+        "nfa": ["run-nfa", paths["nfa"], "--word", "100"],
+        "defs": ["check-bricks", paths["defs"], paths["cat"]],
+        "cat": ["check-bricks", paths["defs"], paths["cat"]],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"line {at}:" in err

@@ -243,6 +243,14 @@ class TestCatalogFiles:
             parse_environments(text)
 
     @pytest.mark.parametrize(
+        "flag, expected",
+        [("yes", True), ("TRUE", True), ("1", True), ("no", False), ("false", False), ("0", False)],
+    )
+    def test_deterministic_flag(self, flag, expected):
+        defs = parse_submodules(DEFS_TEXT + f"deterministic {flag}\n")
+        assert defs["gspacer"].deterministic is expected
+
+    @pytest.mark.parametrize(
         "text",
         [
             "delay 3\n",

@@ -2,7 +2,7 @@ import pytest
 
 from oritatami.fixtures import glider_seed, glider_system
 from oritatami.folding import Conformation, fold_all
-from oritatami.render import RenderOptions, render, render_ascii, render_svg
+from oritatami.render import RenderOptions, render_ascii, render_svg
 
 
 def test_single_bead_svg():
@@ -42,12 +42,6 @@ def test_labels_off():
     assert "<text" in render_svg(conf)
 
 
-def test_render_dispatch():
-    conf = glider_seed()
-    assert render(conf, RenderOptions(format="ascii")) == render_ascii(conf)
-    assert render(conf) == render_svg(conf)
-
-
 def test_ascii_rows_follow_grid_rows():
     conf = glider_seed()
     text = render_ascii(conf)
@@ -58,7 +52,5 @@ def test_ascii_rows_follow_grid_rows():
 
 
 def test_bad_options_rejected():
-    with pytest.raises(ValueError):
-        RenderOptions(format="png")
     with pytest.raises(ValueError):
         RenderOptions(scale=0)
