@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .nfa import AugmentedNfa, Encoding
 
@@ -40,6 +40,7 @@ class _Halt:
 HALT = _Halt()
 
 N, Y, YP = "N", "Y", "Y'"
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -125,28 +126,31 @@ def module3(
     in slot order, or (HALT,) when none survived. coin returns a single
     outcome drawn with the brick-level coin semantics.
     """
-    marked = mark_first_valid(row)
-    if marked is None:
+    outcomes = tuple(_one_hot(row.n, k) for k, v in enumerate(row.x) if v == Y)
+    if not outcomes:
         return (HALT,)
     if mode == "enumerate":
-        return tuple(_one_hot(row.n, k) for k, v in enumerate(row.x) if v == Y)
+        return outcomes
     if mode != "coin":
         raise ValueError(f"unknown choice mode {mode!r}")
+    return (_coin_pick(outcomes, _as_rng(rng)),)
+
+
+def _as_rng(rng: random.Random | int | None) -> random.Random:
     if isinstance(rng, int):
-        rng = random.Random(rng)
-    elif rng is None:
-        rng = random.Random(0)
-    chosen: int | None = None
-    for k in range(row.n - 1, -1, -1):  # the zag scans right to left
-        v = marked.x[k]
-        if chosen is not None:
-            continue
-        if v == Y and rng.random() < 0.5:
-            chosen = k
-        elif v == YP:
-            chosen = k  # fallback: the marked slot fires if nothing else did
-    assert chosen is not None
-    return (_one_hot(row.n, chosen),)
+        return random.Random(rng)
+    return random.Random(0) if rng is None else rng
+
+
+def _coin_pick(survivors: Sequence[_T], rng: random.Random) -> _T:
+    """The brick-level coin rule over ``survivors`` in slot order: the zag
+    scans right to left and each survivor but the lowest fires on a fair
+    coin (one ``rng.random()`` each, stopping at the first success); the
+    lowest, marked by stage 3's first pass, fires if none did."""
+    for k in range(len(survivors) - 1, 0, -1):
+        if rng.random() < 0.5:
+            return survivors[k]
+    return survivors[0]
 
 
 def module4(row: BrickRow, code: Encoding, nfa: AugmentedNfa) -> BrickRow:
@@ -204,14 +208,10 @@ def _period_shape(n: int, m: int, halted: bool) -> tuple[int, int]:
 
 
 def _run_period(
-    nfa: AugmentedNfa,
-    code: Encoding,
-    state: str,
-    letter: str,
-    mode: str,
-    rng: random.Random | None,
+    nfa: AugmentedNfa, code: Encoding, state: str, letter: str
 ) -> list[tuple[PeriodTrace, str | None]]:
-    """All (trace, next state) pairs for one period; next state None on halt."""
+    """All (trace, next state) pairs for one period, in slot order; next
+    state None on halt."""
     n, m = code.state_bits, code.letter_bits
     r1 = module1(boundary_row(code, state), code, nfa)
     r2 = module2(r1, code, nfa, letter)
@@ -222,7 +222,7 @@ def _run_period(
         trace = PeriodTrace(letter, r1, r2, None, None, None, None, True, zz, cells)
         return [(trace, None)]
     zz, cells = _period_shape(n, m, halted=False)
-    for r3 in module3(r2, "enumerate" if mode == "enumerate" else "coin", rng):
+    for r3 in module3(r2):
         k = r3.x.index(Y)
         r4 = module4(r3, code, nfa)
         trace = PeriodTrace(letter, r1, r2, marked, r3, r4, k + 1, False, zz, cells)
@@ -240,44 +240,52 @@ def run_word(
     """Run the brick machine on ``word`` (the $ period is appended automatically).
 
     enumerate explores every stage-3 branch and returns all distinct
-    outcomes; sample follows a single coin-driven branch. A branch accepts
-    iff it survives all len(word) + 1 periods.
+    outcomes in depth-first slot order; sample follows a single coin-driven
+    branch. A branch accepts iff it survives all len(word) + 1 periods.
     """
     for letter in word:
         if letter not in nfa.alphabet:
             raise ValueError(f"letter {letter!r} is not in the input alphabet")
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown run mode {mode!r}")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    elif rng is None:
-        rng = random.Random(0)
-
+    rng = _as_rng(rng)
     letters = list(word) + [nfa.dollar]
-    cache: dict[tuple[str, str], list[tuple[PeriodTrace, str | None]]] = {}
-
-    def period(state: str, letter: str) -> list[tuple[PeriodTrace, str | None]]:
-        if mode == "sample":
-            return _run_period(nfa, code, state, letter, mode, rng)
-        key = (state, letter)
-        if key not in cache:
-            cache[key] = _run_period(nfa, code, state, letter, mode, None)
-        return cache[key]
-
+    periods: dict[tuple[str, str], list[tuple[PeriodTrace, str | None]]] = {}
     outcomes: list[RunOutcome] = []
-
-    def walk(state: str, depth: int, states: tuple[str, ...], traces: tuple[PeriodTrace, ...]):
-        if depth == len(letters):
-            outcomes.append(RunOutcome(True, states, traces, None))
-            return
-        for trace, nxt in period(state, letters[depth]):
-            if nxt is None:
-                outcomes.append(RunOutcome(False, states, traces + (trace,), depth + 1))
-            else:
-                walk(nxt, depth + 1, states + (nxt,), traces + (trace,))
-
-    walk(nfa.initial, 0, (nfa.initial,), ())
+    # A branch is a chain of (state, trace, parent) links back to the
+    # initial state; the state is None once the branch halted. The stack
+    # holds (periods run, chain) pairs still to extend, in depth-first order.
+    stack: list[tuple[int, tuple]] = [(0, (nfa.initial, None, None))]
+    while stack:
+        depth, link = stack.pop()
+        state = link[0]
+        if state is None or depth == len(letters):
+            outcomes.append(_unwind(link, depth))
+            continue
+        key = (state, letters[depth])
+        if key not in periods:
+            periods[key] = _run_period(nfa, code, state, letters[depth])
+        options = periods[key]
+        if mode == "sample":
+            options = [_coin_pick(options, rng)]
+        stack.extend((depth + 1, (nxt, trace, link)) for trace, nxt in reversed(options))
     return RunResult(tuple(outcomes), any(o.accepted for o in outcomes), len(outcomes))
+
+
+def _unwind(link: tuple, depth: int) -> RunOutcome:
+    """The outcome of the branch whose chain ends in ``link``."""
+    accepted = link[0] is not None
+    states: list[str] = []
+    traces: list[PeriodTrace] = []
+    while link is not None:
+        state, trace, link = link
+        if state is not None:
+            states.append(state)
+        if trace is not None:
+            traces.append(trace)
+    states.reverse()
+    traces.reverse()
+    return RunOutcome(accepted, tuple(states), tuple(traces), None if accepted else depth)
 
 
 def step_count(nfa: AugmentedNfa, code: Encoding, word_len: int) -> int:

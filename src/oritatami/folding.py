@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .grid import DIRECTIONS, Point, are_adjacent, path_is_valid
 
@@ -429,73 +429,30 @@ def fold_all(
     """Fold the whole transcript.
 
     enumerate -- branch over every nondeterministic stabilization and return
-    all distinct terminal conformations (transcript completed, or stuck at a
-    dead end), in depth-first order. Raises BranchBudgetExceeded past
-    ``branch_budget`` terminals.
+    all terminal conformations (transcript completed, or stuck at a dead
+    end), in depth-first order. They are distinct: two branches first differ
+    at some bead in its point or its bonds to earlier beads. Raises
+    BranchBudgetExceeded past ``branch_budget`` terminals.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
-    if mode not in ("enumerate", "sample", "first"):
-        raise ValueError(f"unknown fold mode {mode!r}")
     if mode == "enumerate":
-        return _fold_enumerate(system, branch_budget)
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    elif rng is None:
-        rng = random.Random(0)
-    search = _Lookahead(system, table=True)
-    fold = _Fold(system.rules, system.arity, system.seed)
-    for i in range(len(system.transcript)):
-        try:
-            options = search.minimizers(fold, i)
-        except DeadEnd:
-            return (FoldOutcome(fold.snapshot(), False),)
-        choice = rng.choice(options) if mode == "sample" else options[0]
-        fold.push(choice.point, choice.bonds, system.transcript[i])
-    return (FoldOutcome(fold.snapshot(), True),)
-
-
-def _fold_enumerate(system: OritatamiSystem, branch_budget: int) -> tuple[FoldOutcome, ...]:
-    search = _Lookahead(system, table=True)
-    fold = _Fold(system.rules, system.arity, system.seed)
-    transcript = system.transcript
+        keep = lambda options: options
+    elif mode == "first":
+        keep = lambda options: options[:1]
+    elif mode == "sample":
+        if isinstance(rng, int):
+            rng = random.Random(rng)
+        elif rng is None:
+            rng = random.Random(0)
+        keep = lambda options: [rng.choice(options)]
+    else:
+        raise ValueError(f"unknown fold mode {mode!r}")
     outcomes: list[FoldOutcome] = []
-    seen: set[tuple] = set()
-
-    def expand(i: int) -> Iterator[StabilizationChoice] | None:
-        """The argmin choices for bead ``i``, or None after recording a terminal."""
-        if i < len(transcript):
-            try:
-                return iter(search.minimizers(fold, i))
-            except DeadEnd:
-                pass
-        if len(outcomes) >= branch_budget:
+    for outcome in _walk(system, keep):
+        if len(outcomes) >= branch_budget and mode == "enumerate":
             raise BranchBudgetExceeded(f"more than {branch_budget} terminal branches")
-        snap = fold.snapshot()
-        completed = i == len(transcript)
-        key = (snap.path, snap.beads, snap.bonds, completed)
-        if key not in seen:
-            seen.add(key)
-            outcomes.append(FoldOutcome(snap, completed))
-        return None
-
-    # Depth-first walk with an explicit stack: frame i iterates the choices for bead i.
-    root = expand(0)
-    stack = [root] if root is not None else []
-    while stack:
-        ch = next(stack[-1], None)
-        if ch is None:
-            stack.pop()
-            if stack:
-                fold.pop()
-            continue
-        i = len(stack) - 1
-        fold.push(ch.point, ch.bonds, transcript[i])
-        frame = expand(i + 1)
-        if frame is None:
-            fold.pop()
-        else:
-            stack.append(frame)
+        outcomes.append(outcome)
     return tuple(outcomes)
 
 
@@ -505,14 +462,39 @@ def is_deterministic_run(system: OritatamiSystem) -> bool:
     A single branch then exists, so walking it covers every reachable step;
     a dead end (zero minimizers) counts as not deterministic.
     """
+    (outcome,) = _walk(system, lambda options: options if len(options) == 1 else ())
+    return outcome.completed
+
+
+def _walk(
+    system: OritatamiSystem,
+    keep: Callable[[list[StabilizationChoice]], Sequence[StabilizationChoice]],
+) -> Iterator[FoldOutcome]:
+    """Every terminal of the depth-first walk over the choices that ``keep``
+    retains from each step's argmin set, in order. A branch ends where the
+    transcript does, at a dead end, or where ``keep`` retains nothing."""
     search = _Lookahead(system, table=True)
     fold = _Fold(system.rules, system.arity, system.seed)
-    for i in range(len(system.transcript)):
-        try:
-            options = search.minimizers(fold, i)
-        except DeadEnd:
-            return False
-        if len(options) != 1:
-            return False
-        fold.push(options[0].point, options[0].bonds, system.transcript[i])
-    return True
+    transcript, base = system.transcript, len(system.seed)
+    # Choices still to try, as (bead index i, choice); taking one first
+    # rewinds the fold to its first i stabilized beads.
+    stack: list[tuple[int, StabilizationChoice]] = []
+    i = 0
+    while True:
+        kept: Sequence[StabilizationChoice] = ()
+        if i < len(transcript):
+            try:
+                kept = keep(search.minimizers(fold, i))
+            except DeadEnd:
+                pass
+        if kept:
+            stack.extend((i, ch) for ch in reversed(kept))
+        else:
+            yield FoldOutcome(fold.snapshot(), i == len(transcript))
+        if not stack:
+            return
+        i, ch = stack.pop()
+        while len(fold.path) > base + i:
+            fold.pop()
+        fold.push(ch.point, ch.bonds, transcript[i])
+        i += 1

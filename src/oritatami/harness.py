@@ -43,6 +43,10 @@ class CatalogError(ValueError):
     pass
 
 
+_HEIGHTS = ("T", "B")
+_INPUTS = ("0", "1", "N", "Y")
+
+
 @dataclass(frozen=True)
 class Environment:
     name: str
@@ -52,9 +56,9 @@ class Environment:
     submodule: str | None = None
 
     def __post_init__(self):
-        if self.entry not in ("T", "B"):
+        if self.entry not in _HEIGHTS:
             raise ValueError(f"entry must be T or B, got {self.entry!r}")
-        if self.input_bit not in ("0", "1", "N", "Y"):
+        if self.input_bit not in _INPUTS:
             raise ValueError(f"input must be 0, 1, N or Y, got {self.input_bit!r}")
 
 
@@ -291,7 +295,14 @@ def format_automaton(auto: BrickAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ENV_FIELDS = {"entry": "T|B", "input": "0|1|N|Y", "submodule": "NAME"}
+_ENV_FIELDS = {"entry": _HEIGHTS, "input": _INPUTS, "submodule": ()}
+
+
+def _one_of(lineno: int, what: str, value: str, allowed: tuple[str, ...]) -> str:
+    """``value``, checked against ``allowed`` unless that is empty."""
+    if allowed and value not in allowed:
+        raise CatalogError(f"line {lineno}: {what} must be {'|'.join(allowed)}, got {value!r}")
+    return value
 
 
 def parse_environments(text: str) -> list[Environment]:
@@ -304,7 +315,9 @@ def parse_environments(text: str) -> list[Environment]:
         fields: dict[str, str] = {}
         for lineno, key, args in directives:
             if key in _ENV_FIELDS:
-                (fields[key],) = check_args(CatalogError, lineno, key, args, _ENV_FIELDS[key])
+                allowed = _ENV_FIELDS[key]
+                (value,) = check_args(CatalogError, lineno, key, args, "|".join(allowed) or "NAME")
+                fields[key] = _one_of(lineno, repr(key), value, allowed)
             elif not found.read(lineno, key, args):
                 raise CatalogError(f"line {lineno}: unknown directive {key!r}")
         if "entry" not in fields or "input" not in fields:
@@ -340,6 +353,9 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
                 entry, input_bit, exit_height, *beads = check_args(
                     CatalogError, lineno, key, args, "ENTRY INPUT EXIT ..."
                 )
+                _one_of(lineno, "'expect' ENTRY", entry, _HEIGHTS)
+                _one_of(lineno, "'expect' INPUT", input_bit, _INPUTS)
+                _one_of(lineno, "'expect' EXIT", exit_height, _HEIGHTS)
                 expected.append(ExpectedBrick(entry, input_bit, exit_height, tuple(beads)))
             elif not found.read(lineno, key, args):
                 raise CatalogError(f"line {lineno}: unknown directive {key!r}")

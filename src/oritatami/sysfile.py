@@ -100,6 +100,8 @@ class Directives:
             return False
         if key in ("delay", "arity"):
             (value,) = check_args(self.error, lineno, key, args, "N", ints=1)
+            if value < 1:
+                raise self.error(f"line {lineno}: '{key}' must be >= 1, got {value}")
             setattr(self, key, value)
         elif key == "rule":
             a, b = check_args(self.error, lineno, key, args, "BEAD BEAD")

@@ -245,6 +245,46 @@ class TestRunWord:
         assert result.branch_count == 1
         assert result.outcomes[0].states in {("1011", "1111", "0011"), ("1011", "1000")}
 
+    def test_long_word_in_both_modes(self):
+        nfa = augment(Nfa(("p",), ("a",), "p", ("p",), (("p", "a", "p"),)))
+        code = assign_codes(nfa)
+        for mode in ("enumerate", "sample"):
+            result = run_word(nfa, code, ["a"] * 3000, mode=mode)
+            (outcome,) = result.outcomes
+            assert outcome.accepted
+            assert len(outcome.traces) == 3001
+
+    def test_sample_follows_the_stage_replay(self):
+        # From q0 three transitions read a, so some periods have three
+        # survivors; q2 has no $-move, so branches that end there halt.
+        nfa = augment(Nfa(
+            ("q0", "q1", "q2"), ("a",), "q0", ("q0", "q1"),
+            (("q0", "a", "q0"), ("q0", "a", "q1"), ("q0", "a", "q2"),
+             ("q1", "a", "q0"), ("q2", "a", "q2")),
+        ))
+        code = assign_codes(nfa)
+        word = ["a"] * 6
+        branches = set()
+        for s in range(30):
+            (outcome,) = run_word(nfa, code, word, mode="sample", rng=s).outcomes
+            # The same branch, period by period, from the four stages.
+            rng = random.Random(s)
+            states, chosen = [nfa.initial], []
+            for letter in word + [nfa.dollar]:
+                r1 = module1(boundary_row(code, states[-1]), code, nfa)
+                (r3,) = module3(module2(r1, code, nfa, letter), "coin", rng)
+                if r3 is HALT:
+                    chosen.append(None)
+                    break
+                k = r3.x.index("Y")
+                assert module4(r3, code, nfa) == boundary_row(code, nfa.transitions[k].target)
+                states.append(nfa.transitions[k].target)
+                chosen.append(k + 1)
+            assert outcome.states == tuple(states)
+            assert [t.chosen for t in outcome.traces] == chosen
+            branches.add(outcome.states)
+        assert len(branches) > 5
+
     def test_language_equivalence_small_corpus(self):
         rng = random.Random(515151)
         for _ in range(40):
@@ -263,7 +303,9 @@ class TestRunWord:
             aug = augment(nfa)
             code = assign_codes(aug)
             for word in oracles.all_words(nfa.alphabet, 2):
-                for outcome in run_word(aug, code, word).outcomes:
+                outcomes = run_word(aug, code, word).outcomes
+                assert len(set(outcomes)) == len(outcomes)
+                for outcome in outcomes:
                     for trace, state in zip(outcome.traces, outcome.states[1:]):
                         if trace.halted:
                             continue

@@ -193,6 +193,15 @@ class TestRunNfaCommand:
         assert main(["run-nfa", nfa_file, "--word", "100", "--mode", "sample",
                      "--rng-seed", "11"]) in (0, 1)
 
+    def test_long_sample_word(self, tmp_path, capsys):
+        p = tmp_path / "loop.nfa"
+        p.write_text("states: p\nalphabet: a\ninitial: p\naccept: p\ntrans: p a p\n")
+        word = " ".join(["a"] * 3000)
+        assert main(["run-nfa", str(p), "--word", word, "--mode", "sample"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("ACCEPT branches=1")
+        assert err == ""
+
     def test_bad_word_is_input_error(self, nfa_file, capsys):
         assert main(["run-nfa", nfa_file, "--word", "777"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -257,6 +266,15 @@ MALFORMED = [
     ("cat", "entry T B", 2),
     ("cat", "seed 0 0", None),
     ("nfa", "trans: a x", None),
+    ("sys", "delay 0", None),
+    ("sys", "arity 0", None),
+    ("defs", "delay 0", None),
+    ("defs", "arity 0", None),
+    ("defs", "expect Q 1 T 588", None),
+    ("defs", "expect T 7 T 588", None),
+    ("defs", "expect T 1 Z 588", None),
+    ("cat", "entry X", None),
+    ("cat", "input 7", None),
 ]
 
 

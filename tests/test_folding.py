@@ -76,6 +76,21 @@ def replay(system, mode, rng=0):
     return (FoldOutcome(conf, True),)
 
 
+def replay_is_deterministic(system):
+    """Whether every step of the table-free first-choice replay had exactly
+    one option: the reference for ``is_deterministic_run``."""
+    conf = system.seed
+    for i, bead in enumerate(system.transcript):
+        try:
+            options = stabilize_next(system, conf, i)
+        except DeadEnd:
+            return False
+        if len(options) != 1:
+            return False
+        conf = extend(conf, options[0], bead)
+    return True
+
+
 def two_bead_system(delay=1, transcript=("b",)):
     """Seed a-(0,0), c-(1,0) with the single rule (a, b): two tied minimizers."""
     seed = Conformation.build([(0, 0), (1, 0)], ["a", "c"])
@@ -243,6 +258,7 @@ class TestFoldAll:
                 outcomes = fold_all(sys_, "enumerate", branch_budget=300)
             except BranchBudgetExceeded:
                 continue
+            assert len(set(outcomes)) == len(outcomes)
             for out in outcomes:
                 validate_conformation(out.conformation, sys_.rules, sys_.arity)
                 assert path_is_valid(out.conformation.path)
@@ -346,6 +362,7 @@ class TestTableFreeReplay:
     def test_random_periodic_transcripts(self):
         rng = random.Random(909)
         folded = 0
+        determinism = set()
         for _ in range(60):
             sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
             types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
@@ -354,6 +371,8 @@ class TestTableFreeReplay:
             sys_ = OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript)
             for mode in ("first", "sample"):
                 assert list(fold_all(sys_, mode, rng=5)) == list(replay(sys_, mode, rng=5))
+            determinism.add(is_deterministic_run(sys_))
+            assert is_deterministic_run(sys_) == replay_is_deterministic(sys_)
             try:
                 outcomes = fold_all(sys_, "enumerate", branch_budget=200)
             except BranchBudgetExceeded:
@@ -361,11 +380,13 @@ class TestTableFreeReplay:
             assert list(outcomes) == list(replay(sys_, "enumerate"))
             folded += 1
         assert folded >= 20
+        assert determinism == {True, False}
 
     def test_mirrored_glider(self):
         sys_ = glider_system(periods=3, mirrored=True)
         for mode in ("first", "enumerate"):
             assert list(fold_all(sys_, mode)) == list(replay(sys_, mode))
+        assert is_deterministic_run(sys_) and replay_is_deterministic(sys_)
 
     def test_table_hit_restores_canonical_order(self):
         # Two seeds occupy the same cells around the path end (0, 0) with the
