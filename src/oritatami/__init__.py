@@ -16,7 +16,7 @@ from .folding import (
     is_deterministic_run,
     stabilize_next,
 )
-from .grid import DIRECTIONS, Point, neighbors, path_is_valid, to_cartesian
+from .grid import DIRECTIONS, Point, path_is_valid, to_cartesian
 from .nfa import (
     AugmentedNfa,
     Encoding,
@@ -54,6 +54,5 @@ from .harness import (
     explore_closure,
     fold_in_environment,
 )
-from .render import RenderOptions
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
+from .folding import BRANCH_BUDGET, BranchBudgetExceeded
 from .nfa import AugmentedNfa, Encoding
 
 
@@ -179,8 +180,6 @@ class PeriodTrace:
     after_module4: BrickRow | None
     chosen: int | None
     halted: bool
-    zigzags: int
-    cells: int
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,9 @@ class RunResult:
     branch_count: int
 
 
-def _period_shape(n: int, m: int, halted: bool) -> tuple[int, int]:
-    # Completed period: 2n + 2m + 2 + 2n zigzags of 2n cells each. A halted
-    # one stops inside stage 3's first zigzag.
-    zigzags = (2 * n + 2 * m + 1) if halted else (4 * n + 2 * m + 2)
+def _period_shape(n: int, m: int) -> tuple[int, int]:
+    # A completed period: 2n + 2m + 2 + 2n zigzags of 2n cells each.
+    zigzags = 4 * n + 2 * m + 2
     return zigzags, zigzags * 2 * n
 
 
@@ -212,20 +210,16 @@ def _run_period(
 ) -> list[tuple[PeriodTrace, str | None]]:
     """All (trace, next state) pairs for one period, in slot order; next
     state None on halt."""
-    n, m = code.state_bits, code.letter_bits
     r1 = module1(boundary_row(code, state), code, nfa)
     r2 = module2(r1, code, nfa, letter)
     marked = mark_first_valid(r2)
     outcomes: list[tuple[PeriodTrace, str | None]] = []
     if marked is None:
-        zz, cells = _period_shape(n, m, halted=True)
-        trace = PeriodTrace(letter, r1, r2, None, None, None, None, True, zz, cells)
-        return [(trace, None)]
-    zz, cells = _period_shape(n, m, halted=False)
+        return [(PeriodTrace(letter, r1, r2, None, None, None, None, True), None)]
     for r3 in module3(r2):
         k = r3.x.index(Y)
         r4 = module4(r3, code, nfa)
-        trace = PeriodTrace(letter, r1, r2, marked, r3, r4, k + 1, False, zz, cells)
+        trace = PeriodTrace(letter, r1, r2, marked, r3, r4, k + 1, False)
         outcomes.append((trace, nfa.transitions[k].target))
     return outcomes
 
@@ -240,8 +234,9 @@ def run_word(
     """Run the brick machine on ``word`` (the $ period is appended automatically).
 
     enumerate explores every stage-3 branch and returns all distinct
-    outcomes in depth-first slot order; sample follows a single coin-driven
-    branch. A branch accepts iff it survives all len(word) + 1 periods.
+    outcomes in depth-first slot order, raising BranchBudgetExceeded past
+    ``BRANCH_BUDGET`` of them; sample follows a single coin-driven branch.
+    A branch accepts iff it survives all len(word) + 1 periods.
     """
     for letter in word:
         if letter not in nfa.alphabet:
@@ -260,6 +255,8 @@ def run_word(
         depth, link = stack.pop()
         state = link[0]
         if state is None or depth == len(letters):
+            if len(outcomes) >= BRANCH_BUDGET:
+                raise BranchBudgetExceeded(f"more than {BRANCH_BUDGET} terminal branches")
             outcomes.append(_unwind(link, depth))
             continue
         key = (state, letters[depth])
@@ -291,7 +288,9 @@ def _unwind(link: tuple, depth: int) -> RunOutcome:
 def step_count(nfa: AugmentedNfa, code: Encoding, word_len: int) -> int:
     """Exact brick-cell count for a word of the given length:
     (t + 1) periods x (4n + 2m + 2) zigzags x 2n cells per zigzag row."""
-    return (word_len + 1) * _period_shape(code.state_bits, code.letter_bits, halted=False)[1]
+    if word_len < 0:
+        raise ValueError(f"word length must be >= 0, got {word_len}")
+    return (word_len + 1) * _period_shape(code.state_bits, code.letter_bits)[1]
 
 
 def format_report(

@@ -79,10 +79,14 @@ def _cmd_fold(args) -> int:
     return 0 if any(o.completed for o in outcomes) else 1
 
 
+def _load_machine(path: str):
+    """The augmented machine and its encoding, read from an NFA file."""
+    return prepare(*parse_nfa_file(path))
+
+
 def _cmd_run_nfa(args) -> int:
-    nfa, state_codes, letter_codes = parse_nfa_file(args.nfa)
-    machine, code = prepare(nfa, state_codes, letter_codes)
-    word = _tokenize_word(args.word, machine.alphabet) if args.word else []
+    machine, code = _load_machine(args.nfa)
+    word = _tokenize_word(args.word, machine.alphabet)
     result = bricks.run_word(machine, code, word, mode=args.mode, rng=args.rng_seed)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -92,9 +96,8 @@ def _cmd_run_nfa(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    nfa, state_codes, letter_codes = parse_nfa_file(args.nfa)
-    machine, code = prepare(nfa, state_codes, letter_codes)
-    word = _tokenize_word(args.word, machine.alphabet) if args.word else []
+    machine, code = _load_machine(args.nfa)
+    word = _tokenize_word(args.word, machine.alphabet)
     layout, conformation = build_seed(machine, code, word)
     stanza = (
         f"# seed for {len(machine.transitions)}-slot machine, "
@@ -126,10 +129,9 @@ def _cmd_check_bricks(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    nfa, state_codes, letter_codes = parse_nfa_file(args.nfa)
-    machine, code = prepare(nfa, state_codes, letter_codes)
+    machine, code = _load_machine(args.nfa)
     n, m = code.state_bits, code.letter_bits
-    zigzags, cells = bricks._period_shape(n, m, halted=False)
+    zigzags, cells = bricks._period_shape(n, m)
     total = bricks.step_count(machine, code, args.word_len)
     print(f"transitions (n): {n}")
     print(f"letter bits (m): {m}")

@@ -32,6 +32,10 @@ class BranchBudgetExceeded(Exception):
     """Exhaustive enumeration produced more terminal branches than allowed."""
 
 
+# Default cap on the terminals an enumeration may produce.
+BRANCH_BUDGET = 10_000
+
+
 def _normalize_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
@@ -66,9 +70,6 @@ class RuleSet:
     def without(self, a: str, b: str) -> "RuleSet":
         """A copy lacking one pair; handy for mutation experiments."""
         return RuleSet(p for p in self._pairs if p != _normalize_pair(a, b))
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return _normalize_pair(*pair) in self._pairs
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -424,7 +425,7 @@ def fold_all(
     system: OritatamiSystem,
     mode: str = "enumerate",
     rng: random.Random | int | None = None,
-    branch_budget: int = 10_000,
+    branch_budget: int = BRANCH_BUDGET,
 ) -> tuple[FoldOutcome, ...]:
     """Fold the whole transcript.
 

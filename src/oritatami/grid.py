@@ -24,7 +24,6 @@ SW = Point(0, -1)
 SE = Point(1, -1)
 
 DIRECTIONS: tuple[Point, ...] = (E, NE, NW, W, SW, SE)
-DIRECTION_NAMES: tuple[str, ...] = ("E", "NE", "NW", "W", "SW", "SE")
 
 _UNIT_OFFSETS = frozenset(DIRECTIONS)
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
@@ -32,19 +31,6 @@ _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 def translate(p: Point, d: Point) -> Point:
     return Point(p[0] + d[0], p[1] + d[1])
-
-
-def neighbors(p: Point) -> list[Point]:
-    """The six unit-distance points of ``p`` in fixed order E, NE, NW, W, SW, SE."""
-    x, y = p
-    return [
-        Point(x + 1, y),
-        Point(x, y + 1),
-        Point(x - 1, y + 1),
-        Point(x - 1, y),
-        Point(x, y - 1),
-        Point(x + 1, y - 1),
-    ]
 
 
 def are_adjacent(p: Point, q: Point) -> bool:

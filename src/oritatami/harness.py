@@ -14,7 +14,7 @@ catalog is user-declared; the glider spacer ships as the worked example via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .folding import (
     BranchBudgetExceeded,
@@ -23,7 +23,6 @@ from .folding import (
     RuleSet,
     fold_all,
 )
-from .grid import Point
 from .sysfile import SEED_KEYS, Directives, check_args, split_stanzas
 
 
@@ -101,17 +100,6 @@ class Brick:
     exit: str
     exposed: tuple[str, ...]
 
-    def fragment_points(self) -> tuple[Point, ...]:
-        return self.conformation.path[self.fragment_start :]
-
-    def shape_key(self) -> tuple:
-        """Translation-invariant fragment identity: relative points, beads,
-        exit height, exposure."""
-        pts = self.fragment_points()
-        ox, oy = pts[0]
-        rel = tuple(Point(p.x - ox, p.y - oy) for p in pts)
-        return (rel, self.conformation.beads[self.fragment_start :], self.exit, self.exposed)
-
 
 def _classify(conformation: Conformation, fragment_start: int) -> tuple[str, tuple[str, ...]]:
     """Exit height and exposed bottom-row bead sequence of the folded fragment."""
@@ -132,13 +120,7 @@ def _classify(conformation: Conformation, fragment_start: int) -> tuple[str, tup
     return exit_height, exposed
 
 
-def fold_in_environment(
-    submodule: SubmoduleDef,
-    env: Environment,
-    delay: int | None = None,
-    arity: int | None = None,
-    branch_budget: int = 512,
-) -> Brick:
+def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
     """Fold the fragment after the environment's conformation and classify it.
 
     Raises UnexpectedFold when the fold dead-ends, cannot be classified, ties
@@ -148,13 +130,13 @@ def fold_in_environment(
     """
     system = OritatamiSystem(
         rules=submodule.rules,
-        arity=submodule.arity if arity is None else arity,
-        delay=submodule.delay if delay is None else delay,
+        arity=submodule.arity,
+        delay=submodule.delay,
         seed=env.conformation,
         transcript=submodule.fragment,
     )
     try:
-        outcomes = fold_all(system, "enumerate", branch_budget=branch_budget)
+        outcomes = fold_all(system, "enumerate", branch_budget=512)
     except BranchBudgetExceeded:
         raise UnexpectedFold(
             f"{submodule.name} in {env.name}: unresolved ties exceed the branch budget"
@@ -217,34 +199,20 @@ def _resolve_submodule(
 
 
 def explore_closure(
-    defs: Mapping[str, SubmoduleDef] | Iterable[SubmoduleDef],
-    start_envs: Sequence[Environment],
-    budget: int = 1000,
+    defs: Mapping[str, SubmoduleDef], envs: Sequence[Environment]
 ) -> BrickAutomaton:
-    """Breadth-first closure check over the declared environment catalog.
+    """Closure check over the declared environment catalog, in catalog order.
 
-    Every pending environment is folded; the successor is the unique declared
+    Every environment is folded once; the successor is the unique declared
     environment (for the same submodule) whose entry height matches the
     brick's exit. Environments whose fold fails classification are recorded
     in ``failures`` rather than aborting the walk. Raises ClosureViolation
-    when a successor is missing or ambiguous, or past the step budget.
+    when a successor is missing or ambiguous.
     """
-    if not isinstance(defs, Mapping):
-        defs = {d.name: d for d in defs}
-    auto = BrickAutomaton(environments={e.name: e for e in start_envs})
-    if len(auto.environments) != len(start_envs):
+    auto = BrickAutomaton(environments={e.name: e for e in envs})
+    if len(auto.environments) != len(envs):
         raise CatalogError("duplicate environment names")
-    pending = list(start_envs)
-    visited: set[str] = set()
-    steps = 0
-    while pending:
-        steps += 1
-        if steps > budget:
-            raise ClosureViolation(f"closure exploration exceeded {budget} steps")
-        env = pending.pop(0)
-        if env.name in visited:
-            continue
-        visited.add(env.name)
+    for env in envs:
         sub = _resolve_submodule(defs, env)
         try:
             brick = fold_in_environment(sub, env)
@@ -254,7 +222,7 @@ def explore_closure(
         auto.bricks[env.name] = brick
         successors = [
             e
-            for e in auto.environments.values()
+            for e in envs
             if e.entry == brick.exit and _same_submodule(defs, e, sub)
         ]
         if not successors:
@@ -264,10 +232,7 @@ def explore_closure(
         if len(successors) > 1:
             names = ", ".join(e.name for e in successors)
             raise ClosureViolation(f"ambiguous successors of {env.name}: {names}")
-        nxt = successors[0]
-        auto.transitions.append((env.name, brick.exit, nxt.name))
-        if nxt.name not in visited:
-            pending.append(nxt)
+        auto.transitions.append((env.name, brick.exit, successors[0].name))
     return auto
 
 

@@ -129,8 +129,6 @@ def augment(a: Nfa) -> AugmentedNfa:
         raise ValueError("machine is already augmented; the $ letter is reserved")
     transitions = list(a.transitions)
     transitions += [Transition(q, DOLLAR, SINK) for q in a.accepting]
-    if not transitions:
-        raise ValueError("degenerate machine: zero transitions after augmentation")
     return AugmentedNfa(
         states=a.states + (SINK,),
         alphabet=a.alphabet,
@@ -221,8 +219,6 @@ def assign_codes(
     overrides when they are wider.
     """
     n = len(a.transitions)
-    if n == 0:
-        raise EncodingClash("machine has no transitions; nothing to encode")
     state_overrides = dict(state_overrides or {})
     letter_overrides = dict(letter_overrides or {})
 

@@ -4,23 +4,12 @@ plain offset-row ASCII sketch. Output is byte-stable for identical inputs."""
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 from .folding import Conformation
 from .grid import to_cartesian
 
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """SVG drawing options."""
-
-    scale: float = 40.0
-    show_bonds: bool = True
-    label_beads: bool = True
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+# SVG units per grid unit.
+_SCALE = 40.0
 
 
 def _bead_color(bead: str) -> str:
@@ -29,8 +18,8 @@ def _bead_color(bead: str) -> str:
     return f"hsl({hue},60%,72%)"
 
 
-def render_svg(c: Conformation, opts: RenderOptions = RenderOptions()) -> str:
-    s = opts.scale
+def render_svg(c: Conformation) -> str:
+    s = _SCALE
     pts = [to_cartesian(p) for p in c.path]
     if not pts:
         return (
@@ -60,25 +49,23 @@ def render_svg(c: Conformation, opts: RenderOptions = RenderOptions()) -> str:
         lines.append(
             f'  <polyline points="{poly}" fill="none" stroke="#444444" stroke-width="{0.08 * s:.2f}"/>'
         )
-    if opts.show_bonds:
-        for i, j in sorted(c.bonds):
-            (x1, y1), (x2, y2) = pts[i], pts[j]
-            lines.append(
-                f'  <line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}" '
-                f'stroke="#cc3333" stroke-width="{0.06 * s:.2f}" '
-                f'stroke-dasharray="{0.15 * s:.2f},{0.1 * s:.2f}"/>'
-            )
+    for i, j in sorted(c.bonds):
+        (x1, y1), (x2, y2) = pts[i], pts[j]
+        lines.append(
+            f'  <line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}" '
+            f'stroke="#cc3333" stroke-width="{0.06 * s:.2f}" '
+            f'stroke-dasharray="{0.15 * s:.2f},{0.1 * s:.2f}"/>'
+        )
     for (x, y), bead in zip(pts, c.beads):
         lines.append(
             f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="{0.3 * s:.2f}" '
             f'fill="{_bead_color(bead)}" stroke="#222222" stroke-width="{0.03 * s:.2f}"/>'
         )
-    if opts.label_beads:
-        for (x, y), bead in zip(pts, c.beads):
-            lines.append(
-                f'  <text x="{sx(x)}" y="{sy(y)}" font-size="{0.25 * s:.2f}" '
-                f'text-anchor="middle" dominant-baseline="central">{bead}</text>'
-            )
+    for (x, y), bead in zip(pts, c.beads):
+        lines.append(
+            f'  <text x="{sx(x)}" y="{sy(y)}" font-size="{0.25 * s:.2f}" '
+            f'text-anchor="middle" dominant-baseline="central">{bead}</text>'
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -176,16 +176,11 @@ def decode_input_column(word: BeadWord, n: int, code: Encoding) -> tuple[str, ..
 
 @dataclass(frozen=True)
 class SeedLayout:
-    """The two arms of the Gamma seed plus the junction where they meet.
-
-    ``final_bead_note`` records the conventional name of the bead the first
-    transcript period attaches after; it is annotation only, never emitted.
-    """
+    """The two arms of the Gamma seed plus the junction where they meet."""
 
     horizontal: BeadWord
     vertical: BeadWord
     junction: Point
-    final_bead_note: str = "540"
 
 
 def build_seed(

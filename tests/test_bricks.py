@@ -221,8 +221,6 @@ class TestRunWord:
         assert t1.after_module2.x == ("N", "Y", "N", "Y")
         assert t1.marked.x == ("N", "Y'", "N", "Y")
         assert t1.after_module4.is_boundary()
-        assert t1.zigzags == 4 * 4 + 2 * 3 + 2
-        assert t1.cells == t1.zigzags * 8
 
     def test_halted_trace_has_no_late_rows(self, machine):
         nfa, code = machine

@@ -206,6 +206,16 @@ class TestRunNfaCommand:
         assert main(["run-nfa", nfa_file, "--word", "777"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_enumerate_past_branch_budget_exits_2(self, tmp_path, capsys):
+        # Every letter doubles the branches: 14 letters give 16,384.
+        p = tmp_path / "doubling.nfa"
+        p.write_text("states: p q\nalphabet: a\ninitial: p\naccept: p\n"
+                     "trans: p a p\ntrans: p a q\ntrans: q a p\ntrans: q a q\n")
+        assert main(["run-nfa", str(p), "--word", "a" * 14]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: more than 10000 terminal branches\n"
+
 
 class TestCompileCommand:
     def test_emits_seed_stanza(self, nfa_file, tmp_path, capsys):
@@ -247,6 +257,12 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "transitions (n): 4" in out
         assert "total cells: 384" in out
+
+    def test_negative_word_len_is_input_error(self, nfa_file, capsys):
+        assert main(["stats", nfa_file, "--word-len", "-5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: word length must be >= 0")
 
 
 def test_usage_error_exits_two(capsys):

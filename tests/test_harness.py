@@ -6,6 +6,7 @@ from oritatami.fixtures import (
     glider_seed,
 )
 from oritatami.folding import Conformation, RuleSet, validate_conformation
+from oritatami.grid import Point
 from oritatami.harness import (
     CatalogError,
     ClosureViolation,
@@ -76,14 +77,18 @@ class TestFoldInEnvironment:
     def test_shape_key_is_translation_invariant(self):
         top = fold_in_environment(gspacer(), top_env())
         shifted_seed = Conformation(
-            tuple(type(p)(p.x + 7, p.y) for p in glider_seed().path),
+            tuple(Point(p.x + 7, p.y) for p in glider_seed().path),
             glider_seed().beads,
             glider_seed().bonds,
         )
         moved = fold_in_environment(
             gspacer(), Environment("moved", shifted_seed, "T", "1")
         )
-        assert top.shape_key() == moved.shape_key()
+        assert (moved.exit, moved.exposed) == (top.exit, top.exposed)
+        start = top.fragment_start
+        assert moved.conformation.path[start:] == tuple(
+            Point(p.x + 7, p.y) for p in top.conformation.path[start:]
+        )
 
     def test_empty_rules_in_open_space_is_unexpected(self):
         sub = SubmoduleDef("loose", ("a",) * 6, RuleSet([]), 2, 1)
@@ -116,10 +121,6 @@ class TestFoldInEnvironment:
         )
         with pytest.raises((UnexpectedFold, NondeterministicBrick)):
             fold_in_environment(broken, top_env())
-
-    def test_delay_and_arity_overrides(self):
-        brick = fold_in_environment(gspacer(expected=False), top_env(), delay=3, arity=2)
-        assert brick.exit == "T"
 
 
 class TestExploreClosure:
@@ -158,6 +159,21 @@ class TestExploreClosure:
         mislabeled = Environment("mislabeled", glider_seed(), "B", "1")
         with pytest.raises(ClosureViolation):
             explore_closure({"gspacer": gspacer(expected=False)}, [mislabeled])
+
+    def test_catalog_past_a_thousand_environments_closes(self):
+        # Each environment is folded once, however long the catalog: 501
+        # two-bead submodules whose b bonds back to the seed, exiting at T.
+        seed = Conformation.build([(0, 0), (1, 0)], ["s", "s"])
+        defs = {
+            f"m{k}": SubmoduleDef(f"m{k}", ("a", "b"), RuleSet([("b", "s")]), 1, 1,
+                                  deterministic=False)
+            for k in range(501)
+        }
+        envs = [Environment(f"m{k}{h}", seed, h, "0", f"m{k}") for k in range(501) for h in "TB"]
+        auto = explore_closure(defs, envs)
+        assert auto.failures == []
+        assert len(auto.transitions) == 1002
+        assert auto.transitions[:2] == [("m0T", "T", "m0T"), ("m0B", "T", "m0T")]
 
     def test_format_automaton(self):
         auto = explore_closure({"gspacer": gspacer()}, [top_env(), bottom_env()])

@@ -1,8 +1,6 @@
-import pytest
-
 from oritatami.fixtures import glider_seed, glider_system
 from oritatami.folding import Conformation, fold_all
-from oritatami.render import RenderOptions, render_ascii, render_svg
+from oritatami.render import render_ascii, render_svg
 
 
 def test_single_bead_svg():
@@ -23,23 +21,13 @@ def test_bond_segments_match_bond_count():
     svg = render_svg(conf)
     assert svg.count("<line") == len(conf.bonds)
     assert svg.count("<circle") == len(conf.path)
+    assert svg.count("<text") == len(conf.path)
 
 
 def test_byte_stability():
     conf = fold_all(glider_system(periods=1), "enumerate")[0].conformation
     assert render_svg(conf) == render_svg(conf)
     assert render_ascii(conf) == render_ascii(conf)
-
-
-def test_show_bonds_off():
-    conf = glider_seed()
-    assert "<line" not in render_svg(conf, RenderOptions(show_bonds=False))
-
-
-def test_labels_off():
-    conf = glider_seed()
-    assert "<text" not in render_svg(conf, RenderOptions(label_beads=False))
-    assert "<text" in render_svg(conf)
 
 
 def test_ascii_rows_follow_grid_rows():
@@ -49,8 +37,3 @@ def test_ascii_rows_follow_grid_rows():
     assert len(lines) == 3  # the hexagon spans three grid rows
     assert "585" in lines[0] and "590" in lines[0]
     assert "587" in lines[2] and "588" in lines[2]
-
-
-def test_bad_options_rejected():
-    with pytest.raises(ValueError):
-        RenderOptions(scale=0)

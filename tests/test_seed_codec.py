@@ -145,7 +145,6 @@ class TestBuildSeed:
         assert len(layout.vertical) == 2 * 6 * (2 * 4 - 1 + 2 * 3 + 2 + 2 * 4)
         assert len(conf) == len(layout.horizontal) + len(layout.vertical)
         assert layout.junction == Point(0, -1)
-        assert layout.final_bead_note == "540"
 
     def test_row_spells_initial_state_all_flags_n(self):
         nfa, code = branching_machine()
