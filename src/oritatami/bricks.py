@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .folding import BRANCH_BUDGET, BranchBudgetExceeded
+from .folding import BRANCH_BUDGET, BranchBudgetExceeded, _as_rng
 from .nfa import AugmentedNfa, Encoding
 
 
@@ -135,12 +135,6 @@ def module3(
     if mode != "coin":
         raise ValueError(f"unknown choice mode {mode!r}")
     return (_coin_pick(outcomes, _as_rng(rng)),)
-
-
-def _as_rng(rng: random.Random | int | None) -> random.Random:
-    if isinstance(rng, int):
-        return random.Random(rng)
-    return random.Random(0) if rng is None else rng
 
 
 def _coin_pick(survivors: Sequence[_T], rng: random.Random) -> _T:

@@ -10,8 +10,8 @@ enumerate every branch, sample one with a seeded RNG, or take the canonical
 first choice.
 
 Energy is minus the bond count, so "minimal energy" means "most bonds".
-Bond indices are 0-based internally; the text formats in :mod:`sysfile`
-use the 1-based convention.
+Bead indices are 0-based internally. Error messages, like the text formats
+in :mod:`sysfile` and the fold trace, number beads from 1.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ def validate_conformation(
         raise ValueError("path is not a self-avoiding chain of adjacent points")
     for i, j in c.bonds:
         if not (0 <= i and i + 2 <= j and j < len(c.path)):
-            raise ValueError(f"bond ({i}, {j}) out of range or between near-consecutive beads")
+            raise ValueError(f"bond ({i + 1}, {j + 1}) out of range or between near-consecutive beads")
         if not are_adjacent(c.path[i], c.path[j]):
-            raise ValueError(f"bond ({i}, {j}) joins non-adjacent points")
+            raise ValueError(f"bond ({i + 1}, {j + 1}) joins non-adjacent points")
         if rules is not None and not rules.allows(c.beads[i], c.beads[j]):
-            raise ValueError(f"bond ({i}, {j}) pairs {c.beads[i]}/{c.beads[j]} outside the rule set")
+            raise ValueError(f"bond ({i + 1}, {j + 1}) pairs {c.beads[i]}/{c.beads[j]} outside the rule set")
     if max_arity is not None and arity_of(c) > max_arity:
         raise ValueError(f"conformation arity {arity_of(c)} exceeds cap {max_arity}")
 
@@ -442,10 +442,7 @@ def fold_all(
     elif mode == "first":
         keep = lambda options: options[:1]
     elif mode == "sample":
-        if isinstance(rng, int):
-            rng = random.Random(rng)
-        elif rng is None:
-            rng = random.Random(0)
+        rng = _as_rng(rng)
         keep = lambda options: [rng.choice(options)]
     else:
         raise ValueError(f"unknown fold mode {mode!r}")
@@ -455,6 +452,13 @@ def fold_all(
             raise BranchBudgetExceeded(f"more than {branch_budget} terminal branches")
         outcomes.append(outcome)
     return tuple(outcomes)
+
+
+def _as_rng(rng: random.Random | int | None) -> random.Random:
+    """``rng`` itself, a ``Random`` seeded with it, or ``Random(0)`` for None."""
+    if isinstance(rng, int):
+        return random.Random(rng)
+    return random.Random(0) if rng is None else rng
 
 
 def is_deterministic_run(system: OritatamiSystem) -> bool:

@@ -126,15 +126,19 @@ def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
     Raises UnexpectedFold when the fold dead-ends, cannot be classified, ties
     beyond the branch budget, or contradicts the submodule's declared brick
     for this (entry, input); NondeterministicBrick when a declared-
-    deterministic fragment resolves to several distinct folds.
+    deterministic fragment resolves to several distinct folds; CatalogError
+    when the environment's seed breaks the submodule's rules or arity.
     """
-    system = OritatamiSystem(
-        rules=submodule.rules,
-        arity=submodule.arity,
-        delay=submodule.delay,
-        seed=env.conformation,
-        transcript=submodule.fragment,
-    )
+    try:
+        system = OritatamiSystem(
+            rules=submodule.rules,
+            arity=submodule.arity,
+            delay=submodule.delay,
+            seed=env.conformation,
+            transcript=submodule.fragment,
+        )
+    except ValueError as exc:
+        raise CatalogError(f"env {env.name}: {exc}") from None
     try:
         outcomes = fold_all(system, "enumerate", branch_budget=512)
     except BranchBudgetExceeded:
@@ -205,13 +209,24 @@ def explore_closure(
 
     Every environment is folded once; the successor is the unique declared
     environment (for the same submodule) whose entry height matches the
-    brick's exit. Environments whose fold fails classification are recorded
-    in ``failures`` rather than aborting the walk. Raises ClosureViolation
-    when a successor is missing or ambiguous.
+    brick's exit, looked up in an index built once from the catalog.
+    Environments whose fold fails classification are recorded in
+    ``failures`` rather than aborting the walk. Raises ClosureViolation
+    when a successor is missing or ambiguous, or when the walk reaches an
+    environment whose submodule cannot be resolved.
     """
-    auto = BrickAutomaton(environments={e.name: e for e in envs})
-    if len(auto.environments) != len(envs):
-        raise CatalogError("duplicate environment names")
+    auto = BrickAutomaton()
+    # (submodule name, entry height) -> environments, in catalog order.
+    index: dict[tuple[str, str], list[Environment]] = {}
+    for env in envs:
+        if env.name in auto.environments:
+            raise CatalogError(f"duplicate environment names: {env.name}")
+        auto.environments[env.name] = env
+        try:
+            key = (_resolve_submodule(defs, env).name, env.entry)
+        except ClosureViolation:
+            continue  # raised again when the walk reaches it
+        index.setdefault(key, []).append(env)
     for env in envs:
         sub = _resolve_submodule(defs, env)
         try:
@@ -220,11 +235,7 @@ def explore_closure(
             auto.failures.append((env.name, f"{type(exc).__name__}: {exc}"))
             continue
         auto.bricks[env.name] = brick
-        successors = [
-            e
-            for e in envs
-            if e.entry == brick.exit and _same_submodule(defs, e, sub)
-        ]
+        successors = index.get((sub.name, brick.exit), [])
         if not successors:
             raise ClosureViolation(
                 f"no declared environment with entry {brick.exit} follows {env.name}"
@@ -234,15 +245,6 @@ def explore_closure(
             raise ClosureViolation(f"ambiguous successors of {env.name}: {names}")
         auto.transitions.append((env.name, brick.exit, successors[0].name))
     return auto
-
-
-def _same_submodule(
-    defs: Mapping[str, SubmoduleDef], env: Environment, sub: SubmoduleDef
-) -> bool:
-    try:
-        return _resolve_submodule(defs, env).name == sub.name
-    except ClosureViolation:
-        return False
 
 
 def format_automaton(auto: BrickAutomaton) -> str:

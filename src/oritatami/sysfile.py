@@ -135,26 +135,16 @@ class Directives:
         return conformation
 
 
-def parse_seed_block(lines: Iterable[str]) -> Conformation:
-    """Build a conformation from the ``seed``/``seedbond`` lines among
-    ``lines``, checking geometry but not rule validity (callers supply the
-    rule set later). Other directives are left to the caller to check; line
-    numbers in errors count every item of ``lines``."""
-    found = Directives(SystemFileError, SEED_KEYS)
-    for lineno, key, args in tokenize(lines):
-        found.read(lineno, key, args)
-    return found.seed()
-
-
 def parse_system(text: str) -> OritatamiSystem:
-    lines = text.splitlines()
-    found = Directives(SystemFileError, ("delay", "arity", "rule", "transcript", "repeat"))
-    for lineno, key, args in tokenize(lines):
-        if key not in SEED_KEYS and not found.read(lineno, key, args):
+    found = Directives(
+        SystemFileError, ("delay", "arity", "rule", "transcript", "repeat", *SEED_KEYS)
+    )
+    for lineno, key, args in tokenize(text.splitlines()):
+        if not found.read(lineno, key, args):
             raise SystemFileError(f"line {lineno}: unknown directive {key!r}")
     if found.delay is None or found.arity is None:
         raise SystemFileError("system file must set both 'delay' and 'arity'")
-    seed = parse_seed_block(lines)
+    seed = found.seed()
     try:
         return OritatamiSystem(
             RuleSet(found.rules), found.arity, found.delay, seed, tuple(found.transcript)

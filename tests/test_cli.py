@@ -250,6 +250,17 @@ class TestCheckBricksCommand:
         catalog.write_text(CATALOG)
         assert main(["check-bricks", str(defs), str(catalog)]) == 1
 
+    def test_unlicensed_seed_bond_names_env(self, tmp_path, capsys):
+        # The seed's first bond (seedbond 1 6) pairs 585 with 590.
+        defs = tmp_path / "gspacer.defs"
+        defs.write_text(DEFS.replace("rule 585 590\n", ""))
+        catalog = tmp_path / "bands.cat"
+        catalog.write_text(CATALOG)
+        assert main(["check-bricks", str(defs), str(catalog)]) == 2
+        err = capsys.readouterr().err
+        assert "env band_top" in err
+        assert "bond (1, 6) pairs 585/590 outside the rule set" in err
+
 
 class TestStatsCommand:
     def test_stats_output(self, nfa_file, capsys):

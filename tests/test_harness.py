@@ -160,6 +160,40 @@ class TestExploreClosure:
         with pytest.raises(ClosureViolation):
             explore_closure({"gspacer": gspacer(expected=False)}, [mislabeled])
 
+    def test_ambiguous_successors_are_a_violation(self):
+        twin = Environment("band_twin", glider_seed(), "T", "1")
+        with pytest.raises(ClosureViolation) as exc:
+            explore_closure({"gspacer": gspacer()}, [top_env(), twin])
+        assert str(exc.value) == "ambiguous successors of band_top: band_top, band_twin"
+
+    def test_undeclared_submodule_is_a_violation(self):
+        stray = Environment("stray", glider_seed(), "T", "1", "nosuch")
+        with pytest.raises(ClosureViolation) as exc:
+            explore_closure({"gspacer": gspacer()}, [top_env(), stray])
+        assert str(exc.value) == "environment stray names undeclared submodule 'nosuch'"
+
+    def test_unnamed_submodule_among_several_is_a_violation(self):
+        defs = {"gspacer": gspacer(), "other": gspacer()}
+        with pytest.raises(ClosureViolation) as exc:
+            explore_closure(defs, [top_env()])
+        assert str(exc.value) == (
+            "environment band_top must name its submodule (several are declared)"
+        )
+
+    def test_missing_successor_comes_before_a_later_unresolved_environment(self):
+        # The stray environment has entry T but no resolvable submodule, so
+        # it is no successor, and the walk fails before reaching it.
+        mislabeled = Environment("mislabeled", glider_seed(), "B", "1")
+        stray = Environment("stray", glider_seed(), "T", "1", "nosuch")
+        with pytest.raises(ClosureViolation) as exc:
+            explore_closure({"gspacer": gspacer(expected=False)}, [mislabeled, stray])
+        assert str(exc.value) == "no declared environment with entry T follows mislabeled"
+
+    def test_duplicate_names_name_the_first(self):
+        envs = [top_env(), bottom_env(), top_env(), bottom_env()]
+        with pytest.raises(CatalogError, match="^duplicate environment names: band_top$"):
+            explore_closure({"gspacer": gspacer()}, envs)
+
     def test_catalog_past_a_thousand_environments_closes(self):
         # Each environment is folded once, however long the catalog: 501
         # two-bead submodules whose b bonds back to the seed, exiting at T.

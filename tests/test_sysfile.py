@@ -71,6 +71,19 @@ def test_malformed_files_are_rejected(mutation):
         parse_system(mutation(GLIDER_TEXT))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed 0 0\ndelay 1\narity 1\nbogus 1\n",
+        "seed 0 0\n",  # no delay or arity either
+    ],
+    ids=["before-unknown-directive", "before-missing-delay"],
+)
+def test_first_bad_line_is_reported(text):
+    with pytest.raises(SystemFileError, match="^line 1: expected 'seed X Y BEAD'"):
+        parse_system(text)
+
+
 def test_seed_only_system_is_fine():
     text = "delay 1\narity 1\nseed 0 0 a\n"
     parsed = parse_system(text)
