@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .folding import BRANCH_BUDGET, BranchBudgetExceeded, _as_rng
 from .nfa import AugmentedNfa, Encoding
@@ -291,23 +291,48 @@ def format_report(
     nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
 ) -> str:
     """Line-oriented run report: every branch, period by period, stage by stage."""
-    lines = [f"word: {' '.join(word)} {nfa.dollar}".rstrip()]
+    return "".join(_report_chunks(nfa, code, word, result))
+
+
+def _report_chunks(
+    nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
+) -> Iterator[str]:
+    """``format_report``'s text in pieces: the header line, one piece per
+    branch, then the verdict.
+
+    Branches share the ``PeriodTrace`` objects of ``run_word``'s period
+    table, so each distinct trace is formatted once, keyed on its ``id``
+    (``result`` keeps every trace alive while the pieces are made).
+    """
+    yield f"word: {' '.join(word)} {nfa.dollar}".rstrip() + "\n"
+    blocks: dict[int, str] = {}
     for b, outcome in enumerate(result.outcomes, 1):
-        lines.append(f"branch {b}:")
+        piece = [f"branch {b}:\n"]
         for p, trace in enumerate(outcome.traces, 1):
-            lines.append(f"  period {p} letter={trace.letter}")
-            lines.append(f"    module1 {format_row(trace.after_module1)}")
-            lines.append(f"    module2 {format_row(trace.after_module2)}")
-            if trace.halted:
-                lines.append("    module3 HALT")
-            else:
-                lines.append(f"    module3 mark {format_row(trace.marked)}")
-                lines.append(f"    module3 choice f{trace.chosen} {format_row(trace.after_module3)}")
-                lines.append(f"    module4 {format_row(trace.after_module4)}")
+            block = blocks.get(id(trace))
+            if block is None:
+                block = blocks[id(trace)] = _format_period(trace)
+            piece.append(f"  period {p}{block}")
         tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
-        lines.append(f"  states: {' -> '.join(outcome.states)} ({tail})")
-    lines.append(format_verdict(nfa, code, word, result))
-    return "\n".join(lines) + "\n"
+        piece.append(f"  states: {' -> '.join(outcome.states)} ({tail})\n")
+        yield "".join(piece)
+    yield format_verdict(nfa, code, word, result) + "\n"
+
+
+def _format_period(trace: PeriodTrace) -> str:
+    """A period's report lines after its ``  period P`` prefix."""
+    text = (
+        f" letter={trace.letter}\n"
+        f"    module1 {format_row(trace.after_module1)}\n"
+        f"    module2 {format_row(trace.after_module2)}\n"
+    )
+    if trace.halted:
+        return text + "    module3 HALT\n"
+    return text + (
+        f"    module3 mark {format_row(trace.marked)}\n"
+        f"    module3 choice f{trace.chosen} {format_row(trace.after_module3)}\n"
+        f"    module4 {format_row(trace.after_module4)}\n"
+    )
 
 
 def format_verdict(

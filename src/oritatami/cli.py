@@ -90,7 +90,7 @@ def _cmd_run_nfa(args) -> int:
     result = bricks.run_word(machine, code, word, mode=args.mode, rng=args.rng_seed)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(bricks.format_report(machine, code, word, result))
+            fh.writelines(bricks._report_chunks(machine, code, word, result))
     print(bricks.format_verdict(machine, code, word, result))
     return 0 if result.accepted else 1
 

@@ -304,9 +304,12 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
     """Parse submodule definitions: ``submodule <name>`` stanzas with ``delay``,
     ``arity``, ``rule`` lines, a ``fragment`` (or ``repeat``) transcript, an
     optional ``deterministic yes|no``, and optional declared bricks as
-    ``expect <entry> <input> <exit> <bead> <bead> ...``."""
+    ``expect <entry> <input> <exit> <bead> <bead> ...``. A repeated name is
+    a CatalogError."""
     defs: dict[str, SubmoduleDef] = {}
     for name, directives in split_stanzas(text, "submodule", CatalogError):
+        if name in defs:
+            raise CatalogError(f"duplicate submodule names: {name}")
         found = Directives(CatalogError, ("delay", "arity", "rule", "fragment", "repeat"))
         deterministic = True
         expected: list[ExpectedBrick] = []

@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import Counter
 
+from oritatami.bricks import format_row, format_verdict
 from oritatami.folding import Conformation, OritatamiSystem, RuleSet
 from oritatami.nfa import Nfa
 
@@ -176,3 +177,25 @@ def random_nfa(rng: random.Random) -> Nfa:
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from (list(w) for w in itertools.product(alphabet, repeat=length))
+
+
+def reference_report(nfa, code, word, result) -> str:
+    """The run report built line by line: every period of every branch is
+    formatted afresh, with no sharing between branches."""
+    lines = [f"word: {' '.join(word)} {nfa.dollar}".rstrip()]
+    for b, outcome in enumerate(result.outcomes, 1):
+        lines.append(f"branch {b}:")
+        for p, trace in enumerate(outcome.traces, 1):
+            lines.append(f"  period {p} letter={trace.letter}")
+            lines.append(f"    module1 {format_row(trace.after_module1)}")
+            lines.append(f"    module2 {format_row(trace.after_module2)}")
+            if trace.halted:
+                lines.append("    module3 HALT")
+            else:
+                lines.append(f"    module3 mark {format_row(trace.marked)}")
+                lines.append(f"    module3 choice f{trace.chosen} {format_row(trace.after_module3)}")
+                lines.append(f"    module4 {format_row(trace.after_module4)}")
+        tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
+        lines.append(f"  states: {' -> '.join(outcome.states)} ({tail})")
+    lines.append(format_verdict(nfa, code, word, result))
+    return "\n".join(lines) + "\n"

@@ -342,3 +342,23 @@ class TestReport:
         result = run_word(nfa, code, ["100", "100"])
         report = format_report(nfa, code, ["100", "100"], result)
         assert report.splitlines()[-1].startswith("REJECT (all branches halted)")
+
+    def test_matches_line_by_line_reference(self):
+        # Random machines in both modes, the empty word included; the
+        # corpus must reach halted branches and traces shared by branches.
+        rng = random.Random(4242)
+        halted = shared = 0
+        for _ in range(60):
+            nfa = oracles.random_nfa(rng)
+            aug = augment(nfa)
+            code = assign_codes(aug)
+            for word in oracles.all_words(nfa.alphabet, 3):
+                for mode in ("enumerate", "sample"):
+                    result = run_word(aug, code, word, mode=mode, rng=rng.randrange(1000))
+                    expected = oracles.reference_report(aug, code, word, result)
+                    assert format_report(aug, code, word, result) == expected
+                    halted += sum(not o.accepted for o in result.outcomes)
+                    traces = [t for o in result.outcomes for t in o.traces]
+                    shared += len(traces) - len({id(t) for t in traces})
+        assert halted > 0
+        assert shared > 0

@@ -1,6 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from oritatami import bricks
 from oritatami.cli import main, _tokenize_word
+from oritatami.nfa import parse_nfa_file, prepare
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GLIDER_SYS = """\
 delay 3
@@ -78,6 +85,19 @@ seedbond 1 6
 seedbond 2 6
 entry B
 input 1
+"""
+
+
+# Every letter doubles the branches: t letters give 2**t.
+DOUBLING_NFA = """\
+states: p q
+alphabet: a
+initial: p
+accept: p
+trans: p a p
+trans: p a q
+trans: q a p
+trans: q a q
 """
 
 
@@ -207,14 +227,44 @@ class TestRunNfaCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_enumerate_past_branch_budget_exits_2(self, tmp_path, capsys):
-        # Every letter doubles the branches: 14 letters give 16,384.
         p = tmp_path / "doubling.nfa"
-        p.write_text("states: p q\nalphabet: a\ninitial: p\naccept: p\n"
-                     "trans: p a p\ntrans: p a q\ntrans: q a p\ntrans: q a q\n")
+        p.write_text(DOUBLING_NFA)
         assert main(["run-nfa", str(p), "--word", "a" * 14]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: more than 10000 terminal branches\n"
+
+    def test_budget_failure_writes_no_report(self, tmp_path, capsys):
+        p = tmp_path / "doubling.nfa"
+        p.write_text(DOUBLING_NFA)
+        report = tmp_path / "out.txt"
+        assert main(["run-nfa", str(p), "--word", "a" * 14, "--report", str(report)]) == 2
+        assert not report.exists()
+
+    def test_report_file_is_format_report(self, tmp_path, capsys):
+        path = str(DEMOS / "branching.nfa")
+        report = tmp_path / "run.txt"
+        assert main(["run-nfa", path, "--word", "100", "--report", str(report)]) == 0
+        machine, code = prepare(*parse_nfa_file(path))
+        result = bricks.run_word(machine, code, ["100"])
+        assert result.branch_count == 2
+        expected = bricks.format_report(machine, code, ["100"], result)
+        assert report.read_text(encoding="utf-8") == expected
+
+    def test_report_is_streamed(self, tmp_path, capsys):
+        # 11 doubling letters: 2,048 branches and a report of several MB,
+        # which is written piece by piece rather than built whole.
+        p = tmp_path / "doubling.nfa"
+        p.write_text(DOUBLING_NFA)
+        report = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            code = main(["run-nfa", str(p), "--word", "a" * 11, "--report", str(report)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < report.stat().st_size / 2
 
 
 class TestCompileCommand:
@@ -249,6 +299,16 @@ class TestCheckBricksCommand:
         catalog = tmp_path / "bands.cat"
         catalog.write_text(CATALOG)
         assert main(["check-bricks", str(defs), str(catalog)]) == 1
+
+    def test_duplicate_submodule_is_input_error(self, tmp_path, capsys):
+        defs = tmp_path / "gspacer.defs"
+        text = (DEMOS / "gspacer.defs").read_text()
+        stanza = text[text.index("submodule gspacer"):]
+        defs.write_text(text + "\n" + stanza)
+        assert main(["check-bricks", str(defs), str(DEMOS / "gspacer_bands.cat")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: duplicate submodule names: gspacer\n"
 
     def test_unlicensed_seed_bond_names_env(self, tmp_path, capsys):
         # The seed's first bond (seedbond 1 6) pairs 585 with 590.
