@@ -10,7 +10,7 @@ Subcommands:
     stats <nfa-file> --word-len N
 
 Exit codes: 0 success / ACCEPT, 1 REJECT (or all-branch dead end / closure
-failure), 2 input error.
+failure), 2 input error (including a branch or lookahead budget overrun).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from . import bricks, harness, sysfile
-from .folding import BranchBudgetExceeded, fold_all
+from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, fold_all
 from .nfa import parse_nfa_file, prepare
 from .render import render_svg
 from .sysfile import format_seed_stanza, parse_system_file
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, BranchBudgetExceeded) as exc:
+    except (ValueError, KeyError, OSError, BranchBudgetExceeded, LookaheadBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (harness.UnexpectedFold, harness.NondeterministicBrick) as exc:

@@ -17,7 +17,8 @@ in :mod:`sysfile` and the fold trace, number beads from 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,8 +33,15 @@ class BranchBudgetExceeded(Exception):
     """Exhaustive enumeration produced more terminal branches than allowed."""
 
 
+class LookaheadBudgetExceeded(Exception):
+    """One lookahead search pushed more nascent beads than allowed."""
+
+
 # Default cap on the terminals an enumeration may produce.
 BRANCH_BUDGET = 10_000
+# Cap on the nascent beads one lookahead search may push: about 190 times the
+# most any test, demo or benchmark input needs (525, at a delay-5 glider step).
+LOOKAHEAD_BUDGET = 100_000
 
 
 def _normalize_pair(a: str, b: str) -> tuple[str, str]:
@@ -183,17 +191,37 @@ class FoldOutcome(NamedTuple):
     completed: bool
 
 
-class _Fold:
-    """Mutable folding workspace: push/pop beads without copying the conformation."""
+# The workspace keys a point by one int, (x - x0) * _STRIDE + (y - y0), taken
+# relative to the start conformation's first point (x0, y0). A path is
+# connected, and the search looks at most one step past the transcript's
+# length beyond the path end, so every offset it meets is below the seed
+# length plus twice the transcript length plus 2: far below _STRIDE / 2 for
+# any system that fits in memory, which keeps the key injective.
+_STRIDE = 1 << 32
+_HALF_STRIDE = _STRIDE // 2
+_NEIGHBOURS = tuple(dx * _STRIDE + dy for dx, dy in DIRECTIONS)
+# Each step from the path end, with the five steps on from there that do not
+# lead back to the path end.
+_STEPS = tuple((d, tuple(e for e in _NEIGHBOURS if e != -d)) for d in _NEIGHBOURS)
 
-    __slots__ = ("rules", "arity", "path", "beads", "occupied", "bond_count", "bond_log", "total_bonds")
+
+class _Fold:
+    """Mutable folding workspace: push/pop beads without copying the conformation.
+
+    ``path`` holds int point keys (see ``_STRIDE``); ``point`` and ``key``
+    convert between a key and its ``Point``.
+    """
+
+    __slots__ = ("rules", "arity", "origin", "path", "beads", "occupied", "bond_count", "bond_log",
+                 "total_bonds")
 
     def __init__(self, rules: RuleSet, arity: int, start: Conformation):
         self.rules = rules
         self.arity = arity
-        self.path: list[Point] = list(start.path)
+        self.origin = start.path[0]
+        self.path: list[int] = [self.key(p) for p in start.path]
         self.beads: list[str] = list(start.beads)
-        self.occupied: dict[Point, int] = {p: i for i, p in enumerate(start.path)}
+        self.occupied: dict[int, int] = {k: i for i, k in enumerate(self.path)}
         self.bond_count: list[int] = [0] * len(start.path)
         for i, j in start.bonds:
             self.bond_count[i] += 1
@@ -201,53 +229,80 @@ class _Fold:
         self.bond_log: list[tuple[int, int]] = sorted(start.bonds)
         self.total_bonds = len(start.bonds)
 
-    def placements(self, bead: str) -> list[tuple[Point, list[int]]]:
-        """Each free point next to the path end, in direction order, with the
-        indices of the beads it could bond with there (in neighbor order)."""
-        last_x, last_y = self.path[-1]
-        last = len(self.path) - 1
+    def key(self, p: tuple[int, int]) -> int:
+        return (p[0] - self.origin[0]) * _STRIDE + (p[1] - self.origin[1])
+
+    def point(self, key: int) -> Point:
+        dx, dy = divmod(key + _HALF_STRIDE, _STRIDE)
+        return Point(self.origin[0] + dx, self.origin[1] + dy - _HALF_STRIDE)
+
+    def placements(self, bead: str) -> list[tuple[int, list[int]]]:
+        """Each free point next to the path end, in direction order, as its
+        key with the indices of the beads it could bond with there (in
+        neighbor order)."""
+        end = self.path[-1]
         mates = self.rules.partners(bead)
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
         out = []
-        for dx, dy in DIRECTIONS:
-            x, y = last_x + dx, last_y + dy
-            if (x, y) in occupied:
+        for d, around in _STEPS:
+            key = end + d
+            if key in occupied:
                 continue
             eligible = []
             if mates:
-                for ex, ey in DIRECTIONS:
-                    idx = occupied.get((x + ex, y + ey))
-                    if (
-                        idx is not None
-                        and idx != last
-                        and bond_count[idx] < arity
-                        and beads[idx] in mates
-                    ):
+                for e in around:
+                    idx = occupied.get(key + e)
+                    if idx is not None and beads[idx] in mates and bond_count[idx] < arity:
                         eligible.append(idx)
-            out.append((Point(x, y), eligible))
+            out.append((key, eligible))
         return out
 
-    def choices(self, bead: str) -> list[StabilizationChoice]:
-        """Every legal (placement, bond subset) for ``bead``, in canonical order.
+    def most_bonds(self, bead: str) -> int:
+        """The most bonds ``bead`` could form at any free point next to the
+        path end: ``placements`` reduced to a count, with no lists built."""
+        mates = self.rules.partners(bead)
+        if not mates:
+            return 0
+        end = self.path[-1]
+        occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
+        cap = min(arity, _MAX_NEW_BONDS)
+        best = 0
+        for d, around in _STEPS:
+            key = end + d
+            if key in occupied:
+                continue
+            n = 0
+            for e in around:
+                idx = occupied.get(key + e)
+                if idx is not None and beads[idx] in mates and bond_count[idx] < arity:
+                    n += 1
+                    if n == cap:
+                        return cap
+            if n > best:
+                best = n
+        return best
+
+    def options(self, bead: str) -> list[tuple[int, tuple[int, ...]]]:
+        """Every legal (point key, bond subset) for ``bead``, in canonical order.
 
         Canonical order: direction order around the path end, then bond
         subsets sorted lexicographically (the empty subset first).
         """
-        out: list[StabilizationChoice] = []
-        for p, eligible in self.placements(bead):
+        out: list[tuple[int, tuple[int, ...]]] = []
+        for key, eligible in self.placements(bead):
             eligible.sort()
             max_take = min(len(eligible), self.arity)
             subsets = sorted(
                 chain.from_iterable(combinations(eligible, r) for r in range(max_take + 1))
             )
-            out.extend(StabilizationChoice(p, s) for s in subsets)
+            out.extend((key, s) for s in subsets)
         return out
 
-    def push(self, point: Point, partners: Sequence[int], bead: str) -> None:
+    def push(self, key: int, partners: Sequence[int], bead: str) -> None:
         idx = len(self.path)
-        self.path.append(point)
+        self.path.append(key)
         self.beads.append(bead)
-        self.occupied[point] = idx
+        self.occupied[key] = idx
         self.bond_count.append(len(partners))
         for partner in partners:
             self.bond_count[partner] += 1
@@ -255,17 +310,14 @@ class _Fold:
         self.total_bonds += len(partners)
 
     def pop(self) -> None:
-        p = self.path.pop()
+        key = self.path.pop()
         self.beads.pop()
-        del self.occupied[p]
+        del self.occupied[key]
         n_bonds = self.bond_count.pop()
         for _ in range(n_bonds):
             partner, _ = self.bond_log.pop()
             self.bond_count[partner] -= 1
         self.total_bonds -= n_bonds
-
-    def snapshot(self) -> Conformation:
-        return Conformation(tuple(self.path), tuple(self.beads), frozenset(self.bond_log))
 
 
 def elongations(
@@ -274,19 +326,24 @@ def elongations(
     """All one-bead elongations of ``c`` by ``bead``: every free placement next to
     the path end, combined with every subset of its eligible bond partners
     (the empty subset included), filtered by the arity cap."""
-    return _Fold(rules, arity_cap, c).choices(bead)
+    fold = _Fold(rules, arity_cap, c)
+    return [StabilizationChoice(fold.point(k), s) for k, s in fold.options(bead)]
 
 
 # A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
 _MAX_NEW_BONDS = 5
-_DIRECTION_RANK = {d: k for k, d in enumerate(DIRECTIONS)}
+_DIRECTION_RANK = {d: k for k, d in enumerate(_NEIGHBOURS)}
 
 
-def _hex_disk(radius: int) -> tuple[tuple[int, int], ...]:
-    """Every offset within ``radius`` grid steps of the origin, in a fixed order."""
+def _hex_disk(radius: int) -> tuple[int, ...]:
+    """The key offset of every point within ``radius`` grid steps of the
+    origin, in a fixed order."""
     span = range(-radius, radius + 1)
     return tuple(
-        (dx, dy) for dx in span for dy in span if max(abs(dx), abs(dy), abs(dx + dy)) <= radius
+        dx * _STRIDE + dy
+        for dx in span
+        for dy in span
+        if max(abs(dx), abs(dy), abs(dx + dy)) <= radius
     )
 
 
@@ -294,117 +351,148 @@ class _Lookahead:
     """Exact delay-bounded argmin search for one system.
 
     Scores are bond totals, maximised, so the argmin over energy is the argmax
-    here. Below the root a branch-and-bound search gives up on a subtree once
-    its admissible bound (each remaining bead adds at most ``min(arity, 5)``
-    bonds, none if its type has no partner) falls strictly below the best
-    score already found, so ties stay exact. The last level needs no push:
-    its best gain is the largest partner count of any free placement.
+    here. The search is a branch-and-bound over the nascent beads. A bond is
+    counted at its later bead, so a bead can add bonds only if one of its
+    partner types occurs in the seed or earlier in the transcript; such a
+    bead adds at most ``min(arity, 5)``, any other bead none (``headroom``).
+    Before each push the child's bound (bonds so far, plus the subset size,
+    plus the headroom of the beads left) is checked: a child whose bound
+    falls strictly below the score it must reach is skipped, and since
+    subset sizes are tried largest first, so are the smaller subsets of that
+    placement. Ties therefore stay exact. A child with no headroom left
+    scores exactly its bonds and is not pushed; a level whose later beads
+    have no headroom counts eligible partners per free point and builds no
+    lists. One search pushes at most ``LOOKAHEAD_BUDGET`` beads, else it
+    raises LookaheadBudgetExceeded.
 
     With ``table`` set, argmin sets are remembered relative to the path end,
     keyed by the transcript window and every occupied point within
-    ``delay + 1`` steps (with bead type and bond count): that is everything
-    the search can touch, so a translated repeat of a situation is answered
-    without searching. Only windows that recur later in the transcript are
-    stored, and the table lives as long as this object.
+    ``delay + 1`` steps, and never more than one step past the transcript's
+    length (with bead type and bond count): that is everything the search
+    can touch, so a translated repeat of a situation is answered without
+    searching. The key is built only for windows that occur more
+    than once in the transcript, since no other window can hit; entries are
+    stored only for windows that recur later, and the table lives as long as
+    this object.
     """
 
-    __slots__ = ("transcript", "delay", "arity", "headroom", "table", "window_ids", "recurs", "disk")
+    __slots__ = ("transcript", "delay", "arity", "headroom", "table", "window_ids", "shared",
+                 "recurs", "disk", "nodes_left", "root")
 
     def __init__(self, system: OritatamiSystem, table: bool = False):
         self.transcript = t = system.transcript
         self.delay = delay = system.delay
         self.arity = system.arity
         cap = min(system.arity, _MAX_NEW_BONDS)
+        present = set(system.seed.beads)
+        gains = []
+        for b in t:
+            gains.append(0 if system.rules.partners(b).isdisjoint(present) else cap)
+            present.add(b)
         # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
-        self.headroom = list(
-            accumulate((cap if system.rules.partners(b) else 0 for b in t), initial=0)
-        )
-        self.table: dict | None = None
+        self.headroom = list(accumulate(gains, initial=0))
+        self.table: dict = {}
+        self.shared = [False] * len(t)
         if table:
-            self.table = {}
             windows = [t[i : i + delay] for i in range(len(t))]
             ids: dict[tuple[str, ...], int] = {}
             last: dict[tuple[str, ...], int] = {}
             for i, w in enumerate(windows):
                 ids.setdefault(w, len(ids))
                 last[w] = i
+            count = Counter(windows)
             self.window_ids = [ids[w] for w in windows]
+            self.shared = [count[w] > 1 for w in windows]
             self.recurs = [last[w] > i for i, w in enumerate(windows)]
-            self.disk = _hex_disk(delay + 1)
+            self.disk = _hex_disk(min(delay, len(t)) + 1)
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
-        if self.table is None:
-            return self._search(fold, i)
-        ex, ey = fold.path[-1]
+        if not self.shared[i]:
+            return [StabilizationChoice(fold.point(k), s) for k, s in self._search(fold, i)]
+        end = fold.path[-1]
         occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
         hood = []
-        for dx, dy in self.disk:
-            idx = occupied.get((ex + dx, ey + dy))
+        for d in self.disk:
+            idx = occupied.get(end + d)
             if idx is not None:
-                hood.append((dx, dy, beads[idx], counts[idx]))
+                hood.append((d, beads[idx], counts[idx]))
         key = (self.window_ids[i], tuple(hood))
         entry = self.table.get(key)
-        if entry is not None:
-            # Partner offsets map back to indices whose order may differ from
-            # the stored situation's, so canonical order is rebuilt.
-            restored = []
-            for (dx, dy), mates in entry:
-                bonds = tuple(sorted(occupied[(ex + mx, ey + my)] for mx, my in mates))
-                restored.append((_DIRECTION_RANK[(dx, dy)], bonds, Point(ex + dx, ey + dy)))
-            restored.sort()
-            return [StabilizationChoice(p, bonds) for _, bonds, p in restored]
-        options = self._search(fold, i)
-        if self.recurs[i]:
-            path = fold.path
-            self.table[key] = tuple(
-                (
-                    (ch.point[0] - ex, ch.point[1] - ey),
-                    tuple((path[q][0] - ex, path[q][1] - ey) for q in ch.bonds),
+        if entry is None:
+            found = self._search(fold, i)
+            if self.recurs[i]:
+                path = fold.path
+                self.table[key] = tuple(
+                    (k - end, tuple(path[q] - end for q in bonds)) for k, bonds in found
                 )
-                for ch in options
-            )
-        return options
+            return [StabilizationChoice(fold.point(k), s) for k, s in found]
+        # Partner offsets map back to indices whose order may differ from the
+        # stored situation's, so canonical order is rebuilt.
+        restored = sorted(
+            (_DIRECTION_RANK[d], tuple(sorted(occupied[end + m] for m in mates)), end + d)
+            for d, mates in entry
+        )
+        return [StabilizationChoice(fold.point(k), bonds) for _, bonds, k in restored]
 
-    def _search(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
+    def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The argmin set for bead ``i`` as (point key, bonds), in canonical order."""
         bead = self.transcript[i]
-        options = fold.choices(bead)
+        options = fold.options(bead)
         if not options:
             raise DeadEnd(f"no placement for transcript bead {i + 1} ({bead})")
+        stop = min(i + self.delay, len(self.transcript))
+        room = self.headroom[stop] - self.headroom[i + 1]
+        base = fold.total_bonds
+        self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
         scores = []
-        for ch in options:
-            fold.push(ch.point, ch.bonds, bead)
-            score = self._value(fold, i + 1, self.delay - 1, best)
-            fold.pop()
+        for key, bonds in options:
+            score = base + len(bonds) + room
+            if room and score >= best:
+                fold.push(key, bonds, bead)
+                score = self._value(fold, i + 1, stop, best)
+                fold.pop()
             scores.append(score)
             if score > best:
                 best = score
-        return [ch for ch, score in zip(options, scores) if score == best]
+        return [option for option, score in zip(options, scores) if score == best]
 
-    def _value(self, fold: _Fold, next_i: int, depth: int, alpha: int) -> int:
-        """Most bonds reachable by placing up to ``depth`` more transcript beads
-        from ``next_i`` on (truncated at the transcript end). Exact when that
-        is at least ``alpha``; otherwise an upper bound strictly below it."""
+    def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
+        """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
+        (fewer if the path gets stuck). Exact when that is at least
+        ``alpha``; otherwise an upper bound strictly below it. The caller has
+        just pushed a bead and checked that beads ``j`` .. ``stop - 1`` have
+        headroom and that their bound reaches ``alpha``; so each call counts
+        one push against the search's budget."""
+        self.nodes_left -= 1
+        if self.nodes_left < 0:
+            raise LookaheadBudgetExceeded(
+                f"lookahead for transcript bead {self.root + 1} "
+                f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
+            )
         base = fold.total_bonds
-        stop = min(next_i + depth, len(self.transcript))
-        bound = base + self.headroom[stop] - self.headroom[next_i]
-        if bound == base or bound < alpha:
-            return bound
-        bead = self.transcript[next_i]
-        if depth == 1:
-            arity = self.arity
-            return base + max((min(len(e), arity) for _, e in fold.placements(bead)), default=0)
+        bead = self.transcript[j]
+        room = self.headroom[stop] - self.headroom[j + 1]
+        if not room:
+            return base + fold.most_bonds(bead)
+        bound = base + self.headroom[stop] - self.headroom[j]
         best = base
-        for point, eligible in fold.placements(bead):
-            for r in range(min(len(eligible), self.arity), -1, -1):
+        arity = self.arity
+        for key, eligible in fold.placements(bead):
+            for r in range(min(len(eligible), arity), -1, -1):
+                top = base + r + room
+                if top < alpha or top <= best:
+                    break
                 for partners in combinations(eligible, r):
-                    fold.push(point, partners, bead)
-                    score = self._value(fold, next_i + 1, depth - 1, max(alpha, best + 1))
+                    fold.push(key, partners, bead)
+                    score = self._value(fold, j + 1, stop, max(alpha, best + 1))
                     fold.pop()
                     if score > best:
                         best = score
                         if best == bound:
                             return best
+                        if top <= best:
+                            break
         return best
 
 
@@ -418,7 +506,10 @@ def stabilize_next(
     the transcript end); every choice attaining the global minimum is
     returned, in canonical order. Raises DeadEnd when no placement exists.
     """
-    return _Lookahead(system).minimizers(_Fold(system.rules, system.arity, c_i), i)
+    # The lookahead's headroom counts the bead types present before bead i,
+    # so it reads them from c_i.
+    search = _Lookahead(replace(system, seed=c_i))
+    return search.minimizers(_Fold(system.rules, system.arity, c_i), i)
 
 
 def fold_all(
@@ -481,6 +572,8 @@ def _walk(
     search = _Lookahead(system, table=True)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, base = system.transcript, len(system.seed)
+    # The branch's points, kept beside the fold's keys for its snapshots.
+    points = list(system.seed.path)
     # Choices still to try, as (bead index i, choice); taking one first
     # rewinds the fold to its first i stabilized beads.
     stack: list[tuple[int, StabilizationChoice]] = []
@@ -495,11 +588,14 @@ def _walk(
         if kept:
             stack.extend((i, ch) for ch in reversed(kept))
         else:
-            yield FoldOutcome(fold.snapshot(), i == len(transcript))
+            snapshot = Conformation(tuple(points), tuple(fold.beads), frozenset(fold.bond_log))
+            yield FoldOutcome(snapshot, i == len(transcript))
         if not stack:
             return
         i, ch = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
-        fold.push(ch.point, ch.bonds, transcript[i])
+        del points[base + i :]
+        points.append(ch.point)
+        fold.push(fold.key(ch.point), ch.bonds, transcript[i])
         i += 1

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .folding import (
     BranchBudgetExceeded,
     Conformation,
+    LookaheadBudgetExceeded,
     OritatamiSystem,
     RuleSet,
     fold_all,
@@ -127,7 +128,9 @@ def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
     beyond the branch budget, or contradicts the submodule's declared brick
     for this (entry, input); NondeterministicBrick when a declared-
     deterministic fragment resolves to several distinct folds; CatalogError
-    when the environment's seed breaks the submodule's rules or arity.
+    when the environment's seed breaks the submodule's rules or arity;
+    LookaheadBudgetExceeded, naming the submodule and environment, when one
+    lookahead search exceeds its node budget.
     """
     try:
         system = OritatamiSystem(
@@ -145,6 +148,8 @@ def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
         raise UnexpectedFold(
             f"{submodule.name} in {env.name}: unresolved ties exceed the branch budget"
         ) from None
+    except LookaheadBudgetExceeded as exc:
+        raise LookaheadBudgetExceeded(f"{submodule.name} in {env.name}: {exc}") from None
     completed = [o.conformation for o in outcomes if o.completed]
     if not completed:
         raise UnexpectedFold(f"{submodule.name} in {env.name}: every branch dead-ends")

@@ -95,6 +95,21 @@ def brute_minimizers(system: OritatamiSystem, conf: Conformation, i: int):
     return {key for key, s in scored if s == best}
 
 
+def brute_options(system: OritatamiSystem, conf: Conformation, i: int):
+    """``brute_minimizers`` as a list of (point, partner indices) in canonical
+    order: direction order around the path end, then partner tuples sorted
+    lexicographically."""
+    last = conf.path[-1]
+    rank = {d: k for k, d in enumerate(OFFSETS)}
+
+    def order(option):
+        (x, y), partners = option
+        return rank[(x - last[0], y - last[1])], tuple(sorted(partners))
+
+    found = sorted(brute_minimizers(system, conf, i), key=order)
+    return [(point, tuple(sorted(partners))) for point, partners in found]
+
+
 def choice_key(choice):
     """Engine StabilizationChoice -> the oracle's comparison key."""
     return ((choice.point[0], choice.point[1]), frozenset(choice.bonds))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oritatami import bricks
+from oritatami import bricks, folding
 from oritatami.cli import main, _tokenize_word
 from oritatami.nfa import parse_nfa_file, prepare
 
@@ -43,6 +43,14 @@ statecode: 1111 1111
 statecode: qAcc 0011
 lettercode: 100 100
 lettercode: $ 101
+"""
+
+DENSE_SYS = """\
+delay 10
+arity 5
+rule a a
+seed 0 0 a
+repeat 11 a
 """
 
 DEFS = """\
@@ -183,6 +191,19 @@ class TestFoldCommand:
         assert main(["fold", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_lookahead_past_node_budget_exits_2(self, tmp_path, capsys):
+        # Every bead bonds with every other: the delay-10 search cannot cut
+        # enough to stay within its node budget.
+        p = tmp_path / "dense.sys"
+        p.write_text(DENSE_SYS)
+        assert main(["fold", str(p), "--mode", "first"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: lookahead for transcript bead 1 (a) pushes more than "
+            f"{folding.LOOKAHEAD_BUDGET} nascent beads\n"
+        )
+
 
 class TestRunNfaCommand:
     def test_accepting_word_exits_zero(self, nfa_file, capsys):
@@ -309,6 +330,21 @@ class TestCheckBricksCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: duplicate submodule names: gspacer\n"
+
+    def test_lookahead_past_node_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A smaller budget keeps the test quick; the fold test above runs the real one.
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 1000)
+        defs = tmp_path / "dense.defs"
+        defs.write_text("submodule dense\ndelay 10\narity 5\nrule a a\nrepeat 11 a\n")
+        catalog = tmp_path / "dense.cat"
+        catalog.write_text("env lone\nseed 0 0 a\nentry T\ninput 1\n")
+        assert main(["check-bricks", str(defs), str(catalog)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: dense in lone: lookahead for transcript bead 1 (a) "
+            "pushes more than 1000 nascent beads\n"
+        )
 
     def test_unlicensed_seed_bond_names_env(self, tmp_path, capsys):
         # The seed's first bond (seedbond 1 6) pairs 585 with 590.

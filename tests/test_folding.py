@@ -40,9 +40,18 @@ def extend(conf, choice, bead):
     )
 
 
-def replay(system, mode, rng=0):
-    """``fold_all`` rebuilt from one ``stabilize_next`` call per step, which
-    keeps no table between steps: the reference for ``fold_all``."""
+def brute_step(system, conf, i):
+    """The brute-force argmin set, shaped as ``stabilize_next`` returns it."""
+    options = oracles.brute_options(system, conf, i)
+    if not options:
+        raise DeadEnd(f"no placement for transcript bead {i + 1}")
+    return [StabilizationChoice(Point(*point), bonds) for point, bonds in options]
+
+
+def replay(system, mode, rng=0, step=stabilize_next):
+    """``fold_all`` rebuilt from one ``step`` call per bead (by default
+    ``stabilize_next``, which keeps no table between steps): the reference
+    for ``fold_all``."""
     transcript = system.transcript
     if mode == "enumerate":
         outcomes = []
@@ -51,7 +60,7 @@ def replay(system, mode, rng=0):
         def walk(conf, i):
             if i < len(transcript):
                 try:
-                    options = stabilize_next(system, conf, i)
+                    options = step(system, conf, i)
                 except DeadEnd:
                     pass
                 else:
@@ -69,20 +78,20 @@ def replay(system, mode, rng=0):
     conf = system.seed
     for i, bead in enumerate(transcript):
         try:
-            options = stabilize_next(system, conf, i)
+            options = step(system, conf, i)
         except DeadEnd:
             return (FoldOutcome(conf, False),)
         conf = extend(conf, rng.choice(options) if mode == "sample" else options[0], bead)
     return (FoldOutcome(conf, True),)
 
 
-def replay_is_deterministic(system):
-    """Whether every step of the table-free first-choice replay had exactly
-    one option: the reference for ``is_deterministic_run``."""
+def replay_is_deterministic(system, step=stabilize_next):
+    """Whether every step of the first-choice replay had exactly one option:
+    the reference for ``is_deterministic_run``."""
     conf = system.seed
     for i, bead in enumerate(system.transcript):
         try:
-            options = stabilize_next(system, conf, i)
+            options = step(system, conf, i)
         except DeadEnd:
             return False
         if len(options) != 1:
@@ -415,3 +424,104 @@ class TestTableFreeReplay:
             StabilizationChoice(Point(1, 0), (1,)),  # now the a-bead at (1, 1)
             StabilizationChoice(Point(1, 0), (5,)),
         ]
+
+
+def late_partner_system(rng):
+    """A random system whose seed and early transcript use only types e0..e2,
+    which bond with nothing but the z-types that join the transcript later:
+    so the early beads' lookahead has no headroom until a z-bead is near."""
+    early = [f"e{k}" for k in range(rng.randint(1, 3))]
+    late = [f"z{k}" for k in range(rng.randint(1, 2))]
+    pairs = {(e, z) for e in early for z in late if rng.random() < 0.6}
+    pairs |= {(z, w) for z in late for w in late if rng.random() < 0.3}
+    pairs.add((rng.choice(early), rng.choice(late)))
+    path = [(0, 0)]
+    for _ in range(rng.randint(0, 4)):
+        x, y = path[-1]
+        free = [(x + dx, y + dy) for dx, dy in oracles.OFFSETS if (x + dx, y + dy) not in path]
+        path.append(rng.choice(free))
+    seed = Conformation.build(path, [rng.choice(early) for _ in path])
+    head = [rng.choice(early) for _ in range(rng.randint(1, 3))]
+    tail = [rng.choice(early + late) for _ in range(rng.randint(0, 2))] + [rng.choice(late)]
+    rng.shuffle(tail)
+    return OritatamiSystem(
+        RuleSet(pairs), rng.randint(1, 3), rng.randint(2, 4), seed, tuple(head + tail)
+    )
+
+
+def shifted(conf, dx, dy):
+    return Conformation(tuple(Point(x + dx, y + dy) for x, y in conf.path), conf.beads, conf.bonds)
+
+
+class TestLookaheadBounds:
+    """The partner-reach headroom, the bound checked before each push, and
+    the integer point keys, against references that use none of them."""
+
+    def test_late_partners_match_brute_force(self):
+        rng = random.Random(4711)
+        cut = compared = 0
+        for _ in range(60):
+            sys_ = late_partner_system(rng)
+            headroom = _Lookahead(sys_).headroom
+            gains = [b - a for a, b in zip(headroom, headroom[1:])]
+            cut += sum(g == 0 and bool(sys_.rules.partners(t)) for g, t in zip(gains, sys_.transcript))
+            for mode in ("first", "sample"):
+                got = fold_all(sys_, mode, rng=5)
+                assert list(got) == list(replay(sys_, mode, rng=5, step=brute_step))
+            assert is_deterministic_run(sys_) == replay_is_deterministic(sys_, step=brute_step)
+            try:
+                outcomes = fold_all(sys_, "enumerate", branch_budget=60)
+            except BranchBudgetExceeded:
+                continue
+            assert list(outcomes) == list(replay(sys_, "enumerate", step=brute_step))
+            compared += 1
+        assert cut >= 100  # beads whose partner types exist but are not yet present
+        assert compared >= 25
+
+    def test_far_translated_seed(self):
+        dx, dy = 1 << 40, -(1 << 40)
+        rng = random.Random(2718)
+        systems = [glider_system(periods=3), glider_system(periods=2, mirrored=True)]
+        systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(12)]
+        for sys_ in systems:
+            far = OritatamiSystem(
+                sys_.rules, sys_.arity, sys_.delay, shifted(sys_.seed, dx, dy), sys_.transcript
+            )
+            for mode in ("enumerate", "first", "sample"):
+                try:
+                    plain = fold_all(sys_, mode, rng=3, branch_budget=200)
+                except BranchBudgetExceeded:
+                    continue
+                expected = tuple(
+                    FoldOutcome(shifted(o.conformation, dx, dy), o.completed) for o in plain
+                )
+                assert fold_all(far, mode, rng=3, branch_budget=200) == expected
+            assert is_deterministic_run(far) == is_deterministic_run(sys_)
+
+    def test_five_bond_hole_beats_four(self):
+        # The p-ring around (0, 0) ends at (0, 1); the p-beads around (1, 2)
+        # leave (1, 1) and (0, 2) open. If r steps east, z fills (0, 0) with
+        # five bonds; every other step of r leaves z four at most. So a bound
+        # of four bonds per bead would tie them all.
+        path = [(0, 3), (1, 3), (2, 2), (2, 1), (2, 0), (2, -1),
+                (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]
+        seed = Conformation.build(path, ["p"] * len(path))
+        sys_ = OritatamiSystem(RuleSet([("z", "p")]), 5, 2, seed, ("r", "z"))
+        got = stabilize_next(sys_, seed, 0)
+        assert got == [StabilizationChoice(Point(1, 0), ())]
+        assert set(map(oracles.choice_key, got)) == oracles.brute_minimizers(sys_, seed, 0)
+        (outcome,) = fold_all(sys_, "enumerate")
+        assert energy(outcome.conformation) == -5
+
+    def test_unreachable_partners_push_nothing_below_the_root(self, monkeypatch):
+        # a bonds only with b, and no b ever occurs: every choice scores 0.
+        sys_ = OritatamiSystem(
+            RuleSet([("a", "b")]), 2, 8, Conformation.build([(0, 0)], ["s"]), ("a",) * 10
+        )
+        pushes = []
+        push = _Fold.push
+        monkeypatch.setattr(_Fold, "push", lambda self, *args: pushes.append(1) or push(self, *args))
+        (outcome,) = fold_all(sys_, "first")
+        assert len(pushes) == 10  # the ten stabilized beads, nothing in the lookahead
+        assert outcome.completed
+        assert outcome.conformation.path == tuple(Point(x, 0) for x in range(11))
