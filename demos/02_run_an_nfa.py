@@ -33,4 +33,4 @@ print()
 print("full report for the branching word:")
 result = run_word(machine, code, ["100"])
 print(format_report(machine, code, ["100"], result))
-print(f"cell count for t=1: {step_count(machine, code, 1)}")
+print(f"cell count for t=1: {step_count(code, 1)}")

@@ -279,7 +279,7 @@ def _unwind(link: tuple, depth: int) -> RunOutcome:
     return RunOutcome(accepted, tuple(states), tuple(traces), None if accepted else depth)
 
 
-def step_count(nfa: AugmentedNfa, code: Encoding, word_len: int) -> int:
+def step_count(code: Encoding, word_len: int) -> int:
     """Exact brick-cell count for a word of the given length:
     (t + 1) periods x (4n + 2m + 2) zigzags x 2n cells per zigzag row."""
     if word_len < 0:
@@ -316,7 +316,7 @@ def _report_chunks(
         tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
         piece.append(f"  states: {' -> '.join(outcome.states)} ({tail})\n")
         yield "".join(piece)
-    yield format_verdict(nfa, code, word, result) + "\n"
+    yield format_verdict(code, word, result) + "\n"
 
 
 def _format_period(trace: PeriodTrace) -> str:
@@ -335,10 +335,8 @@ def _format_period(trace: PeriodTrace) -> str:
     )
 
 
-def format_verdict(
-    nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
-) -> str:
+def format_verdict(code: Encoding, word: Sequence[str], result: RunResult) -> str:
     """The run's one-line verdict: the last line of ``format_report``."""
     verdict = "ACCEPT" if result.accepted else "REJECT (all branches halted)"
-    cells = step_count(nfa, code, len(word))
+    cells = step_count(code, len(word))
     return f"{verdict} branches={result.branch_count} steps={cells}"

@@ -91,7 +91,7 @@ def _cmd_run_nfa(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.writelines(bricks._report_chunks(machine, code, word, result))
-    print(bricks.format_verdict(machine, code, word, result))
+    print(bricks.format_verdict(code, word, result))
     return 0 if result.accepted else 1
 
 
@@ -129,10 +129,10 @@ def _cmd_check_bricks(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    machine, code = _load_machine(args.nfa)
+    _, code = _load_machine(args.nfa)
     n, m = code.state_bits, code.letter_bits
     zigzags, cells = bricks._period_shape(n, m)
-    total = bricks.step_count(machine, code, args.word_len)
+    total = bricks.step_count(code, args.word_len)
     print(f"transitions (n): {n}")
     print(f"letter bits (m): {m}")
     print(f"periods: {args.word_len + 1}")
@@ -195,9 +195,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, BranchBudgetExceeded, LookaheadBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (harness.UnexpectedFold, harness.NondeterministicBrick) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -363,23 +363,23 @@ class _Lookahead:
     scores exactly its bonds and is not pushed; a level whose later beads
     have no headroom counts eligible partners per free point and builds no
     lists. One search pushes at most ``LOOKAHEAD_BUDGET`` beads, else it
-    raises LookaheadBudgetExceeded.
+    raises LookaheadBudgetExceeded; so does a search nested deeper than the
+    interpreter's stack allows.
 
-    With ``table`` set, argmin sets are remembered relative to the path end,
-    keyed by the transcript window and every occupied point within
-    ``delay + 1`` steps, and never more than one step past the transcript's
-    length (with bead type and bond count): that is everything the search
-    can touch, so a translated repeat of a situation is answered without
-    searching. The key is built only for windows that occur more
-    than once in the transcript, since no other window can hit; entries are
-    stored only for windows that recur later, and the table lives as long as
-    this object.
+    Argmin sets are remembered relative to the path end, keyed by the
+    transcript window and every occupied point within ``delay + 1`` steps,
+    and never more than one step past the transcript's length (with bead
+    type and bond count): that is everything the search can touch, so a
+    translated repeat of a situation is answered without searching. The key
+    is built only for windows that occur more than once in the transcript,
+    since no other window can hit; entries are stored only for windows that
+    recur later, and the table lives as long as this object.
     """
 
     __slots__ = ("transcript", "delay", "arity", "headroom", "table", "window_ids", "shared",
                  "recurs", "disk", "nodes_left", "root")
 
-    def __init__(self, system: OritatamiSystem, table: bool = False):
+    def __init__(self, system: OritatamiSystem):
         self.transcript = t = system.transcript
         self.delay = delay = system.delay
         self.arity = system.arity
@@ -392,19 +392,17 @@ class _Lookahead:
         # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
         self.headroom = list(accumulate(gains, initial=0))
         self.table: dict = {}
-        self.shared = [False] * len(t)
-        if table:
-            windows = [t[i : i + delay] for i in range(len(t))]
-            ids: dict[tuple[str, ...], int] = {}
-            last: dict[tuple[str, ...], int] = {}
-            for i, w in enumerate(windows):
-                ids.setdefault(w, len(ids))
-                last[w] = i
-            count = Counter(windows)
-            self.window_ids = [ids[w] for w in windows]
-            self.shared = [count[w] > 1 for w in windows]
-            self.recurs = [last[w] > i for i, w in enumerate(windows)]
-            self.disk = _hex_disk(min(delay, len(t)) + 1)
+        windows = [t[i : i + delay] for i in range(len(t))]
+        ids: dict[tuple[str, ...], int] = {}
+        last: dict[tuple[str, ...], int] = {}
+        for i, w in enumerate(windows):
+            ids.setdefault(w, len(ids))
+            last[w] = i
+        count = Counter(windows)
+        self.window_ids = [ids[w] for w in windows]
+        self.shared = [count[w] > 1 for w in windows]
+        self.recurs = [last[w] > i for i, w in enumerate(windows)]
+        self.disk = _hex_disk(min(delay, len(t)) + 1)
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
         if not self.shared[i]:
@@ -446,15 +444,22 @@ class _Lookahead:
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
         scores = []
-        for key, bonds in options:
-            score = base + len(bonds) + room
-            if room and score >= best:
-                fold.push(key, bonds, bead)
-                score = self._value(fold, i + 1, stop, best)
-                fold.pop()
-            scores.append(score)
-            if score > best:
-                best = score
+        try:
+            for key, bonds in options:
+                score = base + len(bonds) + room
+                if room and score >= best:
+                    fold.push(key, bonds, bead)
+                    score = self._value(fold, i + 1, stop, best)
+                    fold.pop()
+                scores.append(score)
+                if score > best:
+                    best = score
+        except RecursionError:
+            # _value recurses once per level; past the stack the search is abandoned.
+            raise LookaheadBudgetExceeded(
+                f"lookahead for transcript bead {i + 1} ({bead}) "
+                "nests deeper than the interpreter stack allows"
+            ) from None
         return [option for option, score in zip(options, scores) if score == best]
 
     def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
@@ -507,7 +512,9 @@ def stabilize_next(
     returned, in canonical order. Raises DeadEnd when no placement exists.
     """
     # The lookahead's headroom counts the bead types present before bead i,
-    # so it reads them from c_i.
+    # so it reads them from c_i. A fresh search serves this one step, and
+    # minimizers reads its table before writing to it, so the step is
+    # table-free in effect.
     search = _Lookahead(replace(system, seed=c_i))
     return search.minimizers(_Fold(system.rules, system.arity, c_i), i)
 
@@ -569,7 +576,7 @@ def _walk(
     """Every terminal of the depth-first walk over the choices that ``keep``
     retains from each step's argmin set, in order. A branch ends where the
     transcript does, at a dead end, or where ``keep`` retains nothing."""
-    search = _Lookahead(system, table=True)
+    search = _Lookahead(system)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, base = system.transcript, len(system.seed)
     # The branch's points, kept beside the fold's keys for its snapshots.

@@ -5,7 +5,8 @@ word (N or Y), a spacer, a six-bead state-bit word (0 or 1), a spacer; the
 row ends with the two-bead terminator. The vertical arm spells the input
 word (end marker included) as six-bead bit words embedded in runs of spacer
 words, all heading southwest. Flag words reuse the bit words: N is written
-like 0 and Y like 1.
+like 0 and Y like 1. The encoders are the only statement of this layout: the
+decoders look a seed's slots and letter blocks up in the encoders' output.
 
 The emitted bead vocabulary is fixed: 79, 84, 85, 90-96, 501-508, 623, 624,
 625, 630. Geometry follows a documented convention (the source drawings were
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from .folding import Conformation
 from .grid import E, SW, Point, translate
-from .nfa import AugmentedNfa, Encoding, LetterNotEncoded
+from .nfa import AugmentedNfa, Encoding
 
 ZERO_WORD: tuple[str, ...] = ("96", "91", "90", "85", "84", "79")
 ONE_WORD: tuple[str, ...] = ("96", "95", "94", "93", "92", "79")
@@ -32,9 +33,6 @@ ROW_END: tuple[str, ...] = ("624", "623")
 COLUMN_SPACER: tuple[str, ...] = ("501", "502", "503", "504", "505", "506")
 COLUMN_ONE = COLUMN_SPACER
 COLUMN_ZERO: tuple[str, ...] = ("501", "502", "503", "504", "507", "508")
-
-WORD_LEN = 6
-SLOT_LEN = 4 * WORD_LEN  # flag word + spacer + bit word + spacer
 
 
 class WidthMismatch(ValueError):
@@ -81,41 +79,24 @@ def encode_state_row(q_code: str, f_values: Sequence[str]) -> BeadWord:
 
 
 def decode_state_row(word: BeadWord) -> tuple[str, tuple[str, ...]]:
-    """Inverse of :func:`encode_state_row`; raises ValueError on malformed rows."""
-    beads = word.beads
-    if len(beads) < SLOT_LEN + 2 or (len(beads) - 2) % SLOT_LEN:
-        raise ValueError(f"row length {len(beads)} does not fit the slot format")
-    if any(d != E for d in word.directions):
-        raise ValueError("state row must head east")
-    if beads[-2:] != ROW_END:
-        raise ValueError("missing row terminator")
-    n = (len(beads) - 2) // SLOT_LEN
+    """Inverse of :func:`encode_state_row`: each slot is looked up among the
+    encoder's four one-slot rows, and the decoded row must encode back to
+    ``word``; raises ValueError otherwise."""
+    end = len(encode_state_row("", ()))
+    slots = {encode_state_row(b, (f,)).beads[:-end]: (f, b) for f in "NY" for b in "01"}
+    width = len(next(iter(slots)))
     flags: list[str] = []
     bits: list[str] = []
-    for k in range(n):
-        base = k * SLOT_LEN
-        flag_word = beads[base : base + WORD_LEN]
-        bit_word = beads[base + 2 * WORD_LEN : base + 3 * WORD_LEN]
-        for off in (WORD_LEN, 3 * WORD_LEN):
-            if beads[base + off : base + off + WORD_LEN] != ROW_SPACER:
-                raise ValueError(f"slot {k + 1}: bad spacer")
-        if flag_word == FLAG_N:
-            flags.append("N")
-        elif flag_word == FLAG_Y:
-            flags.append("Y")
-        else:
-            raise ValueError(f"slot {k + 1}: unrecognized flag word {flag_word!r}")
-        if bit_word == ZERO_WORD:
-            bits.append("0")
-        elif bit_word == ONE_WORD:
-            bits.append("1")
-        else:
-            raise ValueError(f"slot {k + 1}: unrecognized bit word {bit_word!r}")
-    return "".join(bits), tuple(flags)
-
-
-def _column_block_len(n: int, m: int) -> int:
-    return WORD_LEN * (2 * n - 1 + 2 * m + 2 + 2 * n)
+    for k in range((len(word) - end) // width):
+        slot = word.beads[k * width : (k + 1) * width]
+        if slot not in slots:
+            raise ValueError(f"slot {k + 1}: unrecognized slot {slot!r}")
+        flags.append(slots[slot][0])
+        bits.append(slots[slot][1])
+    q = "".join(bits)
+    if not q or encode_state_row(q, flags) != word:
+        raise ValueError(f"row of {len(word)} beads is not slots and the terminator heading east")
+    return q, tuple(flags)
 
 
 def encode_input_column(letters: Sequence[str], code: Encoding, n: int) -> BeadWord:
@@ -135,52 +116,28 @@ def encode_input_column(letters: Sequence[str], code: Encoding, n: int) -> BeadW
 def decode_input_column(word: BeadWord, n: int, code: Encoding) -> tuple[str, ...]:
     """Inverse of :func:`encode_input_column` given the slot count ``n`` and the
     encoding (bit words at a 1-position are indistinguishable from spacers,
-    so the geometry alone cannot be decoded)."""
-    m = code.letter_bits
-    block = _column_block_len(n, m)
-    beads = word.beads
-    if len(beads) == 0 or len(beads) % block:
-        raise ValueError(f"column length {len(beads)} does not fit {block}-bead letter blocks")
-    if any(d != SW for d in word.directions):
-        raise ValueError("input column must head southwest")
-    by_bits = {bits: letter for letter, bits in code.letter_code.items()}
+    so the geometry alone cannot be decoded): each letter block is looked up
+    among the encoder's one-letter columns; raises ValueError otherwise."""
+    blocks = {encode_input_column([a], code, n).beads: a for a in code.letter_code}
+    # All blocks are equally long; an encoding without letters decodes nothing.
+    size = max(map(len, blocks), default=1)
     letters: list[str] = []
-    for j in range(len(beads) // block):
-        base = j * block
-        bits = []
-        for ell in range(m):
-            start = base + WORD_LEN * (2 * n - 1 + 2 * ell)
-            bit_word = beads[start : start + WORD_LEN]
-            spacer = beads[start + WORD_LEN : start + 2 * WORD_LEN]
-            if spacer != COLUMN_SPACER:
-                raise ValueError(f"letter {j + 1}: bad spacer after bit {ell + 1}")
-            if bit_word == COLUMN_ONE:
-                bits.append("1")
-            elif bit_word == COLUMN_ZERO:
-                bits.append("0")
-            else:
-                raise ValueError(f"letter {j + 1}: unrecognized bit word {bit_word!r}")
-        for off in range(0, WORD_LEN * (2 * n - 1), WORD_LEN):
-            if beads[base + off : base + off + WORD_LEN] != COLUMN_SPACER:
-                raise ValueError(f"letter {j + 1}: bad leading spacer run")
-        tail = base + WORD_LEN * (2 * n - 1 + 2 * m)
-        for off in range(0, WORD_LEN * (2 * n + 2), WORD_LEN):
-            if beads[tail + off : tail + off + WORD_LEN] != COLUMN_SPACER:
-                raise ValueError(f"letter {j + 1}: bad trailing spacer run")
-        key = "".join(bits)
-        if key not in by_bits:
-            raise LetterNotEncoded(key)
-        letters.append(by_bits[key])
+    for j in range(0, len(word), size):
+        block = word.beads[j : j + size]
+        if block not in blocks:
+            raise ValueError(f"letter {j // size + 1}: block spells no letter")
+        letters.append(blocks[block])
+    if not letters or encode_input_column(letters, code, n) != word:
+        raise ValueError(f"column of {len(word)} beads is not letter blocks heading southwest")
     return tuple(letters)
 
 
 @dataclass(frozen=True)
 class SeedLayout:
-    """The two arms of the Gamma seed plus the junction where they meet."""
+    """The two arms of the Gamma seed."""
 
     horizontal: BeadWord
     vertical: BeadWord
-    junction: Point
 
 
 def build_seed(
@@ -197,10 +154,8 @@ def build_seed(
     row = encode_state_row(code.state_code[nfa.initial], ("N",) * n)
     column = encode_input_column(list(word) + [nfa.dollar], code, n)
 
-    junction = Point(0, -1)
     row_points = row.trace(Point(1, -1))
-    column_points = column.trace(junction)
+    column_points = column.trace(Point(0, -1))
     path = tuple(reversed(column_points)) + row_points
     beads = tuple(reversed(column.beads)) + row.beads
-    layout = SeedLayout(row, column, junction)
-    return layout, Conformation(path, beads)
+    return SeedLayout(row, column), Conformation(path, beads)

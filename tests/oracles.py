@@ -212,5 +212,5 @@ def reference_report(nfa, code, word, result) -> str:
                 lines.append(f"    module4 {format_row(trace.after_module4)}")
         tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
         lines.append(f"  states: {' -> '.join(outcome.states)} ({tail})")
-    lines.append(format_verdict(nfa, code, word, result))
+    lines.append(format_verdict(code, word, result))
     return "\n".join(lines) + "\n"

@@ -157,18 +157,18 @@ def _machine_with_n_transitions(n_transitions):
 
 def test_criterion_6_step_count_scaling():
     with criterion(6, "cell count is linear in t and scales by ~4 when n doubles"):
-        machine8, code8 = _machine_with_n_transitions(8)
-        machine16, code16 = _machine_with_n_transitions(16)
+        _, code8 = _machine_with_n_transitions(8)
+        _, code16 = _machine_with_n_transitions(16)
         assert code8.state_bits == 8 and code16.state_bits == 16
         assert code8.letter_bits == code16.letter_bits == 2
         # Linearity: counts are proportional to t + 1, exactly.
         for t1, t2 in [(0, 1), (1, 3), (2, 9)]:
-            c1 = step_count(machine8, code8, t1)
-            c2 = step_count(machine8, code8, t2)
+            c1 = step_count(code8, t1)
+            c2 = step_count(code8, t2)
             assert c2 * (t1 + 1) == c1 * (t2 + 1)
         # Doubling n at fixed m, t.
         for t in (0, 1, 5):
-            ratio = step_count(machine16, code16, t) / step_count(machine8, code8, t)
+            ratio = step_count(code16, t) / step_count(code8, t)
             assert 3.5 <= ratio <= 4.5
 
 

@@ -314,16 +314,16 @@ class TestRunWord:
 
 class TestStepCount:
     def test_worked_formula(self, machine):
-        nfa, code = machine
-        assert step_count(nfa, code, 1) == 2 * 24 * 8 == 384
+        _, code = machine
+        assert step_count(code, 1) == 2 * 24 * 8 == 384
 
     def test_empty_word(self, machine):
-        nfa, code = machine
-        assert step_count(nfa, code, 0) == 1 * 24 * 8
+        _, code = machine
+        assert step_count(code, 0) == 1 * 24 * 8
 
     def test_linear_in_word_length(self, machine):
-        nfa, code = machine
-        assert step_count(nfa, code, 9) == 5 * step_count(nfa, code, 1)
+        _, code = machine
+        assert step_count(code, 9) == 5 * step_count(code, 1)
 
 
 class TestReport:

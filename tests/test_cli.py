@@ -204,6 +204,16 @@ class TestFoldCommand:
             f"{folding.LOOKAHEAD_BUDGET} nascent beads\n"
         )
 
+    def test_lookahead_deeper_than_the_stack_exits_2(self, tmp_path, capsys):
+        # One bond per level keeps the search within its node budget, but
+        # 1,200 levels nest deeper than the interpreter stack.
+        p = tmp_path / "deep.sys"
+        p.write_text("delay 1200\narity 1\nrule a a\nseed 0 0 a\nrepeat 1200 a\n")
+        assert main(["fold", str(p), "--mode", "first"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: lookahead for transcript bead 1 (a) ")
+
 
 class TestRunNfaCommand:
     def test_accepting_word_exits_zero(self, nfa_file, capsys):

@@ -409,7 +409,7 @@ class TestTableFreeReplay:
         first = Conformation.build(cells_a, beads)
         second = Conformation.build(cells_b, beads[-2::-1] + ["x"])
         sys_ = OritatamiSystem(rules, 1, 1, first, ("b", "b"))
-        search = _Lookahead(sys_, table=True)
+        search = _Lookahead(sys_)
 
         got_first = search.minimizers(_Fold(rules, 1, first), 0)
         assert got_first == [

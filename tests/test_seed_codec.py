@@ -4,7 +4,7 @@ import pytest
 
 from oritatami.fixtures import branching_machine
 from oritatami.folding import validate_conformation
-from oritatami.grid import E, SW, Point, path_is_valid
+from oritatami.grid import E, NE, SW, Point, path_is_valid
 from oritatami.nfa import DOLLAR, Encoding, LetterNotEncoded
 from oritatami.seed import (
     COLUMN_SPACER,
@@ -116,6 +116,32 @@ class TestInputColumn:
             col = encode_input_column(word_letters, code, n)
             assert decode_input_column(col, n, code) == tuple(word_letters)
 
+    def test_decode_rejects_corruption(self):
+        _, code = branching_machine()
+        n = 4
+        word = encode_input_column(["100", DOLLAR], code, n)
+        block = len(word) // 2
+        lead = 6 * (2 * n - 1)
+        tail = lead + 6 * 2 * code.letter_bits  # where the trailing spacer run starts
+
+        def substituted(at, new):
+            beads = list(word.beads)
+            beads[at : at + len(new)] = new
+            return BeadWord(tuple(beads), word.directions)
+
+        unassigned = Encoding({}, {"x": "111"}, 0, 3)  # 100 and $ are 100 and 101
+        corrupted = [
+            substituted(3, ("999",)),  # leading spacer run
+            substituted(block + tail + 3, ("999",)),  # trailing spacer run
+            substituted(lead, ("501", "502", "503", "504", "507", "506")),  # neither bit word
+            BeadWord(word.beads[:-1], word.directions[:-1]),  # one bead short
+            BeadWord(word.beads, word.directions[:-1] + (NE,)),  # a NE step
+            encode_input_column(["x"], unassigned, n),  # no letter's code
+        ]
+        for column in corrupted:
+            with pytest.raises(ValueError):
+                decode_input_column(column, n, code)
+
     def test_unknown_letter(self):
         _, code = branching_machine()
         with pytest.raises(LetterNotEncoded):
@@ -144,7 +170,6 @@ class TestBuildSeed:
         assert len(layout.horizontal) == 24 * 4 + 2
         assert len(layout.vertical) == 2 * 6 * (2 * 4 - 1 + 2 * 3 + 2 + 2 * 4)
         assert len(conf) == len(layout.horizontal) + len(layout.vertical)
-        assert layout.junction == Point(0, -1)
 
     def test_row_spells_initial_state_all_flags_n(self):
         nfa, code = branching_machine()
