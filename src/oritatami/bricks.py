@@ -15,13 +15,26 @@ acceptance. Enumerate mode is the normative semantics; coin-flip sampling
 reproduces the brick-level choice distribution (a fair coin per pending
 survivor, scanned right to left, with the lowest-index survivor as the
 forced fallback).
+
+A run fills a (state, letter) period table: each period goes through the
+four stages once, and every branch that reaches it shares its traces.
+Enumerate mode's verdict (``run_verdict``) is a frontier carried through
+that table, {state: live branch count} letter by letter, so it takes time
+linear in the word and has no branch budget. Listing the branches
+(``run_word``, ``write_report``) is one depth-first walk over the table with
+a prefix stack of one (trace, state) per depth, capped at ``BRANCH_BUDGET``
+branches; sample mode is the same walk with one coin pick per period. The
+report is written branch by branch from encoded pieces that are made once,
+so its memory does not grow with the number of branches.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .folding import BRANCH_BUDGET, BranchBudgetExceeded, _as_rng
 from .nfa import AugmentedNfa, Encoding
@@ -218,6 +231,114 @@ def _run_period(
     return outcomes
 
 
+_PeriodTable = Callable[[str, str], list[tuple[PeriodTrace, str | None]]]
+
+
+def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
+    """A run's period table: (state, letter) -> ``_run_period``'s options.
+    Each period goes through the four stages once, on first use, and every
+    branch that reaches it shares its ``PeriodTrace`` objects."""
+    return functools.cache(functools.partial(_run_period, nfa, code))
+
+
+def _periods(nfa: AugmentedNfa, word: Sequence[str]) -> list[str]:
+    """The letter of each period: ``word`` plus the end marker."""
+    for letter in word:
+        if letter not in nfa.alphabet:
+            raise ValueError(f"letter {letter!r} is not in the input alphabet")
+    return list(word) + [nfa.dollar]
+
+
+def _frontier(table: _PeriodTable, initial: str, letters: Sequence[str]) -> tuple[bool, int]:
+    """Enumerate mode's (accepted, branch count) without walking a branch:
+    {state: live branch count} carried through the table letter by letter,
+    plus the branches that halted on the way."""
+    live = {initial: 1}
+    halted = 0
+    for letter in letters:
+        nxt: dict[str, int] = {}
+        for state, count in live.items():
+            for _, target in table(state, letter):
+                if target is None:
+                    halted += count
+                else:
+                    nxt[target] = nxt.get(target, 0) + count
+        live = nxt
+    alive = sum(live.values())
+    return alive > 0, halted + alive
+
+
+def _walk(
+    table: _PeriodTable,
+    initial: str,
+    letters: Sequence[str],
+    rng: random.Random | None = None,
+) -> Iterator[tuple[list[PeriodTrace], list[str], bool, int]]:
+    """Every terminal branch in depth-first slot order or, given ``rng``,
+    the one branch ``_coin_pick`` draws period by period.
+
+    Yields (traces, states, accepted, kept) from the walker's prefix stack:
+    the trace of each period run and the states visited, one per depth, and
+    how many leading traces are unchanged since the previous yield. The
+    lists change once the walk resumes, so read them before that.
+    """
+    traces: list[PeriodTrace] = []
+    states = [initial]
+    last = len(letters) - 1
+    # Stack entries are (depth, trace, target); enumerate pushes the same
+    # entries whenever a state recurs at a depth, so they are kept.
+    pushes: dict[tuple[str, int], list[tuple[int, PeriodTrace, str | None]]] = {}
+
+    def options(state: str, depth: int) -> list[tuple[int, PeriodTrace, str | None]]:
+        found = table(state, letters[depth])
+        if rng is not None:
+            return [(depth, *_coin_pick(found, rng))]
+        push = pushes.get((state, depth))
+        if push is None:
+            push = pushes[state, depth] = [(depth, *option) for option in reversed(found)]
+        return push
+
+    stack = list(options(initial, 0))
+    kept = 0
+    while stack:
+        depth, trace, target = stack.pop()
+        if depth < kept:
+            kept = depth
+        del traces[depth:], states[depth + 1 :]
+        traces.append(trace)
+        if target is not None:
+            states.append(target)
+            if depth < last:
+                stack += options(target, depth + 1)
+                continue
+        yield traces, states, target is not None, kept
+        kept = depth
+
+
+def branches(
+    nfa: AugmentedNfa,
+    code: Encoding,
+    word: Sequence[str],
+    mode: str = "enumerate",
+    rng: random.Random | int | None = None,
+) -> Iterator[tuple[list[PeriodTrace], list[str], bool, int]]:
+    """The run's terminal branches as ``_walk`` yields them.
+
+    The word and mode are checked here, and enumerate mode raises
+    BranchBudgetExceeded past ``BRANCH_BUDGET`` branches (counted by the
+    frontier) before the first branch is walked.
+    """
+    letters = _periods(nfa, word)
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"unknown run mode {mode!r}")
+    table = _period_table(nfa, code)
+    if mode == "sample":
+        return _walk(table, nfa.initial, letters, _as_rng(rng))
+    if _frontier(table, nfa.initial, letters)[1] > BRANCH_BUDGET:
+        raise BranchBudgetExceeded(f"more than {BRANCH_BUDGET} terminal branches")
+    return _walk(table, nfa.initial, letters)
+
+
 def run_word(
     nfa: AugmentedNfa,
     code: Encoding,
@@ -232,51 +353,29 @@ def run_word(
     ``BRANCH_BUDGET`` of them; sample follows a single coin-driven branch.
     A branch accepts iff it survives all len(word) + 1 periods.
     """
-    for letter in word:
-        if letter not in nfa.alphabet:
-            raise ValueError(f"letter {letter!r} is not in the input alphabet")
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown run mode {mode!r}")
-    rng = _as_rng(rng)
-    letters = list(word) + [nfa.dollar]
-    periods: dict[tuple[str, str], list[tuple[PeriodTrace, str | None]]] = {}
-    outcomes: list[RunOutcome] = []
-    # A branch is a chain of (state, trace, parent) links back to the
-    # initial state; the state is None once the branch halted. The stack
-    # holds (periods run, chain) pairs still to extend, in depth-first order.
-    stack: list[tuple[int, tuple]] = [(0, (nfa.initial, None, None))]
-    while stack:
-        depth, link = stack.pop()
-        state = link[0]
-        if state is None or depth == len(letters):
-            if len(outcomes) >= BRANCH_BUDGET:
-                raise BranchBudgetExceeded(f"more than {BRANCH_BUDGET} terminal branches")
-            outcomes.append(_unwind(link, depth))
-            continue
-        key = (state, letters[depth])
-        if key not in periods:
-            periods[key] = _run_period(nfa, code, state, letters[depth])
-        options = periods[key]
-        if mode == "sample":
-            options = [_coin_pick(options, rng)]
-        stack.extend((depth + 1, (nxt, trace, link)) for trace, nxt in reversed(options))
-    return RunResult(tuple(outcomes), any(o.accepted for o in outcomes), len(outcomes))
+    outcomes = tuple(
+        RunOutcome(accepted, tuple(states), tuple(traces), None if accepted else len(traces))
+        for traces, states, accepted, _ in branches(nfa, code, word, mode, rng)
+    )
+    return RunResult(outcomes, any(o.accepted for o in outcomes), len(outcomes))
 
 
-def _unwind(link: tuple, depth: int) -> RunOutcome:
-    """The outcome of the branch whose chain ends in ``link``."""
-    accepted = link[0] is not None
-    states: list[str] = []
-    traces: list[PeriodTrace] = []
-    while link is not None:
-        state, trace, link = link
-        if state is not None:
-            states.append(state)
-        if trace is not None:
-            traces.append(trace)
-    states.reverse()
-    traces.reverse()
-    return RunOutcome(accepted, tuple(states), tuple(traces), None if accepted else depth)
+def run_verdict(
+    nfa: AugmentedNfa,
+    code: Encoding,
+    word: Sequence[str],
+    mode: str = "enumerate",
+    rng: random.Random | int | None = None,
+) -> tuple[bool, int]:
+    """``run_word``'s (accepted, branch_count) without its outcomes.
+
+    enumerate reads them off the frontier in time linear in the word, with
+    no branch budget; sample walks its one branch.
+    """
+    if mode == "enumerate":
+        return _frontier(_period_table(nfa, code), nfa.initial, _periods(nfa, word))
+    ((_, _, accepted, _),) = branches(nfa, code, word, mode, rng)
+    return accepted, 1
 
 
 def step_count(code: Encoding, word_len: int) -> int:
@@ -291,32 +390,51 @@ def format_report(
     nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
 ) -> str:
     """Line-oriented run report: every branch, period by period, stage by stage."""
-    return "".join(_report_chunks(nfa, code, word, result))
+    buf = io.BytesIO()
+    runs = ((o.traces, o.states, o.accepted, 0) for o in result.outcomes)
+    write_report(buf, nfa, code, word, runs)
+    return buf.getvalue().decode("utf-8")
 
 
-def _report_chunks(
-    nfa: AugmentedNfa, code: Encoding, word: Sequence[str], result: RunResult
-) -> Iterator[str]:
-    """``format_report``'s text in pieces: the header line, one piece per
-    branch, then the verdict.
+def write_report(
+    fh: BinaryIO,
+    nfa: AugmentedNfa,
+    code: Encoding,
+    word: Sequence[str],
+    runs: Iterable[tuple[Sequence[PeriodTrace], Sequence[str], bool, int]],
+) -> tuple[bool, int]:
+    """Write the report of ``runs`` (as ``branches`` yields them) to the
+    binary file ``fh`` one branch at a time; return its verdict's
+    (accepted, branch count).
 
-    Branches share the ``PeriodTrace`` objects of ``run_word``'s period
-    table, so each distinct trace is formatted once, keyed on its ``id``
-    (``result`` keeps every trace alive while the pieces are made).
+    Branches share the period table's ``PeriodTrace`` objects, so each
+    distinct trace is formatted and encoded once, keyed on its ``id`` (the
+    table or the caller keeps every trace alive meanwhile), and each
+    ``  period P`` prefix once per depth. A prefix stack holds the encoded
+    periods of the current branch; only those past its ``kept`` leading
+    periods are looked up again, and a branch is one join of the stack.
     """
-    yield f"word: {' '.join(word)} {nfa.dollar}".rstrip() + "\n"
-    blocks: dict[int, str] = {}
-    for b, outcome in enumerate(result.outcomes, 1):
-        piece = [f"branch {b}:\n"]
-        for p, trace in enumerate(outcome.traces, 1):
-            block = blocks.get(id(trace))
+    fh.write(f"word: {' '.join(word)} {nfa.dollar}".rstrip().encode() + b"\n")
+    blocks: dict[int, bytes] = {}
+    prefixes: list[bytes] = []
+    body: list[bytes] = []
+    accepted, count = False, 0
+    for traces, states, ok, kept in runs:
+        count += 1
+        accepted = accepted or ok
+        del body[2 * kept :]
+        for p in range(kept, len(traces)):
+            if p == len(prefixes):
+                prefixes.append(b"  period %d" % (p + 1))
+            block = blocks.get(id(traces[p]))
             if block is None:
-                block = blocks[id(trace)] = _format_period(trace)
-            piece.append(f"  period {p}{block}")
-        tail = "accepted" if outcome.accepted else f"halted at period {outcome.halt_period}"
-        piece.append(f"  states: {' -> '.join(outcome.states)} ({tail})\n")
-        yield "".join(piece)
-    yield format_verdict(code, word, result) + "\n"
+                block = blocks[id(traces[p])] = _format_period(traces[p]).encode()
+            body += (prefixes[p], block)
+        tail = b"accepted" if ok else b"halted at period %d" % len(traces)
+        path = " -> ".join(states).encode()
+        fh.write(b"branch %d:\n%b  states: %b (%b)\n" % (count, b"".join(body), path, tail))
+    fh.write(_verdict_line(code, len(word), accepted, count).encode() + b"\n")
+    return accepted, count
 
 
 def _format_period(trace: PeriodTrace) -> str:
@@ -337,6 +455,9 @@ def _format_period(trace: PeriodTrace) -> str:
 
 def format_verdict(code: Encoding, word: Sequence[str], result: RunResult) -> str:
     """The run's one-line verdict: the last line of ``format_report``."""
-    verdict = "ACCEPT" if result.accepted else "REJECT (all branches halted)"
-    cells = step_count(code, len(word))
-    return f"{verdict} branches={result.branch_count} steps={cells}"
+    return _verdict_line(code, len(word), result.accepted, result.branch_count)
+
+
+def _verdict_line(code: Encoding, word_len: int, accepted: bool, branch_count: int) -> str:
+    verdict = "ACCEPT" if accepted else "REJECT (all branches halted)"
+    return f"{verdict} branches={branch_count} steps={step_count(code, word_len)}"

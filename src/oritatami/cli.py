@@ -11,11 +11,14 @@ Subcommands:
 
 Exit codes: 0 success / ACCEPT, 1 REJECT (or all-branch dead end / closure
 failure), 2 input error (including a branch or lookahead budget overrun).
+run-nfa enumerate counts its branches without listing them, so only with
+--report does it have a branch budget (10,000).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bricks, harness, sysfile
@@ -84,15 +87,22 @@ def _load_machine(path: str):
     return prepare(*parse_nfa_file(path))
 
 
+# Report pieces are a few kB each; a large buffer writes them in few calls.
+_REPORT_BUFFER = 1 << 18
+
+
 def _cmd_run_nfa(args) -> int:
     machine, code = _load_machine(args.nfa)
     word = _tokenize_word(args.word, machine.alphabet)
-    result = bricks.run_word(machine, code, word, mode=args.mode, rng=args.rng_seed)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.writelines(bricks._report_chunks(machine, code, word, result))
-    print(bricks.format_verdict(code, word, result))
-    return 0 if result.accepted else 1
+        # The word, mode and branch budget are checked before the file opens.
+        runs = bricks.branches(machine, code, word, mode=args.mode, rng=args.rng_seed)
+        with open(args.report, "wb", buffering=_REPORT_BUFFER) as fh:
+            accepted, count = bricks.write_report(fh, machine, code, word, runs)
+    else:
+        accepted, count = bricks.run_verdict(machine, code, word, args.mode, args.rng_seed)
+    print(bricks._verdict_line(code, len(word), accepted, count))
+    return 0 if accepted else 1
 
 
 def _cmd_compile(args) -> int:
@@ -142,7 +152,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="oritatami",
         description="Fold oritatami systems and run the brick-level automaton architecture.",
@@ -162,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--report", help="write the full run report here")
+    p.add_argument("--report",
+                   help="write the full run report here (enumerate: at most 10,000 branches)")
     p.set_defaults(func=_cmd_run_nfa)
 
     p = sub.add_parser("compile", help="emit the Gamma-seed stanza for a machine and word")

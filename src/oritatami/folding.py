@@ -402,7 +402,8 @@ class _Lookahead:
         self.window_ids = [ids[w] for w in windows]
         self.shared = [count[w] > 1 for w in windows]
         self.recurs = [last[w] > i for i, w in enumerate(windows)]
-        self.disk = _hex_disk(min(delay, len(t)) + 1)
+        # Only shared windows key the table on the disk around the chain end.
+        self.disk = _hex_disk(min(delay, len(t)) + 1) if any(self.shared) else ()
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
         if not self.shared[i]:

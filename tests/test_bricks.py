@@ -15,9 +15,11 @@ from oritatami.bricks import (
     module2,
     module3,
     module4,
+    run_verdict,
     run_word,
     step_count,
 )
+from oritatami.folding import BRANCH_BUDGET, BranchBudgetExceeded
 from oritatami.fixtures import branching_machine
 from oritatami.nfa import DOLLAR, LetterNotEncoded, Nfa, assign_codes, augment, oracle_accepts
 
@@ -310,6 +312,32 @@ class TestRunWord:
                         assert trace.after_module4.is_boundary()
                         bits = "".join(str(b) for b in trace.after_module4.z)
                         assert bits == code.state_code[state]
+
+
+class TestRunVerdict:
+    def test_frontier_matches_run_word_and_oracle(self):
+        # Words up to 16 letters: some machines pass the branch budget,
+        # which only run_word keeps.
+        rng = random.Random(90210)
+        over = 0
+        for _ in range(200):
+            nfa = oracles.random_nfa(rng)
+            aug = augment(nfa)
+            code = assign_codes(aug)
+            word = [rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 16))]
+            accepted, count = run_verdict(aug, code, word)
+            assert accepted == oracle_accepts(nfa, word)
+            try:
+                result = run_word(aug, code, word)
+            except BranchBudgetExceeded:
+                assert count > BRANCH_BUDGET
+                over += 1
+                continue
+            assert (result.accepted, result.branch_count) == (accepted, count)
+            seed = rng.randrange(1000)
+            sample = run_word(aug, code, word, mode="sample", rng=seed)
+            assert run_verdict(aug, code, word, "sample", seed) == (sample.accepted, 1)
+        assert 0 < over < 200
 
 
 class TestStepCount:

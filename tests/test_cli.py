@@ -1,3 +1,5 @@
+import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +8,8 @@ import pytest
 from oritatami import bricks, folding
 from oritatami.cli import main, _tokenize_word
 from oritatami.nfa import parse_nfa_file, prepare
+
+import oracles
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -107,6 +111,16 @@ trans: p a q
 trans: q a p
 trans: q a q
 """
+
+
+def _nfa_text(nfa) -> str:
+    """An NFA file for ``nfa``; its codes are left to be assigned."""
+    lines = [f"states: {' '.join(nfa.states)}", f"alphabet: {' '.join(nfa.alphabet)}",
+             f"initial: {nfa.initial}"]
+    if nfa.accepting:
+        lines.append(f"accept: {' '.join(nfa.accepting)}")
+    lines += [f"trans: {t.origin} {t.letter} {t.target}" for t in nfa.transitions]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -258,18 +272,38 @@ class TestRunNfaCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_enumerate_past_branch_budget_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
-        assert main(["run-nfa", str(p), "--word", "a" * 14]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: more than 10000 terminal branches\n"
-
-    def test_budget_failure_writes_no_report(self, tmp_path, capsys):
+        # Only a report lists every branch, so only a report has the budget.
         p = tmp_path / "doubling.nfa"
         p.write_text(DOUBLING_NFA)
         report = tmp_path / "out.txt"
         assert main(["run-nfa", str(p), "--word", "a" * 14, "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: more than 10000 terminal branches\n"
+        assert not report.exists()
+
+    def test_enumerate_without_report_has_no_budget(self, tmp_path, capsys):
+        p = tmp_path / "doubling.nfa"
+        p.write_text(DOUBLING_NFA)
+        assert main(["run-nfa", str(p), "--word", "a" * 14]) == 0
+        assert capsys.readouterr().out == "ACCEPT branches=16384 steps=3600\n"
+        start = time.perf_counter()
+        assert main(["run-nfa", str(p), "--word", "a" * 1000]) == 0
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        count = out.split()[1].removeprefix("branches=")
+        assert count == str(2**1000) and len(count) == 302
+        assert elapsed < 0.5
+
+    def test_budget_failure_writes_no_report(self, tmp_path, capsys):
+        # The branches are counted before the first one is walked, so even
+        # 2**1000 of them fail at once.
+        p = tmp_path / "doubling.nfa"
+        p.write_text(DOUBLING_NFA)
+        report = tmp_path / "out.txt"
+        start = time.perf_counter()
+        assert main(["run-nfa", str(p), "--word", "a" * 1000, "--report", str(report)]) == 2
+        assert time.perf_counter() - start < 0.5
         assert not report.exists()
 
     def test_report_file_is_format_report(self, tmp_path, capsys):
@@ -296,6 +330,40 @@ class TestRunNfaCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < report.stat().st_size / 2
+
+    def test_report_memory_is_flat_in_branches(self, tmp_path, capsys):
+        # 512 against 8,192 branches: the peak may not follow the count.
+        p = tmp_path / "doubling.nfa"
+        p.write_text(DOUBLING_NFA)
+        peaks = []
+        for letters in (9, 13):
+            tracemalloc.start()
+            try:
+                argv = ["run-nfa", str(p), "--word", "a" * letters,
+                        "--report", str(tmp_path / "out.txt")]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_report_file_is_reference_report_on_random_machines(self, tmp_path, capsys, mode):
+        rng = random.Random(5150)
+        path, report = tmp_path / "m.nfa", tmp_path / "run.txt"
+        for _ in range(40):
+            nfa = oracles.random_nfa(rng)
+            path.write_text(_nfa_text(nfa))
+            machine, code = prepare(*parse_nfa_file(str(path)))
+            word = [rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 6))]
+            seed = rng.randrange(1000)
+            argv = ["run-nfa", str(path), "--word", " ".join(word), "--mode", mode,
+                    "--rng-seed", str(seed), "--report", str(report)]
+            result = bricks.run_word(machine, code, word, mode=mode, rng=seed)
+            assert main(argv) == (0 if result.accepted else 1)
+            expected = oracles.reference_report(machine, code, word, result)
+            assert report.read_bytes() == expected.encode("utf-8")
+            assert capsys.readouterr().out == expected.splitlines()[-1] + "\n"
 
 
 class TestCompileCommand:
