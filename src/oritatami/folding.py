@@ -18,11 +18,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, combinations
+from dataclasses import dataclass
+from itertools import accumulate, chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .grid import DIRECTIONS, Point, are_adjacent, path_is_valid
+from .grid import (
+    DIRECTIONS,
+    SYMMETRIES,
+    Point,
+    Symmetry,
+    are_adjacent,
+    compose,
+    path_is_valid,
+    transform,
+)
 
 
 class DeadEnd(Exception):
@@ -197,7 +206,8 @@ class FoldOutcome(NamedTuple):
 # length beyond the path end, so every offset it meets is below the seed
 # length plus twice the transcript length plus 2: far below _STRIDE / 2 for
 # any system that fits in memory, which keeps the key injective.
-_STRIDE = 1 << 32
+_STRIDE_BITS = 32
+_STRIDE = 1 << _STRIDE_BITS
 _HALF_STRIDE = _STRIDE // 2
 _NEIGHBOURS = tuple(dx * _STRIDE + dy for dx, dy in DIRECTIONS)
 # Each step from the path end, with the five steps on from there that do not
@@ -219,7 +229,8 @@ class _Fold:
         self.rules = rules
         self.arity = arity
         self.origin = start.path[0]
-        self.path: list[int] = [self.key(p) for p in start.path]
+        x0, y0 = self.origin
+        self.path: list[int] = [(x - x0) * _STRIDE + (y - y0) for x, y in start.path]
         self.beads: list[str] = list(start.beads)
         self.occupied: dict[int, int] = {k: i for i, k in enumerate(self.path)}
         self.bond_count: list[int] = [0] * len(start.path)
@@ -333,6 +344,7 @@ def elongations(
 # A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
 _MAX_NEW_BONDS = 5
 _DIRECTION_RANK = {d: k for k, d in enumerate(_NEIGHBOURS)}
+_POINT_RANK = {d: k for k, d in enumerate(DIRECTIONS)}
 
 
 def _hex_disk(radius: int) -> tuple[int, ...]:
@@ -372,25 +384,40 @@ class _Lookahead:
     type and bond count): that is everything the search can touch, so a
     translated repeat of a situation is answered without searching. The key
     is built only for windows that occur more than once in the transcript,
-    since no other window can hit; entries are stored only for windows that
+    since no other window can hit, and whose beads after the first have
+    headroom, since the search of any other is a scan of at most six
+    placements. It scans the occupied points or the disk of points within
+    reach, whichever is smaller. Entries are stored only for windows that
     recur later, and the table lives as long as this object.
     """
 
-    __slots__ = ("transcript", "delay", "arity", "headroom", "table", "window_ids", "shared",
-                 "recurs", "disk", "nodes_left", "root")
+    __slots__ = ("transcript", "start", "delay", "arity", "headroom", "table", "window_ids",
+                 "shared", "recurs", "radius", "disk", "nodes_left", "root")
 
-    def __init__(self, system: OritatamiSystem):
-        self.transcript = t = system.transcript
+    def __init__(
+        self, system: OritatamiSystem, start: int = 0, placed: Sequence[str] | None = None
+    ):
+        # The search covers the whole transcript; or, given the beads
+        # ``placed`` before transcript bead ``start``, only the ``delay``
+        # beads from there, which is all one step at that bead reads. Its
+        # own bead 0 is then bead ``start``, and messages number beads as the
+        # whole transcript does.
+        if placed is None:
+            t, placed = system.transcript, system.seed.beads
+        else:
+            t = system.transcript[start : start + system.delay]
+        self.transcript = t
+        self.start = start
         self.delay = delay = system.delay
         self.arity = system.arity
         cap = min(system.arity, _MAX_NEW_BONDS)
-        present = set(system.seed.beads)
+        present = set(placed)
         gains = []
         for b in t:
             gains.append(0 if system.rules.partners(b).isdisjoint(present) else cap)
             present.add(b)
         # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
-        self.headroom = list(accumulate(gains, initial=0))
+        self.headroom = headroom = list(accumulate(gains, initial=0))
         self.table: dict = {}
         windows = [t[i : i + delay] for i in range(len(t))]
         ids: dict[tuple[str, ...], int] = {}
@@ -400,21 +427,44 @@ class _Lookahead:
             last[w] = i
         count = Counter(windows)
         self.window_ids = [ids[w] for w in windows]
-        self.shared = [count[w] > 1 for w in windows]
+        # A window with no headroom after its first bead is searched
+        # directly: that search scans at most six placements, less than its
+        # key would read.
+        self.shared = [
+            count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1]
+            for i, w in enumerate(windows)
+        ]
         self.recurs = [last[w] > i for i, w in enumerate(windows)]
-        # Only shared windows key the table on the disk around the chain end.
-        self.disk = _hex_disk(min(delay, len(t)) + 1) if any(self.shared) else ()
+        self.radius = min(delay, len(t)) + 1
+        # The key's disk, built the first time a key scans it.
+        self.disk: tuple[int, ...] | None = None
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
         if not self.shared[i]:
             return [StabilizationChoice(fold.point(k), s) for k, s in self._search(fold, i)]
         end = fold.path[-1]
         occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
+        r = self.radius
         hood = []
-        for d in self.disk:
-            idx = occupied.get(end + d)
-            if idx is not None:
-                hood.append((d, beads[idx], counts[idx]))
+        # Reading one occupied point costs about four disk lookups: scan
+        # whichever of the two is cheaper.
+        if 4 * len(occupied) < 3 * r * (r + 1) + 1:
+            # Keep the occupied points within reach, sorted by offset, which
+            # is the disk's own order.
+            for k, idx in occupied.items():
+                d = k - end
+                dx = (d + _HALF_STRIDE) >> _STRIDE_BITS
+                dy = d - (dx << _STRIDE_BITS)
+                if -r <= dx <= r and -r <= dy <= r and -r <= dx + dy <= r:
+                    hood.append((d, beads[idx], counts[idx]))
+            hood.sort()
+        else:
+            if self.disk is None:
+                self.disk = _hex_disk(r)
+            for d in self.disk:
+                idx = occupied.get(end + d)
+                if idx is not None:
+                    hood.append((d, beads[idx], counts[idx]))
         key = (self.window_ids[i], tuple(hood))
         entry = self.table.get(key)
         if entry is None:
@@ -438,7 +488,7 @@ class _Lookahead:
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
-            raise DeadEnd(f"no placement for transcript bead {i + 1} ({bead})")
+            raise DeadEnd(f"no placement for transcript bead {self.start + i + 1} ({bead})")
         stop = min(i + self.delay, len(self.transcript))
         room = self.headroom[stop] - self.headroom[i + 1]
         base = fold.total_bonds
@@ -458,7 +508,7 @@ class _Lookahead:
         except RecursionError:
             # _value recurses once per level; past the stack the search is abandoned.
             raise LookaheadBudgetExceeded(
-                f"lookahead for transcript bead {i + 1} ({bead}) "
+                f"lookahead for transcript bead {self.start + i + 1} ({bead}) "
                 "nests deeper than the interpreter stack allows"
             ) from None
         return [option for option, score in zip(options, scores) if score == best]
@@ -473,7 +523,7 @@ class _Lookahead:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise LookaheadBudgetExceeded(
-                f"lookahead for transcript bead {self.root + 1} "
+                f"lookahead for transcript bead {self.start + self.root + 1} "
                 f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
             )
         base = fold.total_bonds
@@ -512,12 +562,11 @@ def stabilize_next(
     the transcript end); every choice attaining the global minimum is
     returned, in canonical order. Raises DeadEnd when no placement exists.
     """
-    # The lookahead's headroom counts the bead types present before bead i,
-    # so it reads them from c_i. A fresh search serves this one step, and
-    # minimizers reads its table before writing to it, so the step is
-    # table-free in effect.
-    search = _Lookahead(replace(system, seed=c_i))
-    return search.minimizers(_Fold(system.rules, system.arity, c_i), i)
+    # A fresh search over beads i .. i + delay - 1 serves this one step. Its
+    # headroom counts the bead types placed before bead i, so it reads them
+    # from c_i. No window recurs within its own length, so it keeps no table.
+    search = _Lookahead(system, i, c_i.beads)
+    return search.minimizers(_Fold(system.rules, system.arity, c_i), 0)
 
 
 def fold_all(
@@ -532,7 +581,11 @@ def fold_all(
     all terminal conformations (transcript completed, or stuck at a dead
     end), in depth-first order. They are distinct: two branches first differ
     at some bead in its point or its bonds to earlier beads. Raises
-    BranchBudgetExceeded past ``branch_budget`` terminals.
+    BranchBudgetExceeded past ``branch_budget`` terminals. From a seed that
+    grid symmetries fix, such as a single bead or a straight row, a subtree
+    that is the mirror image of an earlier sibling's is not searched: its
+    argmin sets are that sibling's, moved (see ``_walk``). The outcomes and
+    their order are those of a search at every step.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
@@ -576,34 +629,106 @@ def _walk(
 ) -> Iterator[FoldOutcome]:
     """Every terminal of the depth-first walk over the choices that ``keep``
     retains from each step's argmin set, in order. A branch ends where the
-    transcript does, at a dead end, or where ``keep`` retains nothing."""
+    transcript does, at a dead end, or where ``keep`` retains nothing.
+
+    While a branch's points are all fixed by some grid symmetries about the
+    seed's first point (a single-bead or straight seed and the beads placed
+    on its axes), a symmetry ``g`` of that group maps the whole subtree below
+    a kept choice ``c`` onto the subtree below ``g(c)``. So a kept choice
+    that is ``g(c)`` for an earlier kept sibling ``c`` is an image: no node
+    below it is searched. Each of its nodes takes the argmin set of the
+    matching node below ``c``, moved by ``g`` and put back in canonical
+    order; the terminals and their order are those of a search at every
+    node. Images need ``keep`` to retain all of a step's choices whenever it
+    retains two or more, as every mode does.
+    """
     search = _Lookahead(system)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, base = system.transcript, len(system.seed)
     # The branch's points, kept beside the fold's keys for its snapshots.
     points = list(system.seed.path)
-    # Choices still to try, as (bead index i, choice); taking one first
-    # rewinds the fold to its first i stabilized beads.
-    stack: list[tuple[int, StabilizationChoice]] = []
-    i = 0
+    origin = points[0]
+    # Choices still to try, as (bead index i, choice, node); taking one first
+    # rewinds the fold to its first i stabilized beads. A node is either
+    # (memo, None, group) for a node to search, where group holds the
+    # symmetries other than the identity that fix every point of it, or
+    # (memo, g, None) for the image under g of the searched node whose memo
+    # that is. A memo maps each kept choice of its node, in order, to its
+    # child's (memo, g or None); a searched node fills one only if an image
+    # will read it.
+    stack: list[tuple[int, StabilizationChoice, tuple]] = []
+    group = tuple(g for g in SYMMETRIES[1:] if all(transform(g, p, origin) == p for p in points))
+    memo, g, i = None, None, 0
     while True:
-        kept: Sequence[StabilizationChoice] = ()
-        if i < len(transcript):
-            try:
-                kept = keep(search.minimizers(fold, i))
-            except DeadEnd:
-                pass
+        if g is None:
+            kept: Sequence[StabilizationChoice] = ()
+            if i < len(transcript):
+                try:
+                    kept = keep(search.minimizers(fold, i))
+                except DeadEnd:
+                    pass
+            children = _children(kept, group, memo is not None, origin)
+            if memo is not None:
+                memo.update((ch, child[:2]) for ch, child in zip(kept, children))
+        else:
+            ex, ey = points[-1]
+            moved = []
+            for ch, child in memo.items():
+                p = transform(g, ch.point, origin)
+                moved.append((_POINT_RANK[p[0] - ex, p[1] - ey], ch.bonds, p, child))
+            moved.sort()
+            kept = [StabilizationChoice(p, bonds) for _, bonds, p, _ in moved]
+            children = [(m, compose(g, h) if h else g, None) for _, _, _, (m, h) in moved]
         if kept:
-            stack.extend((i, ch) for ch in reversed(kept))
+            stack.extend(zip(repeat(i), reversed(kept), reversed(children)))
         else:
             snapshot = Conformation(tuple(points), tuple(fold.beads), frozenset(fold.bond_log))
             yield FoldOutcome(snapshot, i == len(transcript))
         if not stack:
             return
-        i, ch = stack.pop()
+        i, ch, (memo, g, group) = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
         del points[base + i :]
         points.append(ch.point)
         fold.push(fold.key(ch.point), ch.bonds, transcript[i])
         i += 1
+
+
+# The node of a choice to search that no memo records and no symmetry fixes.
+_PLAIN = (None, None, ())
+
+
+def _children(
+    kept: Sequence[StabilizationChoice], group: tuple[Symmetry, ...], in_memo: bool, origin: Point
+) -> list[tuple]:
+    """The ``_walk`` node of each kept choice of a searched node whose points
+    ``group`` fixes. A choice that an element of ``group`` makes out of an
+    earlier kept choice is an image of it. Memos go to the other choices
+    that have an image, or to all of them if the parent has a memo
+    (``in_memo``)."""
+    if not group:
+        return [({}, None, ()) for _ in kept] if in_memo else [_PLAIN] * len(kept)
+    # Each choice a symmetry makes out of a kept choice that is not an
+    # image: (that choice's position, the symmetry).
+    images: dict[StabilizationChoice, tuple[int, Symmetry]] = {}
+    nodes: list[tuple] = []
+    for ch in kept:
+        if ch in images:
+            nodes.append((*images[ch], None))
+            continue
+        fixing = []
+        for g in group:
+            image = StabilizationChoice(transform(g, ch.point, origin), ch.bonds)
+            if image == ch:
+                fixing.append(g)
+            else:
+                images.setdefault(image, (len(nodes), g))
+        nodes.append((None, None, tuple(fixing)))
+    mirrored = {k for k, g, _ in nodes if g is not None}
+    for k, (source, g, fixing) in enumerate(nodes):
+        if g is None:
+            nodes[k] = ({} if in_memo or k in mirrored else None, None, fixing)
+        else:
+            nodes[k] = (nodes[source][0], g, None)
+    return nodes

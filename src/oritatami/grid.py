@@ -7,6 +7,7 @@ neighbor sits at Euclidean distance 1 once mapped through ``to_cartesian``.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -53,3 +54,32 @@ def path_is_valid(points: Sequence[Point] | Iterable[Point]) -> bool:
 def mirror(p: Point) -> Point:
     """Reflection across the horizontal axis; a graph automorphism of the grid."""
     return Point(p[0] + p[1], -p[1])
+
+
+# A linear map of the grid as an integer matrix (a, b, c, d): it sends the
+# offset (x, y) to (a*x + b*y, c*x + d*y).
+Symmetry = tuple[int, int, int, int]
+
+
+def compose(f: Symmetry, g: Symmetry) -> Symmetry:
+    """The map that applies ``g`` first, then ``f``."""
+    return (
+        f[0] * g[0] + f[1] * g[2],
+        f[0] * g[1] + f[1] * g[3],
+        f[2] * g[0] + f[3] * g[2],
+        f[2] * g[1] + f[3] * g[3],
+    )
+
+
+def transform(m: Symmetry, p: Point, center: Point = Point(0, 0)) -> Point:
+    """``p`` moved by ``m`` about ``center``."""
+    dx, dy = p[0] - center[0], p[1] - center[1]
+    return Point(center[0] + m[0] * dx + m[1] * dy, center[1] + m[2] * dx + m[3] * dy)
+
+
+_ROTATE = (0, -1, 1, 1)  # 60 degrees counterclockwise: E -> NE -> NW -> ...
+_MIRROR = (1, 1, 0, -1)  # ``mirror``
+_ROTATIONS = tuple(accumulate(range(5), lambda m, _: compose(_ROTATE, m), initial=(1, 0, 0, 1)))
+# The 12 grid automorphisms that fix the origin: the six rotations, then each
+# of them after ``mirror``. The identity comes first.
+SYMMETRIES: tuple[Symmetry, ...] = _ROTATIONS + tuple(compose(r, _MIRROR) for r in _ROTATIONS)

@@ -218,6 +218,18 @@ class TestFoldCommand:
             f"{folding.LOOKAHEAD_BUDGET} nascent beads\n"
         )
 
+    def test_bond_free_long_delay_folds_fast(self, tmp_path, capsys):
+        # With no rules no window has headroom, so each step scans its at
+        # most six placements and reads no disk of about 3 * delay**2 points.
+        p = tmp_path / "free.sys"
+        p.write_text("delay 300\narity 1\nseed 0 0 s\nrepeat 600 a\n")
+        start = time.perf_counter()
+        assert main(["fold", str(p), "--mode", "first"]) == 0
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == (
+            "terminal conformations: 1\ncompleted: 1\nenergy of first terminal: 0\n"
+        )
+
     def test_lookahead_deeper_than_the_stack_exits_2(self, tmp_path, capsys):
         # One bond per level keeps the search within its node budget, but
         # 1,200 levels nest deeper than the interpreter stack.

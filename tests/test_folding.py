@@ -8,11 +8,13 @@ from oritatami.fixtures import (
     glider_seed,
     glider_system,
 )
+from oritatami import folding
 from oritatami.folding import (
     BranchBudgetExceeded,
     Conformation,
     DeadEnd,
     FoldOutcome,
+    LookaheadBudgetExceeded,
     OritatamiSystem,
     RuleSet,
     StabilizationChoice,
@@ -25,7 +27,7 @@ from oritatami.folding import (
     validate_conformation,
 )
 from oritatami.folding import _Fold, _Lookahead
-from oritatami.grid import Point, path_is_valid
+from oritatami.grid import DIRECTIONS, SYMMETRIES, Point, path_is_valid, transform
 
 import oracles
 
@@ -221,6 +223,20 @@ class TestStabilizeNext:
         with pytest.raises(DeadEnd):
             stabilize_next(sys_, seed, 0)
 
+    def test_errors_number_beads_in_the_whole_transcript(self, monkeypatch):
+        # A step searches only the beads from i on, but its errors name
+        # bead i by its 1-based place in the transcript.
+        path = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)]
+        seed = Conformation.build(path, ["s"] * len(path))
+        sys_ = OritatamiSystem(RuleSet([]), 1, 1, seed, ("s", "s", "t"))
+        with pytest.raises(DeadEnd, match=r"^no placement for transcript bead 3 \(t\)$"):
+            stabilize_next(sys_, seed, 2)
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 1)
+        row = Conformation.build([(x, 0) for x in range(4)], ["a"] * 4)
+        sys_ = OritatamiSystem(RuleSet([("a", "a")]), 1, 3, row, ("a",) * 5)
+        with pytest.raises(LookaheadBudgetExceeded, match=r"^lookahead for transcript bead 4 \(a\) pushes"):
+            stabilize_next(sys_, row, 3)
+
 
 class TestFoldAll:
     def test_empty_transcript_returns_seed(self):
@@ -400,15 +416,17 @@ class TestTableFreeReplay:
     def test_table_hit_restores_canonical_order(self):
         # Two seeds occupy the same cells around the path end (0, 0) with the
         # same bead types, but visit the two a-beads in opposite order. A
-        # b-bead at (1, 0) can bond either a-bead, so both one-bond choices
-        # tie, and canonical order puts the lower partner index first.
+        # b-bead at (1, 0) can bond either a-bead, and the next b-bead at
+        # (2, 0) the other one, so both one-bond choices tie, and canonical
+        # order puts the lower partner index first. At delay 2 the window
+        # (b, b) recurs and its second bead has headroom, so it keys the table.
         rules = RuleSet([("a", "b")])
         cells_a = [(1, -1), (2, -1), (3, -1), (3, 0), (2, 1), (1, 1), (0, 1), (0, 0)]
         cells_b = cells_a[-2::-1] + [(0, 0)]
         beads = ["x", "a", "y", "y", "y", "a", "x", "x"]
         first = Conformation.build(cells_a, beads)
         second = Conformation.build(cells_b, beads[-2::-1] + ["x"])
-        sys_ = OritatamiSystem(rules, 1, 1, first, ("b", "b"))
+        sys_ = OritatamiSystem(rules, 1, 2, first, ("b", "b", "b"))
         search = _Lookahead(sys_)
 
         got_first = search.minimizers(_Fold(rules, 1, first), 0)
@@ -424,6 +442,115 @@ class TestTableFreeReplay:
             StabilizationChoice(Point(1, 0), (1,)),  # now the a-bead at (1, 1)
             StabilizationChoice(Point(1, 0), (5,)),
         ]
+
+
+def moved(conf, g, center=Point(0, 0)):
+    """``conf`` moved by the grid symmetry ``g`` about ``center``."""
+    return Conformation(tuple(transform(g, p, center) for p in conf.path), conf.beads, conf.bonds)
+
+
+def reseeded(system, seed):
+    return OritatamiSystem(system.rules, system.arity, system.delay, seed, system.transcript)
+
+
+class TestSymmetricSeeds:
+    """Enumerate from seeds that grid symmetries fix. ``fold_all`` searches
+    one child per symmetry orbit and maps the argmin sets of the others;
+    ``replay`` searches every node."""
+
+    @staticmethod
+    def agrees_with_replay(sys_):
+        """Whether ``sys_`` enumerates within budget; if so, check it."""
+        try:
+            outcomes = fold_all(sys_, "enumerate", branch_budget=300)
+        except BranchBudgetExceeded:
+            return False
+        assert list(outcomes) == list(replay(sys_, "enumerate"))
+        return True
+
+    def test_single_bead_seeds(self):
+        rng = random.Random(6121)
+        compared = 0
+        for _ in range(40):
+            sys_ = oracles.random_system(rng, max_delay=3, max_arity=3, max_transcript=6)
+            seed = Conformation.build([(rng.randint(-3, 3), rng.randint(-3, 3))], sys_.seed.beads[:1])
+            compared += self.agrees_with_replay(reseeded(sys_, seed))
+        assert compared >= 25
+
+    @pytest.mark.parametrize("axis", DIRECTIONS[:3])
+    def test_straight_seeds(self, axis):
+        rng = random.Random(f"straight {axis}")
+        compared = 0
+        for _ in range(30):
+            sys_ = oracles.random_system(rng, max_delay=3, max_arity=3, max_transcript=6)
+            step = rng.choice((1, -1))
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            path = [(x + k * step * axis.x, y + k * step * axis.y) for k in range(rng.randint(2, 4))]
+            seed = Conformation.build(path, [rng.choice(sys_.seed.beads) for _ in path])
+            compared += self.agrees_with_replay(reseeded(sys_, seed))
+        assert compared >= 15
+
+    def test_random_systems(self):
+        rng = random.Random(2207)
+        compared = symmetric = 0
+        for _ in range(100):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+            if self.agrees_with_replay(sys_):
+                compared += 1
+                symmetric += any(moved(sys_.seed, g, sys_.seed.path[0]) == sys_.seed for g in SYMMETRIES[1:])
+        assert compared >= 60
+        assert symmetric >= 15
+
+    def test_mirror_images_are_not_searched(self, monkeypatch):
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        # The horizontal mirror fixes this seed. Searching every node takes
+        # 77 searches; the image of each mirrored subtree takes none.
+        rules = RuleSet([("a", "b"), ("a", "c")])
+        seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
+        assert len(fold_all(OritatamiSystem(rules, 2, 3, seed, tuple("cbcab")), "enumerate")) == 102
+        assert len(calls) == 39
+        # All 12 symmetries fix a single bead, and the mirror through each
+        # bead on an axis still fixes the branch: 103 searches fall to 10.
+        calls.clear()
+        seed = Conformation.build([(0, 0)], ["a"])
+        assert len(fold_all(OritatamiSystem(rules, 2, 3, seed, tuple("cbcab")), "enumerate")) == 108
+        assert len(calls) == 10
+        # No symmetry fixes the glider's hexagonal seed: it searches as
+        # often as before, plain and mirrored.
+        for mirrored in (False, True):
+            calls.clear()
+            fold_all(glider_system(periods=3, mirrored=mirrored), "enumerate")
+            assert len(calls) == 24
+
+
+class TestGridSymmetry:
+    def test_moved_systems_fold_to_moved_terminals(self):
+        # Delays 5 and 6 are past the brute force's reach; the terminal set
+        # of a rotated or mirrored seed is the moved terminal set.
+        rng = random.Random(5656)
+        compared = 0
+        for _ in range(40):
+            sys_ = oracles.random_system(rng, max_arity=3)
+            types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
+            transcript = tuple(rng.choice(types) for _ in range(rng.randint(5, 7)))
+            sys_ = OritatamiSystem(sys_.rules, sys_.arity, rng.choice((5, 6)), sys_.seed, transcript)
+            try:
+                plain = fold_all(sys_, "enumerate", branch_budget=200)
+            except BranchBudgetExceeded:
+                continue
+            center = Point(rng.randint(-2, 2), rng.randint(-2, 2))
+            # One rotation and one reflection.
+            for g in (rng.choice(SYMMETRIES[1:6]), rng.choice(SYMMETRIES[6:])):
+                got = fold_all(reseeded(sys_, moved(sys_.seed, g, center)), "enumerate")
+                assert set(got) == {
+                    FoldOutcome(moved(o.conformation, g, center), o.completed) for o in plain
+                }
+            compared += 1
+        assert compared >= 15
 
 
 def late_partner_system(rng):

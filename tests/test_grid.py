@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from oritatami.grid import (
     DIRECTIONS,
+    SYMMETRIES,
     Point,
     are_adjacent,
+    compose,
     mirror,
     path_is_valid,
     to_cartesian,
+    transform,
     translate,
 )
 
@@ -71,3 +74,21 @@ def test_path_validity():
 def test_mirror_is_involutive_automorphism(p, q):
     assert mirror(mirror(p)) == p
     assert are_adjacent(p, q) == are_adjacent(mirror(p), mirror(q))
+
+
+def test_symmetries_are_the_point_group():
+    # Twelve distinct maps, closed under composition, each permuting the
+    # six directions; the identity first, then mirror after the rotations.
+    assert SYMMETRIES[0] == (1, 0, 0, 1) and len(set(SYMMETRIES)) == 12
+    assert {compose(f, g) for f in SYMMETRIES for g in SYMMETRIES} == set(SYMMETRIES)
+    for g in SYMMETRIES:
+        assert {transform(g, d) for d in DIRECTIONS} == set(DIRECTIONS)
+    assert [transform(g, Point(1, 0)) for g in SYMMETRIES[:6]] == list(DIRECTIONS)
+    assert transform(SYMMETRIES[6], Point(3, 4)) == mirror(Point(3, 4))
+
+
+@given(points, points)
+def test_transform_about_a_center(p, c):
+    for g in SYMMETRIES:
+        q = transform(g, p, c)
+        assert Point(q.x - c.x, q.y - c.y) == transform(g, Point(p.x - c.x, p.y - c.y))
