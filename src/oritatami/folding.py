@@ -206,8 +206,7 @@ class FoldOutcome(NamedTuple):
 # length beyond the path end, so every offset it meets is below the seed
 # length plus twice the transcript length plus 2: far below _STRIDE / 2 for
 # any system that fits in memory, which keeps the key injective.
-_STRIDE_BITS = 32
-_STRIDE = 1 << _STRIDE_BITS
+_STRIDE = 1 << 32
 _HALF_STRIDE = _STRIDE // 2
 _NEIGHBOURS = tuple(dx * _STRIDE + dy for dx, dy in DIRECTIONS)
 # Each step from the path end, with the five steps on from there that do not
@@ -229,8 +228,7 @@ class _Fold:
         self.rules = rules
         self.arity = arity
         self.origin = start.path[0]
-        x0, y0 = self.origin
-        self.path: list[int] = [(x - x0) * _STRIDE + (y - y0) for x, y in start.path]
+        self.path: list[int] = [self.key(p) for p in start.path]
         self.beads: list[str] = list(start.beads)
         self.occupied: dict[int, int] = {k: i for i, k in enumerate(self.path)}
         self.bond_count: list[int] = [0] * len(start.path)
@@ -386,13 +384,12 @@ class _Lookahead:
     is built only for windows that occur more than once in the transcript,
     since no other window can hit, and whose beads after the first have
     headroom, since the search of any other is a scan of at most six
-    placements. It scans the occupied points or the disk of points within
-    reach, whichever is smaller. Entries are stored only for windows that
-    recur later, and the table lives as long as this object.
+    placements. Entries are stored only for windows that recur later, and
+    the table lives as long as this object.
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "headroom", "table", "window_ids",
-                 "shared", "recurs", "radius", "disk", "nodes_left", "root")
+                 "shared", "recurs", "disk", "nodes_left", "root")
 
     def __init__(
         self, system: OritatamiSystem, start: int = 0, placed: Sequence[str] | None = None
@@ -435,36 +432,19 @@ class _Lookahead:
             for i, w in enumerate(windows)
         ]
         self.recurs = [last[w] > i for i, w in enumerate(windows)]
-        self.radius = min(delay, len(t)) + 1
-        # The key's disk, built the first time a key scans it.
-        self.disk: tuple[int, ...] | None = None
+        # Only shared windows key the table on the disk around the chain end.
+        self.disk = _hex_disk(min(delay, len(t)) + 1) if any(self.shared) else ()
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
         if not self.shared[i]:
             return [StabilizationChoice(fold.point(k), s) for k, s in self._search(fold, i)]
         end = fold.path[-1]
         occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
-        r = self.radius
         hood = []
-        # Reading one occupied point costs about four disk lookups: scan
-        # whichever of the two is cheaper.
-        if 4 * len(occupied) < 3 * r * (r + 1) + 1:
-            # Keep the occupied points within reach, sorted by offset, which
-            # is the disk's own order.
-            for k, idx in occupied.items():
-                d = k - end
-                dx = (d + _HALF_STRIDE) >> _STRIDE_BITS
-                dy = d - (dx << _STRIDE_BITS)
-                if -r <= dx <= r and -r <= dy <= r and -r <= dx + dy <= r:
-                    hood.append((d, beads[idx], counts[idx]))
-            hood.sort()
-        else:
-            if self.disk is None:
-                self.disk = _hex_disk(r)
-            for d in self.disk:
-                idx = occupied.get(end + d)
-                if idx is not None:
-                    hood.append((d, beads[idx], counts[idx]))
+        for d in self.disk:
+            idx = occupied.get(end + d)
+            if idx is not None:
+                hood.append((d, beads[idx], counts[idx]))
         key = (self.window_ids[i], tuple(hood))
         entry = self.table.get(key)
         if entry is None:
@@ -560,8 +540,13 @@ def stabilize_next(
     Each candidate placement is scored by the minimum energy reachable through
     further elongation by up to ``delay - 1`` transcript beads (truncated at
     the transcript end); every choice attaining the global minimum is
-    returned, in canonical order. Raises DeadEnd when no placement exists.
+    returned, in canonical order. Raises DeadEnd when no placement exists,
+    and ValueError when ``c_i`` is empty or not a valid conformation of
+    ``system``.
     """
+    if len(c_i) == 0:
+        raise ValueError("conformation must contain at least one bead")
+    validate_conformation(c_i, system.rules, system.arity)
     # A fresh search over beads i .. i + delay - 1 serves this one step. Its
     # headroom counts the bead types placed before bead i, so it reads them
     # from c_i. No window recurs within its own length, so it keeps no table.

@@ -35,7 +35,7 @@ def translate(p: Point, d: Point) -> Point:
 
 
 def are_adjacent(p: Point, q: Point) -> bool:
-    return Point(q[0] - p[0], q[1] - p[1]) in _UNIT_OFFSETS
+    return (q[0] - p[0], q[1] - p[1]) in _UNIT_OFFSETS
 
 
 def to_cartesian(p: Point) -> tuple[float, float]:
@@ -45,10 +45,10 @@ def to_cartesian(p: Point) -> tuple[float, float]:
 
 def path_is_valid(points: Sequence[Point] | Iterable[Point]) -> bool:
     """True iff consecutive points are grid-adjacent and no point repeats."""
-    pts = [Point(p[0], p[1]) for p in points]
+    pts = [(p[0], p[1]) for p in points]
     if len(set(pts)) != len(pts):
         return False
-    return all(are_adjacent(a, b) for a, b in zip(pts, pts[1:]))
+    return all((bx - ax, by - ay) in _UNIT_OFFSETS for (ax, ay), (bx, by) in zip(pts, pts[1:]))
 
 
 def mirror(p: Point) -> Point:

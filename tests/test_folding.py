@@ -237,6 +237,20 @@ class TestStabilizeNext:
         with pytest.raises(LookaheadBudgetExceeded, match=r"^lookahead for transcript bead 4 \(a\) pushes"):
             stabilize_next(sys_, row, 3)
 
+    def test_invalid_conformation_raises_value_error(self):
+        sys_ = OritatamiSystem(RuleSet([("a", "a")]), 1, 2, Conformation.build([(0, 0)], ["a"]), ("a",) * 3)
+        crossing = Conformation.build([(0, 0), (1, 0), (0, 1), (0, 0)], ["a"] * 4)
+        with pytest.raises(ValueError, match="self-avoiding"):
+            stabilize_next(sys_, crossing, 0)
+        # Bead 2, at (1, 0), bonds beads 4 and 5 of a hairpin: arity 2 > 1.
+        hairpin = Conformation.build(
+            [(0, 0), (1, 0), (2, 0), (2, -1), (1, -1)], ["a"] * 5, [(1, 3), (1, 4)]
+        )
+        with pytest.raises(ValueError, match="exceeds cap 1"):
+            stabilize_next(sys_, hairpin, 0)
+        with pytest.raises(ValueError, match="at least one bead"):
+            stabilize_next(sys_, Conformation((), ()), 0)
+
 
 class TestFoldAll:
     def test_empty_transcript_returns_seed(self):
