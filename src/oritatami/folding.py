@@ -48,8 +48,8 @@ class LookaheadBudgetExceeded(Exception):
 
 # Default cap on the terminals an enumeration may produce.
 BRANCH_BUDGET = 10_000
-# Cap on the nascent beads one lookahead search may push: about 190 times the
-# most any test, demo or benchmark input needs (525, at a delay-5 glider step).
+# Cap on the nascent beads one lookahead search may push: about 85 times the
+# most any test, demo or benchmark input needs (1,182, at a delay-6 glider step).
 LOOKAHEAD_BUDGET = 100_000
 
 
@@ -345,16 +345,23 @@ _DIRECTION_RANK = {d: k for k, d in enumerate(_NEIGHBOURS)}
 _POINT_RANK = {d: k for k, d in enumerate(DIRECTIONS)}
 
 
-def _hex_disk(radius: int) -> tuple[int, ...]:
-    """The key offset of every point within ``radius`` grid steps of the
-    origin, in a fixed order."""
+def _hex_rings(radius: int) -> tuple[tuple[int, ...], ...]:
+    """The key offsets of the points at each grid distance 0 .. ``radius``
+    from the origin, one ring per distance, in a fixed order."""
+    rings: list[list[int]] = [[] for _ in range(radius + 1)]
     span = range(-radius, radius + 1)
-    return tuple(
-        dx * _STRIDE + dy
-        for dx in span
-        for dy in span
-        if max(abs(dx), abs(dy), abs(dx + dy)) <= radius
-    )
+    for dx in span:
+        for dy in span:
+            r = max(abs(dx), abs(dy), abs(dx + dy))
+            if r <= radius:
+                rings[r].append(dx * _STRIDE + dy)
+    return tuple(map(tuple, rings))
+
+
+# The farthest a later bead's partners are counted from the path end (see
+# _Lookahead): it covers every bead of a window up to delay 6.
+_REACH = 7
+_RINGS = _hex_rings(_REACH)
 
 
 class _Lookahead:
@@ -362,16 +369,24 @@ class _Lookahead:
 
     Scores are bond totals, maximised, so the argmin over energy is the argmax
     here. The search is a branch-and-bound over the nascent beads. A bond is
-    counted at its later bead, so a bead can add bonds only if one of its
-    partner types occurs in the seed or earlier in the transcript; such a
-    bead adds at most ``min(arity, 5)``, any other bead none (``headroom``).
-    Before each push the child's bound (bonds so far, plus the subset size,
-    plus the headroom of the beads left) is checked: a child whose bound
-    falls strictly below the score it must reach is skipped, and since
-    subset sizes are tried largest first, so are the smaller subsets of that
-    placement. Ties therefore stay exact. A child with no headroom left
-    scores exactly its bonds and is not pushed; a level whose later beads
-    have no headroom counts eligible partners per free point and builds no
+    counted at its later bead, so a bead adds at most ``min(arity, 5)``
+    bonds, and none unless one of its partner types occurs in the seed or
+    earlier in the transcript (``headroom``). A search at bead ``i`` whose
+    window has headroom bounds it more tightly, by the partners within reach
+    of the path end ``e`` (``_reach_gains``): a later bead ``k`` lies at most
+    ``k - i + 1`` steps from ``e``, so it adds no more bonds than there are
+    placed beads of a partner type with spare arity within ``k - i + 2``
+    steps of ``e`` (``e`` included), plus window beads ``i .. k - 2`` of a
+    partner type. The search scans the disk around ``e`` once, out to
+    ``_REACH`` steps, and a bead whose reach passes that keeps its headroom
+    gain; so the scan costs the same at any delay and fold length. Before
+    each push the child's bound (bonds so far, plus the subset size, plus
+    the gains of the beads left) is checked: a child whose bound falls
+    strictly below the score it must reach is skipped, and since subset
+    sizes are tried largest first, so are the smaller subsets of that
+    placement. Ties therefore stay exact. A child whose later beads can add
+    no bonds scores exactly its bonds and is not pushed; a level whose later
+    beads can add none counts eligible partners per free point and builds no
     lists. One search pushes at most ``LOOKAHEAD_BUDGET`` beads, else it
     raises LookaheadBudgetExceeded; so does a search nested deeper than the
     interpreter's stack allows.
@@ -389,7 +404,7 @@ class _Lookahead:
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "headroom", "table", "window_ids",
-                 "shared", "recurs", "disk", "nodes_left", "root")
+                 "shared", "recurs", "disk", "bound", "nodes_left", "root")
 
     def __init__(
         self, system: OritatamiSystem, start: int = 0, placed: Sequence[str] | None = None
@@ -433,7 +448,12 @@ class _Lookahead:
         ]
         self.recurs = [last[w] > i for i, w in enumerate(windows)]
         # Only shared windows key the table on the disk around the chain end.
-        self.disk = _hex_disk(min(delay, len(t)) + 1) if any(self.shared) else ()
+        self.disk = (
+            tuple(chain.from_iterable(_hex_rings(min(delay, len(t)) + 1)))
+            if any(self.shared) else ()
+        )
+        # Written by each search over its own window (see _reach_gains).
+        self.bound = [0] * (len(t) + 1)
 
     def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
         if not self.shared[i]:
@@ -470,7 +490,10 @@ class _Lookahead:
         if not options:
             raise DeadEnd(f"no placement for transcript bead {self.start + i + 1} ({bead})")
         stop = min(i + self.delay, len(self.transcript))
-        room = self.headroom[stop] - self.headroom[i + 1]
+        room = 0
+        if self.headroom[stop] > self.headroom[i + 1]:
+            self._reach_gains(fold, i, stop)
+            room = self.bound[stop] - self.bound[i + 1]
         base = fold.total_bonds
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
@@ -493,6 +516,41 @@ class _Lookahead:
             ) from None
         return [option for option, score in zip(options, scores) if score == best]
 
+    def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
+        """Write ``bound[i + 1 .. stop]`` for a search at bead ``i``: the
+        prefix sums of the most bonds each bead of ``i + 1 .. stop - 1`` can
+        add, counted from the partners within its reach (see the class)."""
+        t, headroom, bound = self.transcript, self.headroom, self.bound
+        partners, arity = fold.rules.partners, fold.arity
+        end = fold.path[-1]
+        get, beads, counts = fold.occupied.get, fold.beads, fold.bond_count
+        # The type of each placed bead with spare arity, ring by ring.
+        near = []
+        for r, ring in enumerate(_RINGS[: min(stop - i + 1, _REACH) + 1]):
+            for d in ring:
+                idx = get(end + d)
+                if idx is not None and counts[idx] < arity:
+                    near.append((r, beads[idx]))
+        cap = min(arity, _MAX_NEW_BONDS)
+        total = bound[i + 1] = 0
+        for k in range(i + 1, stop):
+            reach = k - i + 2
+            if reach > _REACH:
+                total += headroom[k + 1] - headroom[k]
+            else:
+                mates = partners(t[k])
+                n = 0
+                for r, b in near:
+                    if r > reach:
+                        break
+                    if b in mates:
+                        n += 1
+                for m in range(i, k - 1):
+                    if t[m] in mates:
+                        n += 1
+                total += min(cap, n)
+            bound[k + 1] = total
+
     def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
         (fewer if the path gets stuck). Exact when that is at least
@@ -508,10 +566,10 @@ class _Lookahead:
             )
         base = fold.total_bonds
         bead = self.transcript[j]
-        room = self.headroom[stop] - self.headroom[j + 1]
+        room = self.bound[stop] - self.bound[j + 1]
         if not room:
             return base + fold.most_bonds(bead)
-        bound = base + self.headroom[stop] - self.headroom[j]
+        bound = base + self.bound[stop] - self.bound[j]
         best = base
         arity = self.arity
         for key, eligible in fold.placements(bead):

@@ -594,9 +594,91 @@ def shifted(conf, dx, dy):
     return Conformation(tuple(Point(x + dx, y + dy) for x, y in conf.path), conf.beads, conf.bonds)
 
 
+def row_to_partner(n):
+    """A straight n-bead seed whose first bead, a p, lies n - 1 steps from
+    the path end, and a delay-3 window (r, x, z) in which only z bonds, with p."""
+    path = [(0, 0)] + [(-k, k + 1) for k in range(n - 1)]
+    seed = Conformation.build(path, ["p"] + ["q"] * (n - 1))
+    return OritatamiSystem(RuleSet([("z", "p")]), 1, 3, seed, ("r", "x", "z"))
+
+
 class TestLookaheadBounds:
-    """The partner-reach headroom, the bound checked before each push, and
-    the integer point keys, against references that use none of them."""
+    """The partner-reach headroom, the reach bound of each search, the bound
+    checked before each push, and the integer point keys, against
+    references that use none of them."""
+
+    @staticmethod
+    def search_first_bead(sys_, monkeypatch):
+        """``stabilize_next`` at bead 0, checked against brute force, and the
+        number of beads its lookahead pushed."""
+        pushes = []
+        push = _Fold.push
+        monkeypatch.setattr(_Fold, "push", lambda self, *args: pushes.append(1) or push(self, *args))
+        got = stabilize_next(sys_, sys_.seed, 0)
+        assert set(map(oracles.choice_key, got)) == oracles.brute_minimizers(sys_, sys_.seed, 0)
+        return got, len(pushes)
+
+    def test_path_end_is_the_only_partner(self, monkeypatch):
+        # z bonds only with the p at the path end (0, 0). The seed holds
+        # (0, 1) and (-1, 0), so after r steps to (-1, 1) no free point
+        # touches both r and the path end; r's three other steps let z bond.
+        path = [(-1, 0), (-2, 1), (-2, 2), (-1, 2), (0, 1), (0, 0)]
+        seed = Conformation.build(path, ["q"] * 5 + ["p"])
+        sys_ = OritatamiSystem(RuleSet([("z", "p")]), 1, 2, seed, ("r", "z"))
+        got, _ = self.search_first_bead(sys_, monkeypatch)
+        assert got == [StabilizationChoice(p, ()) for p in (Point(1, 0), Point(0, -1), Point(1, -1))]
+
+    def test_partner_at_the_last_beads_reach(self, monkeypatch):
+        # z lies at most 3 steps from the path end, so it can bond with a p
+        # 4 steps away: only by r stepping towards it.
+        got, _ = self.search_first_bead(row_to_partner(5), monkeypatch)
+        assert got == [StabilizationChoice(Point(-3, 3), ())]
+        # One step further p is out of reach: every step of r ties, and the
+        # search pushes nothing below the root.
+        got, pushes = self.search_first_bead(row_to_partner(6), monkeypatch)
+        assert len(got) == 5
+        assert pushes == 0
+
+    def test_saturated_partner_is_not_counted(self, monkeypatch):
+        # z bonds only with p, which sits next to the path end and is bonded
+        # to it. At arity 1 that bond saturates p: the search pushes nothing.
+        path = [(0, 0), (0, 1), (1, 1), (2, 0), (1, 0), (1, -1)]
+        seed = Conformation.build(path, ["p", "q", "q", "q", "q", "w"], [(0, 5)])
+        rules = RuleSet([("z", "p"), ("p", "w")])
+        got, pushes = self.search_first_bead(OritatamiSystem(rules, 1, 2, seed, ("r", "z")), monkeypatch)
+        assert len(got) == 4
+        assert pushes == 0
+        got, pushes = self.search_first_bead(OritatamiSystem(rules, 2, 2, seed, ("r", "z")), monkeypatch)
+        assert len(got) == 2
+        assert pushes > 0
+
+    def test_nascent_partners(self, monkeypatch):
+        # No placed bead bonds; z bonds only with p, the bead being placed.
+        path = [(0, 0), (-1, 1), (-1, 2), (-2, 3), (-3, 3), (-3, 2)]
+        seed = Conformation.build(path, ["q"] * 6)
+        sys_ = OritatamiSystem(RuleSet([("z", "p")]), 1, 3, seed, ("p", "x", "z"))
+        got, _ = self.search_first_bead(sys_, monkeypatch)
+        assert len(got) == 4  # of five placements
+
+    def test_random_systems_at_delays_two_to_six(self):
+        rng = random.Random(4)
+        compared = 0
+        for n in range(60):
+            sys_ = oracles.random_system(rng, max_delay=6, max_arity=3, max_transcript=7)
+            sys_ = OritatamiSystem(sys_.rules, sys_.arity, 2 + n % 5, sys_.seed, sys_.transcript)
+            compared += TestOracleAgreement.compare_along_first_branch(sys_)
+            assert fold_all(sys_, "first") == replay(sys_, "first")
+        assert compared > 150
+
+    def test_delay_six_glider_within_a_small_budget(self, monkeypatch):
+        # The costliest step pushes 1,150 beads (1,182 mirrored); counting a
+        # partner type seen anywhere before as in reach, it pushed 2,350.
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 1500)
+        for mirrored in (False, True):
+            glider = glider_system(periods=2, mirrored=mirrored)
+            sys_ = OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript)
+            (outcome,) = fold_all(sys_, "first")
+            assert outcome.completed
 
     def test_late_partners_match_brute_force(self):
         rng = random.Random(4711)
