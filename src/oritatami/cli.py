@@ -44,16 +44,27 @@ def _tokenize_word(raw: str, alphabet: tuple[str, ...]) -> list[str]:
 
 def _split_chunk(chunk: str, alphabet: tuple[str, ...]) -> list[str]:
     """The unique split of ``chunk`` into alphabet letters, by dynamic
-    programming over suffixes: linear in the chunk length."""
+    programming over suffixes: linear in the chunk length. Each position
+    looks up one slice per distinct letter length."""
     n = len(chunk)
+    by_length: dict[int, set[str]] = {}
+    for letter in alphabet:
+        by_length.setdefault(len(letter), set()).add(letter)
+    sizes = tuple(by_length.items())
     # ways[k]: splits of chunk[k:], capped at 2; first[k]: a letter starting one.
     ways = [0] * n + [1]
     first: list[str | None] = [None] * n
     for k in range(n - 1, -1, -1):
-        for letter in alphabet:
-            if chunk.startswith(letter, k) and ways[k + len(letter)]:
-                ways[k] = min(2, ways[k] + ways[k + len(letter)])
-                first[k] = letter
+        total = 0
+        for length, letters in sizes:
+            # A slice cut short by the chunk's end is no letter of its length.
+            letter = chunk[k : k + length]
+            if letter in letters:
+                more = ways[k + length]
+                if more:
+                    total += more
+                    first[k] = letter
+        ways[k] = total if total < 2 else 2
     if ways[0] == 0:
         raise ValueError(f"cannot split {chunk!r} into alphabet letters")
     if ways[0] > 1:
