@@ -555,8 +555,8 @@ class _Lookahead:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
         (fewer if the path gets stuck). Exact when that is at least
         ``alpha``; otherwise an upper bound strictly below it. The caller has
-        just pushed a bead and checked that beads ``j`` .. ``stop - 1`` have
-        headroom and that their bound reaches ``alpha``; so each call counts
+        just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
+        add bonds and that their bound reaches ``alpha``; so each call counts
         one push against the search's budget."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
