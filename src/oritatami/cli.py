@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 success / ACCEPT, 1 REJECT (or all-branch dead end / closure
 failure), 2 input error (including a branch or lookahead budget overrun).
+fold enumerate counts its terminals without building them all
+(folding.fold_summary): same output and same branch budget (10,000).
 run-nfa enumerate counts its branches without listing them, so only with
 --report does it have a branch budget (10,000).
 """
@@ -22,7 +24,7 @@ import functools
 import sys
 
 from . import bricks, harness, sysfile
-from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, fold_all
+from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, fold_summary
 from .nfa import parse_nfa_file, prepare
 from .render import render_svg
 from .sysfile import format_seed_stanza, parse_system_file
@@ -79,10 +81,9 @@ def _split_chunk(chunk: str, alphabet: tuple[str, ...]) -> list[str]:
 
 def _cmd_fold(args) -> int:
     system = parse_system_file(args.system)
-    outcomes = fold_all(system, args.mode, rng=args.rng_seed)
-    first = outcomes[0]
-    print(f"terminal conformations: {len(outcomes)}")
-    print(f"completed: {sum(o.completed for o in outcomes)}")
+    terminals, completed, first = fold_summary(system, args.mode, rng=args.rng_seed)
+    print(f"terminal conformations: {terminals}")
+    print(f"completed: {completed}")
     print(f"energy of first terminal: {-len(first.conformation.bonds)}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -90,7 +91,7 @@ def _cmd_fold(args) -> int:
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(first.conformation))
-    return 0 if any(o.completed for o in outcomes) else 1
+    return 0 if completed else 1
 
 
 def _load_machine(path: str):

@@ -7,7 +7,9 @@ transcript one bead at a time: each bead settles on the placement-and-bond
 choice whose best reachable energy, looking ahead over the next ``delay - 1``
 nascent beads, is minimal. Ties are genuine nondeterminism; the engine can
 enumerate every branch, sample one with a seeded RNG, or take the canonical
-first choice.
+first choice. ``fold_summary`` gives enumeration's terminal count, completed
+count and first terminal without building the others: below each node whose
+lookahead reaches the transcript end, it counts.
 
 Energy is minus the bond count, so "minimal energy" means "most bonds".
 Bead indices are 0-based internally. Error messages, like the text formats
@@ -20,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
+from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .grid import (
@@ -292,20 +295,9 @@ class _Fold:
         return best
 
     def options(self, bead: str) -> list[tuple[int, tuple[int, ...]]]:
-        """Every legal (point key, bond subset) for ``bead``, in canonical order.
-
-        Canonical order: direction order around the path end, then bond
-        subsets sorted lexicographically (the empty subset first).
-        """
-        out: list[tuple[int, tuple[int, ...]]] = []
-        for key, eligible in self.placements(bead):
-            eligible.sort()
-            max_take = min(len(eligible), self.arity)
-            subsets = sorted(
-                chain.from_iterable(combinations(eligible, r) for r in range(max_take + 1))
-            )
-            out.extend((key, s) for s in subsets)
-        return out
+        """Every legal (point key, bond subset) for ``bead``, in canonical order
+        (see ``_canonical``)."""
+        return _canonical(self.placements(bead), self.arity)
 
     def push(self, key: int, partners: Sequence[int], bead: str) -> None:
         idx = len(self.path)
@@ -327,6 +319,22 @@ class _Fold:
             partner, _ = self.bond_log.pop()
             self.bond_count[partner] -= 1
         self.total_bonds -= n_bonds
+
+
+def _canonical(
+    spots: list[tuple[int, list[int]]], arity: int, least: int = 0
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Each (point key, bond subset) of the placements ``spots`` whose subset
+    takes at least ``least`` and at most ``arity`` partners, in canonical
+    order: direction order around the path end, then bond subsets sorted
+    lexicographically (the empty subset first)."""
+    out: list[tuple[int, tuple[int, ...]]] = []
+    for key, eligible in spots:
+        eligible.sort()
+        sizes = range(max(least, 0), min(len(eligible), arity) + 1)
+        subsets = sorted(chain.from_iterable(combinations(eligible, r) for r in sizes))
+        out.extend((key, s) for s in subsets)
+    return out
 
 
 def elongations(
@@ -391,6 +399,9 @@ class _Lookahead:
     raises LookaheadBudgetExceeded; so does a search nested deeper than the
     interpreter's stack allows.
 
+    ``count`` counts the terminals below a search whose window reaches the
+    transcript end, from its best score and bound.
+
     Argmin sets are remembered relative to the path end, keyed by the
     transcript window and every occupied point within ``delay + 1`` steps,
     and never more than one step past the transcript's length (with bead
@@ -404,7 +415,7 @@ class _Lookahead:
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "headroom", "table", "window_ids",
-                 "shared", "recurs", "disk", "bound", "nodes_left", "root")
+                 "shared", "recurs", "disk", "bound", "best", "nodes_left", "root")
 
     def __init__(
         self, system: OritatamiSystem, start: int = 0, placed: Sequence[str] | None = None
@@ -514,6 +525,7 @@ class _Lookahead:
                 f"lookahead for transcript bead {self.start + i + 1} ({bead}) "
                 "nests deeper than the interpreter stack allows"
             ) from None
+        self.best = best
         return [option for option, score in zip(options, scores) if score == best]
 
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
@@ -560,10 +572,7 @@ class _Lookahead:
         one push against the search's budget."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
-            raise LookaheadBudgetExceeded(
-                f"lookahead for transcript bead {self.start + self.root + 1} "
-                f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
-            )
+            raise self._overrun()
         base = fold.total_bonds
         bead = self.transcript[j]
         room = self.bound[stop] - self.bound[j + 1]
@@ -588,6 +597,91 @@ class _Lookahead:
                         if top <= best:
                             break
         return best
+
+    def _overrun(self) -> LookaheadBudgetExceeded:
+        return LookaheadBudgetExceeded(
+            f"lookahead for transcript bead {self.start + self.root + 1} "
+            f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
+        )
+
+    def count(
+        self,
+        fold: _Fold,
+        j: int,
+        limit: int,
+        snapshot: Callable[[bool], FoldOutcome] | None = None,
+    ) -> tuple[int, int, FoldOutcome | None]:
+        """The terminals below a choice of the last search, just pushed as
+        bead ``j - 1``, when that search's window reached the transcript end.
+
+        Every later step then looks as far ahead as that search did, so the
+        terminals below are the ways on from here that reach its best score:
+        completed, or stuck at a dead end with that many bonds. One
+        depth-first pass with its own stack counts them. It skips a child
+        whose bound (as in the search) falls below that score and counts the
+        last bead's bond subsets by binomials, without pushing them. Returns
+        (terminals, completed ones, the first in canonical order as
+        ``snapshot(completed)`` makes it, or None without ``snapshot``). The
+        pass stops once its count passes ``limit``; its pushes count against
+        the search's budget.
+        """
+        t, arity, target = self.transcript, self.arity, self.best
+        stop = len(t)
+        # A search whose later beads can add no bonds writes no bound.
+        bound = self.bound if self.headroom[stop] > self.headroom[j] else [0] * (stop + 1)
+        start, offset = j, len(fold.path) - j
+        total = completed = 0
+        first = None
+        # frames[k]: the choices left for bead start + k.
+        frames: list[Iterator[tuple[int, tuple[int, ...]]]] = []
+        while True:
+            base = fold.total_bonds
+            n = done = 0
+            spots = fold.placements(t[j]) if j < stop else None
+            if spots is None:
+                n = done = 1
+            elif not spots:
+                n = int(base == target)
+            elif j + 1 < stop:
+                need = target - base - (bound[stop] - bound[j + 1])
+                frames.append(iter(_canonical(spots, arity, need)))
+            else:
+                # The last bead; the bound keeps r within the arity.
+                r = target - base
+                n = done = sum(comb(len(eligible), r) for _, eligible in spots)
+            if n:
+                if snapshot is not None and not total:
+                    if spots:
+                        # The last bead: its first subset that reaches the score.
+                        key, eligible = next(s for s in spots if len(s[1]) >= r)
+                        fold.push(key, sorted(eligible)[:r], t[j])
+                        first = snapshot(True)
+                        fold.pop()
+                    else:
+                        first = snapshot(bool(done))
+                total += n
+                completed += done
+                if total > limit:
+                    break
+            # On to the next choice of the deepest frame with one left.
+            step = None
+            while frames and step is None:
+                step = next(frames[-1], None)
+                if step is None:
+                    frames.pop()
+            if step is None:
+                break
+            j = start + len(frames) - 1
+            while len(fold.path) > offset + j:
+                fold.pop()
+            self.nodes_left -= 1
+            if self.nodes_left < 0:
+                raise self._overrun()
+            fold.push(step[0], step[1], t[j])
+            j += 1
+        while len(fold.path) > offset + start:
+            fold.pop()
+        return total, completed, first
 
 
 def stabilize_next(
@@ -628,25 +722,59 @@ def fold_all(
     grid symmetries fix, such as a single bead or a straight row, a subtree
     that is the mirror image of an earlier sibling's is not searched: its
     argmin sets are that sibling's, moved (see ``_walk``). The outcomes and
-    their order are those of a search at every step.
+    their order are those of a search at every step. ``fold_summary``
+    counts these outcomes without building them.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
+    budget = branch_budget if mode == "enumerate" else None
+    return tuple(outcome for _, _, outcome in _walk(system, _keeper(mode, rng), budget))
+
+
+def fold_summary(
+    system: OritatamiSystem,
+    mode: str = "enumerate",
+    rng: random.Random | int | None = None,
+    branch_budget: int = BRANCH_BUDGET,
+) -> tuple[int, int, FoldOutcome]:
+    """``fold_all``'s terminal count, completed count and first outcome.
+
+    first and sample follow one branch, as ``fold_all`` does. enumerate
+    walks and searches as ``fold_all`` does down to the first node of each
+    branch whose window reaches the transcript end, then counts the
+    terminals below each of that node's argmin choices in one pass, with no
+    search or outcome built below (see ``_Lookahead.count``). A mirror-image
+    subtree takes the count of its source. The results equal ``fold_all``'s,
+    and so does BranchBudgetExceeded, raised as soon as the count passes
+    ``branch_budget``. A dead end below such a node is counted as a terminal
+    as before; a LookaheadBudgetExceeded that only a skipped search would
+    have raised does not happen, and the count's pushes count against the
+    budget of that node's search.
+    """
+    every = mode == "enumerate"
+    walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every)
+    total = completed = 0
+    first = None
+    for n, done, outcome in walk:
+        total += n
+        completed += done
+        if first is None:
+            first = outcome
+    return total, completed, first
+
+
+def _keeper(
+    mode: str, rng: random.Random | int | None
+) -> Callable[[list[StabilizationChoice]], Sequence[StabilizationChoice]]:
+    """What a fold in ``mode`` keeps of each step's argmin set."""
     if mode == "enumerate":
-        keep = lambda options: options
-    elif mode == "first":
-        keep = lambda options: options[:1]
-    elif mode == "sample":
+        return lambda options: options
+    if mode == "first":
+        return lambda options: options[:1]
+    if mode == "sample":
         rng = _as_rng(rng)
-        keep = lambda options: [rng.choice(options)]
-    else:
-        raise ValueError(f"unknown fold mode {mode!r}")
-    outcomes: list[FoldOutcome] = []
-    for outcome in _walk(system, keep):
-        if len(outcomes) >= branch_budget and mode == "enumerate":
-            raise BranchBudgetExceeded(f"more than {branch_budget} terminal branches")
-        outcomes.append(outcome)
-    return tuple(outcomes)
+        return lambda options: [rng.choice(options)]
+    raise ValueError(f"unknown fold mode {mode!r}")
 
 
 def _as_rng(rng: random.Random | int | None) -> random.Random:
@@ -662,17 +790,21 @@ def is_deterministic_run(system: OritatamiSystem) -> bool:
     A single branch then exists, so walking it covers every reachable step;
     a dead end (zero minimizers) counts as not deterministic.
     """
-    (outcome,) = _walk(system, lambda options: options if len(options) == 1 else ())
+    ((_, _, outcome),) = _walk(system, lambda options: options if len(options) == 1 else ())
     return outcome.completed
 
 
 def _walk(
     system: OritatamiSystem,
     keep: Callable[[list[StabilizationChoice]], Sequence[StabilizationChoice]],
-) -> Iterator[FoldOutcome]:
+    budget: int | None = None,
+    count: bool = False,
+) -> Iterator[tuple[int, int, FoldOutcome | None]]:
     """Every terminal of the depth-first walk over the choices that ``keep``
-    retains from each step's argmin set, in order. A branch ends where the
-    transcript does, at a dead end, or where ``keep`` retains nothing.
+    retains from each step's argmin set, in order, as (1, 1 if completed
+    else 0, the outcome). A branch ends where the transcript does, at a dead
+    end, or where ``keep`` retains nothing. Past ``budget`` terminals it
+    raises BranchBudgetExceeded.
 
     While a branch's points are all fixed by some grid symmetries about the
     seed's first point (a single-bead or straight seed and the beads placed
@@ -684,13 +816,32 @@ def _walk(
     order; the terminals and their order are those of a search at every
     node. Images need ``keep`` to retain all of a step's choices whenever it
     retains two or more, as every mode does.
+
+    With ``count`` (``keep`` must retain every choice, and ``budget`` be
+    given), the first node of a branch whose window reaches the transcript
+    end is searched with its best score kept, and the subtree below each of
+    its choices is counted, not walked (``_Lookahead.count``). An image is
+    not walked either: its terminals are counted as its source's. Each count
+    yields (terminals, completed ones, the first of them if it is the
+    walk's first terminal, else None).
     """
     search = _Lookahead(system)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, base = system.transcript, len(system.seed)
+    # The bead of the first node whose window reaches the transcript end;
+    # without count no node is past it.
+    tail = max(len(transcript) - system.delay, 0) if count else len(transcript)
     # The branch's points, kept beside the fold's keys for its snapshots.
     points = list(system.seed.path)
     origin = points[0]
+
+    def snapshot(completed: bool) -> FoldOutcome:
+        # The branch's points, then those of beads the fold holds past them.
+        rest = map(fold.point, fold.path[len(points) :])
+        return FoldOutcome(
+            Conformation((*points, *rest), tuple(fold.beads), frozenset(fold.bond_log)), completed
+        )
+
     # Choices still to try, as (bead index i, choice, node); taking one first
     # rewinds the fold to its first i stabilized beads. A node is either
     # (memo, None, group) for a node to search, where group holds the
@@ -698,20 +849,37 @@ def _walk(
     # (memo, g, None) for the image under g of the searched node whose memo
     # that is. A memo maps each kept choice of its node, in order, to its
     # child's (memo, g or None); a searched node fills one only if an image
-    # will read it.
+    # will read it. With count, only a node with images has a memo, and it
+    # holds (terminals, completed) of the node's subtree under None.
     stack: list[tuple[int, StabilizationChoice, tuple]] = []
     group = tuple(g for g in SYMMETRIES[1:] if all(transform(g, p, origin) == p for p in points))
     memo, g, i = None, None, 0
+    total = completed = 0
+    # With count: each node with images whose subtree is being walked, as
+    # (i, memo, total, completed) at its entry.
+    sources: list[tuple[int, dict, int, int]] = []
     while True:
-        if g is None:
-            kept: Sequence[StabilizationChoice] = ()
+        found = None
+        if count and g is not None:
+            kept, found = (), (*memo[None], None)
+        elif i > tail:
+            kept = ()
+            found = search.count(fold, i, budget - total, None if total else snapshot)
+        elif g is None:
+            kept = ()
             if i < len(transcript):
                 try:
-                    kept = keep(search.minimizers(fold, i))
+                    if i == tail:
+                        # The counts below read this search's best score and bound.
+                        found_choices = search._search(fold, i)
+                        kept = [StabilizationChoice(fold.point(k), s) for k, s in found_choices]
+                    else:
+                        kept = keep(search.minimizers(fold, i))
                 except DeadEnd:
                     pass
-            children = _children(kept, group, memo is not None, origin)
-            if memo is not None:
+            mapped = memo is not None and not count
+            children = _children(kept, group, mapped, origin)
+            if mapped:
                 memo.update((ch, child[:2]) for ch, child in zip(kept, children))
         else:
             ex, ey = points[-1]
@@ -725,11 +893,22 @@ def _walk(
         if kept:
             stack.extend(zip(repeat(i), reversed(kept), reversed(children)))
         else:
-            snapshot = Conformation(tuple(points), tuple(fold.beads), frozenset(fold.bond_log))
-            yield FoldOutcome(snapshot, i == len(transcript))
+            if found is None:
+                done = i == len(transcript)
+                found = (1, int(done), snapshot(done))
+            total += found[0]
+            completed += found[1]
+            if budget is not None and total > budget:
+                raise BranchBudgetExceeded(f"more than {budget} terminal branches")
+            yield found
         if not stack:
             return
         i, ch, (memo, g, group) = stack.pop()
+        while sources and sources[-1][0] >= i:
+            _, cell, total0, completed0 = sources.pop()
+            cell[None] = (total - total0, completed - completed0)
+        if count and g is None and memo is not None:
+            sources.append((i, memo, total, completed))
         while len(fold.path) > base + i:
             fold.pop()
         del points[base + i :]

@@ -30,10 +30,6 @@ _UNIT_OFFSETS = frozenset(DIRECTIONS)
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 
-def translate(p: Point, d: Point) -> Point:
-    return Point(p[0] + d[0], p[1] + d[1])
-
-
 def are_adjacent(p: Point, q: Point) -> bool:
     return (q[0] - p[0], q[1] - p[1]) in _UNIT_OFFSETS
 

@@ -18,10 +18,11 @@ junction to the row's east end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .folding import Conformation
-from .grid import E, SW, Point, translate
+from .grid import E, SW, Point
 from .nfa import AugmentedNfa, Encoding
 
 ZERO_WORD: tuple[str, ...] = ("96", "91", "90", "85", "84", "79")
@@ -54,11 +55,11 @@ class BeadWord:
         return len(self.beads)
 
     def trace(self, origin: Point) -> tuple[Point, ...]:
-        """The grid path obtained by walking the directions from ``origin``."""
-        points = [origin]
-        for d in self.directions:
-            points.append(translate(points[-1], d))
-        return tuple(points)
+        """The grid path obtained by walking the directions from ``origin``:
+        the running sums of their coordinates."""
+        xs = accumulate((d[0] for d in self.directions), initial=origin[0])
+        ys = accumulate((d[1] for d in self.directions), initial=origin[1])
+        return tuple(map(Point._make, zip(xs, ys)))
 
 
 def encode_state_row(q_code: str, f_values: Sequence[str]) -> BeadWord:

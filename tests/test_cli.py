@@ -230,6 +230,19 @@ class TestFoldCommand:
             "terminal conformations: 1\ncompleted: 1\nenergy of first terminal: 0\n"
         )
 
+    @pytest.mark.parametrize("delay, beads", [(300, 600), (1200, 1200)])
+    def test_bond_free_enumerate_stops_at_the_branch_budget(self, tmp_path, capsys, delay, beads):
+        # Every way on is a terminal. The count below the first node whose
+        # window reaches the transcript end passes 10,000 within a few
+        # thousand pushes, and it keeps its own stack, so 1,200 levels below
+        # that node do not nest.
+        p = tmp_path / "free.sys"
+        p.write_text(f"delay {delay}\narity 1\nseed 0 0 s\nrepeat {beads} a\n")
+        start = time.perf_counter()
+        assert main(["fold", str(p)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", "error: more than 10000 terminal branches\n")
+
     def test_lookahead_deeper_than_the_stack_exits_2(self, tmp_path, capsys):
         # One bond per level keeps the search within its node budget, but
         # 1,200 levels nest deeper than the interpreter stack.

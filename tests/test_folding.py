@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from oritatami.folding import (
     elongations,
     energy,
     fold_all,
+    fold_summary,
     is_deterministic_run,
     stabilize_next,
     validate_conformation,
@@ -539,6 +541,115 @@ class TestSymmetricSeeds:
             calls.clear()
             fold_all(glider_system(periods=3, mirrored=mirrored), "enumerate")
             assert len(calls) == 24
+
+
+def summary_of(system, mode="enumerate", **kwargs):
+    """What ``fold_summary`` returns, read off ``fold_all``'s outcomes."""
+    outcomes = fold_all(system, mode, **kwargs)
+    return len(outcomes), sum(o.completed for o in outcomes), outcomes[0]
+
+
+class TestFoldSummary:
+    """``fold_summary`` counts the enumerate terminals below each node whose
+    window reaches the transcript end; ``fold_all`` builds them all."""
+
+    def test_random_systems(self):
+        # Single-bead, straight, ring and irregular seeds. A ring's path end
+        # sits next to the hole it surrounds: a bead placed there is stuck.
+        ring = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+        rng = random.Random(1515)
+        seen = Counter()
+        for k in range(200):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+            if k % 4 == 0:
+                sys_ = reseeded(sys_, Conformation.build([(0, 0)], sys_.seed.beads[:1]))
+            elif k % 4 == 1:
+                axis = rng.choice(DIRECTIONS)
+                path = [(n * axis.x, n * axis.y) for n in range(len(sys_.seed))]
+                sys_ = reseeded(sys_, Conformation.build(path, sys_.seed.beads))
+            elif k % 4 == 2:
+                types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
+                sys_ = reseeded(sys_, Conformation.build(ring, [rng.choice(types) for _ in ring]))
+            budget = rng.choice((30, 1_000))
+            try:
+                outcomes = fold_all(sys_, "enumerate", branch_budget=budget)
+            except BranchBudgetExceeded as exc:
+                with pytest.raises(BranchBudgetExceeded, match=str(exc)):
+                    fold_summary(sys_, branch_budget=budget)
+                seen["raised"] += 1
+                continue
+            want = (len(outcomes), sum(o.completed for o in outcomes), outcomes[0])
+            assert fold_summary(sys_, branch_budget=budget) == want
+            # The count stops as soon as it passes the budget, and not before.
+            with pytest.raises(BranchBudgetExceeded):
+                fold_summary(sys_, branch_budget=len(outcomes) - 1)
+            seen[f"delay {sys_.delay}"] += 1
+            # A dead end past the first node whose window reaches the end.
+            tail = len(sys_.seed) + len(sys_.transcript) - sys_.delay
+            seen["tail dead end"] += any(
+                not o.completed and len(o.conformation) > tail for o in outcomes
+            )
+        assert seen["raised"] >= 20 and seen["tail dead end"] >= 4
+        assert all(seen[f"delay {d}"] >= 20 for d in range(1, 5))
+
+    def test_budget_is_passed_as_in_fold_all(self):
+        rules = RuleSet([("a", "b"), ("a", "c")])
+        seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
+        sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
+        assert fold_summary(sys_, branch_budget=102) == summary_of(sys_)
+        with pytest.raises(BranchBudgetExceeded, match="more than 101 terminal branches"):
+            fold_summary(sys_, branch_budget=101)
+
+    def test_first_terminal_takes_the_first_subset(self):
+        # Arity 1: where the last bead first finds partners, it finds two,
+        # and the first terminal bonds the one that comes first.
+        rules = RuleSet([("b0", "b0"), ("b0", "b1")])
+        seed = Conformation.build([(0, 0), (1, -1)], ["b1", "b1"])
+        sys_ = OritatamiSystem(rules, 1, 2, seed, ("b1", "b0"))
+        assert fold_summary(sys_) == summary_of(sys_)
+
+    def test_one_branch_modes(self):
+        rng = random.Random(77)
+        for _ in range(20):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+            assert fold_summary(sys_, "first") == summary_of(sys_, "first")
+            assert fold_summary(sys_, "sample", rng=5) == summary_of(sys_, "sample", rng=5)
+        with pytest.raises(ValueError, match="unknown fold mode"):
+            fold_summary(sys_, "all")
+
+    def test_counts_are_not_searched(self, monkeypatch):
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        # test_mirror_images_are_not_searched's systems: fold_all searches
+        # 39 and 10 nodes. Counting searches down to bead 3, the first whose
+        # window reaches the transcript end, one node per mirror orbit, and
+        # nothing below it.
+        rules = RuleSet([("a", "b"), ("a", "c")])
+        for path, searched in (([(0, 0), (1, 0), (2, 0)], [0, 1, 2, 2, 2, 2]), ([(0, 0)], [0, 1, 2])):
+            seed = Conformation.build(path, ["a", "a", "b"][: len(path)])
+            sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
+            want = summary_of(sys_)
+            calls.clear()
+            assert fold_summary(sys_) == want
+            assert calls == searched
+        # fold_all finds the glider's last full window in its table and
+        # searches the two nodes below it: 24 searches. Counting searches
+        # that window for its best score and counts below it: 23.
+        want = summary_of(glider_system(periods=3))
+        calls.clear()
+        assert fold_summary(glider_system(periods=3)) == want
+        assert len(calls) == 23
+
+    def test_count_pushes_spend_the_search_budget(self, monkeypatch):
+        # No rules: the search at bead 1 pushes nothing, and the count below
+        # it pushes one bead per level until the budget runs out.
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 50)
+        sys_ = OritatamiSystem(RuleSet(), 1, 60, Conformation.build([(0, 0)], ["s"]), ("a",) * 60)
+        with pytest.raises(LookaheadBudgetExceeded, match="bead 1 .a. pushes more than 50 nascent"):
+            fold_summary(sys_)
 
 
 class TestGridSymmetry:
