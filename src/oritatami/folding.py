@@ -400,7 +400,8 @@ class _Lookahead:
     interpreter's stack allows.
 
     ``count`` counts the terminals below a search whose window reaches the
-    transcript end, from its best score and bound.
+    transcript end, from its best score and bound; a table hit restores
+    both.
 
     Argmin sets are remembered relative to the path end, keyed by the
     transcript window and every occupied point within ``delay + 1`` steps,
@@ -478,14 +479,21 @@ class _Lookahead:
                 hood.append((d, beads[idx], counts[idx]))
         key = (self.window_ids[i], tuple(hood))
         entry = self.table.get(key)
+        stop = min(i + self.delay, len(self.transcript))
         if entry is None:
             found = self._search(fold, i)
             if self.recurs[i]:
                 path = fold.path
-                self.table[key] = tuple(
-                    (k - end, tuple(path[q] - end for q in bonds)) for k, bonds in found
+                self.table[key] = (
+                    self.best - fold.total_bonds,
+                    self.bound[i + 1 : stop + 1],
+                    tuple((k - end, tuple(path[q] - end for q in bonds)) for k, bonds in found),
                 )
             return [StabilizationChoice(fold.point(k), s) for k, s in found]
+        # The situation fixes the best score above the bonds so far and the
+        # bound, which ``count`` reads as a search leaves them.
+        gain, self.bound[i + 1 : stop + 1], entry = entry
+        self.best = fold.total_bonds + gain
         # Partner offsets map back to indices whose order may differ from the
         # stored situation's, so canonical order is rebuilt.
         restored = sorted(
@@ -611,8 +619,9 @@ class _Lookahead:
         limit: int,
         snapshot: Callable[[bool], FoldOutcome] | None = None,
     ) -> tuple[int, int, FoldOutcome | None]:
-        """The terminals below a choice of the last search, just pushed as
-        bead ``j - 1``, when that search's window reached the transcript end.
+        """The terminals below a choice of the last ``minimizers`` call, just
+        pushed as bead ``j - 1``, when that call's window reached the
+        transcript end.
 
         Every later step then looks as far ahead as that search did, so the
         terminals below are the ways on from here that reach its best score:
@@ -818,9 +827,9 @@ def _walk(
     retains two or more, as every mode does.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
-    given), the first node of a branch whose window reaches the transcript
-    end is searched with its best score kept, and the subtree below each of
-    its choices is counted, not walked (``_Lookahead.count``). An image is
+    given), the subtree below each choice of the first node of a branch
+    whose window reaches the transcript end is counted, not walked, from
+    that node's best score and bound (``_Lookahead.count``). An image is
     not walked either: its terminals are counted as its source's. Each count
     yields (terminals, completed ones, the first of them if it is the
     walk's first terminal, else None).
@@ -869,12 +878,7 @@ def _walk(
             kept = ()
             if i < len(transcript):
                 try:
-                    if i == tail:
-                        # The counts below read this search's best score and bound.
-                        found_choices = search._search(fold, i)
-                        kept = [StabilizationChoice(fold.point(k), s) for k, s in found_choices]
-                    else:
-                        kept = keep(search.minimizers(fold, i))
+                    kept = keep(search.minimizers(fold, i))
                 except DeadEnd:
                     pass
             mapped = memo is not None and not count

@@ -592,6 +592,38 @@ class TestFoldSummary:
         assert seen["raised"] >= 20 and seen["tail dead end"] >= 4
         assert all(seen[f"delay {d}"] >= 20 for d in range(1, 5))
 
+    def test_periodic_transcripts(self, monkeypatch):
+        # The last full window recurs, so the first node whose window reaches
+        # the end is often a table hit. Its count then reads the best score
+        # and bound stored with the entry.
+        calls = Counter()
+        search, minimizers = _Lookahead._search, _Lookahead.minimizers
+        monkeypatch.setattr(
+            _Lookahead, "_search",
+            lambda self, fold, i: calls.update([("search", i)]) or search(self, fold, i),
+        )
+        monkeypatch.setattr(
+            _Lookahead, "minimizers",
+            lambda self, fold, i: calls.update([("lookup", i)]) or minimizers(self, fold, i),
+        )
+        rng = random.Random(9090)
+        hits = 0
+        for _ in range(100):
+            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+            types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
+            period = [rng.choice(types) for _ in range(rng.randint(1, 3))]
+            transcript = tuple((period * 9)[: rng.randint(6, 10)])
+            sys_ = OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript)
+            try:
+                want = summary_of(sys_, branch_budget=300)
+            except BranchBudgetExceeded:
+                continue
+            calls.clear()
+            assert fold_summary(sys_, branch_budget=300) == want
+            tail = len(transcript) - sys_.delay
+            hits += calls["lookup", tail] - calls["search", tail]
+        assert hits >= 10
+
     def test_budget_is_passed_as_in_fold_all(self):
         rules = RuleSet([("a", "b"), ("a", "c")])
         seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
@@ -635,13 +667,13 @@ class TestFoldSummary:
             calls.clear()
             assert fold_summary(sys_) == want
             assert calls == searched
-        # fold_all finds the glider's last full window in its table and
-        # searches the two nodes below it: 24 searches. Counting searches
-        # that window for its best score and counts below it: 23.
+        # Both find the glider's last full window in the table; fold_all
+        # then searches the two nodes below it (24 searches), counting reads
+        # the best score and bound stored with the entry (22).
         want = summary_of(glider_system(periods=3))
         calls.clear()
         assert fold_summary(glider_system(periods=3)) == want
-        assert len(calls) == 23
+        assert len(calls) == 22
 
     def test_count_pushes_spend_the_search_budget(self, monkeypatch):
         # No rules: the search at bead 1 pushes nothing, and the count below
