@@ -757,8 +757,9 @@ def fold_summary(
     and so does BranchBudgetExceeded, raised as soon as the count passes
     ``branch_budget``. A dead end below such a node is counted as a terminal
     as before; a LookaheadBudgetExceeded that only a skipped search would
-    have raised does not happen, and the count's pushes count against the
-    budget of that node's search.
+    have raised does not happen. The count's pushes count against the
+    budget of that node's search, so past ``LOOKAHEAD_BUDGET`` of them it
+    raises LookaheadBudgetExceeded for that node.
     """
     every = mode == "enumerate"
     walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every)
