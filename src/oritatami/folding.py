@@ -269,15 +269,16 @@ class _Fold:
             out.append((key, eligible))
         return out
 
-    def most_bonds(self, bead: str) -> int:
-        """The most bonds ``bead`` could form at any free point next to the
-        path end: ``placements`` reduced to a count, with no lists built."""
+    def most_bonds(self, bead: str, end: int, cap: int) -> int:
+        """The most bonds, up to ``cap``, that ``bead`` could form at any
+        free point next to ``end``: ``placements`` reduced to a count, with
+        no lists built. ``end`` is the path end, or a free point next to it
+        where the bead before ``bead`` is scored without being pushed; that
+        point is never scanned, since no step leads back to it. ``cap`` is
+        the bead's reach gain, an upper bound on the count, so stopping there
+        is exact."""
         mates = self.rules.partners(bead)
-        if not mates:
-            return 0
-        end = self.path[-1]
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
-        cap = min(arity, _MAX_NEW_BONDS)
         best = 0
         for d, around in _STEPS:
             key = end + d
@@ -370,6 +371,10 @@ def _hex_rings(radius: int) -> tuple[tuple[int, ...], ...]:
 # _Lookahead): it covers every bead of a window up to delay 6.
 _REACH = 7
 _RINGS = _hex_rings(_REACH)
+# The points within each distance 0 .. _REACH of a point, and the distance
+# of each point of the widest disk from its centre, by key offset.
+_DISK_SIZES = tuple(accumulate(map(len, _RINGS)))
+_DISTANCE = {d: r for r, ring in enumerate(_RINGS) for d in ring}
 
 
 class _Lookahead:
@@ -385,19 +390,26 @@ class _Lookahead:
     ``k - i + 1`` steps from ``e``, so it adds no more bonds than there are
     placed beads of a partner type with spare arity within ``k - i + 2``
     steps of ``e`` (``e`` included), plus window beads ``i .. k - 2`` of a
-    partner type. The search scans the disk around ``e`` once, out to
-    ``_REACH`` steps, and a bead whose reach passes that keeps its headroom
-    gain; so the scan costs the same at any delay and fold length. Before
+    partner type. The search reads the placed beads within ``_REACH`` steps
+    of ``e`` once: by probing the disk around ``e``, or by taking each
+    placed bead's distance from ``e`` when they are fewer than the disk's
+    points. A bead whose reach passes ``_REACH`` keeps its headroom gain; so
+    the scan costs no more than the disk at any delay and fold length. Before
     each push the child's bound (bonds so far, plus the subset size, plus
     the gains of the beads left) is checked: a child whose bound falls
     strictly below the score it must reach is skipped, and since subset
     sizes are tried largest first, so are the smaller subsets of that
     placement. Ties therefore stay exact. A child whose later beads can add
-    no bonds scores exactly its bonds and is not pushed; a level whose later
-    beads can add none counts eligible partners per free point and builds no
-    lists. One search pushes at most ``LOOKAHEAD_BUDGET`` beads, else it
-    raises LookaheadBudgetExceeded; so does a search nested deeper than the
-    interpreter's stack allows.
+    no bonds scores exactly its bonds and is not pushed. So the last bead
+    that can add bonds is never pushed, and unless it follows the bead being
+    placed, neither is the bead before it: for each choice of that bead, its
+    partners take one more bond while the free points around its point are
+    scanned (``_Fold.most_bonds``), and are then given back. The scan counts
+    eligible partners per free point, builds no lists and stops at the
+    bead's reach gain, which bounds it. One search
+    pushes at most ``LOOKAHEAD_BUDGET`` beads, each in-place score counted
+    as a push, else it raises LookaheadBudgetExceeded; so does a search
+    nested deeper than the interpreter's stack allows.
 
     ``count`` counts the terminals below a search whose window reaches the
     transcript end, from its best score and bound; a table hit restores
@@ -542,15 +554,27 @@ class _Lookahead:
         add, counted from the partners within its reach (see the class)."""
         t, headroom, bound = self.transcript, self.headroom, self.bound
         partners, arity = fold.rules.partners, fold.arity
-        end = fold.path[-1]
-        get, beads, counts = fold.occupied.get, fold.beads, fold.bond_count
-        # The type of each placed bead with spare arity, ring by ring.
+        path, beads, counts = fold.path, fold.beads, fold.bond_count
+        end = path[-1]
+        radius = min(stop - i + 1, _REACH)
+        # The type of each placed bead with spare arity, ring by ring: read
+        # from the placed beads when they are fewer than the disk's points.
         near = []
-        for r, ring in enumerate(_RINGS[: min(stop - i + 1, _REACH) + 1]):
-            for d in ring:
-                idx = get(end + d)
-                if idx is not None and counts[idx] < arity:
-                    near.append((r, beads[idx]))
+        if len(path) < _DISK_SIZES[radius]:
+            distance = _DISTANCE.get
+            for idx, key in enumerate(path):
+                if counts[idx] < arity:
+                    r = distance(key - end, _REACH + 1)
+                    if r <= radius:
+                        near.append((r, beads[idx]))
+            near.sort()
+        else:
+            get = fold.occupied.get
+            for r, ring in enumerate(_RINGS[: radius + 1]):
+                for d in ring:
+                    idx = get(end + d)
+                    if idx is not None and counts[idx] < arity:
+                        near.append((r, beads[idx]))
         cap = min(arity, _MAX_NEW_BONDS)
         total = bound[i + 1] = 0
         for k in range(i + 1, stop):
@@ -577,27 +601,45 @@ class _Lookahead:
         ``alpha``; otherwise an upper bound strictly below it. The caller has
         just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
         add bonds and that their bound reaches ``alpha``; so each call counts
-        one push against the search's budget."""
+        one push against the search's budget, as does each choice scored in
+        place."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise self._overrun()
         base = fold.total_bonds
-        bead = self.transcript[j]
-        room = self.bound[stop] - self.bound[j + 1]
+        t, bounds = self.transcript, self.bound
+        bead = t[j]
+        room = bounds[stop] - bounds[j + 1]
         if not room:
-            return base + fold.most_bonds(bead)
-        bound = base + self.bound[stop] - self.bound[j]
+            return base + fold.most_bonds(bead, fold.path[-1], bounds[j + 1] - bounds[j])
+        bound = base + bounds[stop] - bounds[j]
         best = base
         arity = self.arity
+        # When bead j + 1 is the last that can add bonds, each choice of bead
+        # j is scored in place: its partners' bond counts go up by one while
+        # bead j + 1 is scanned from its point.
+        leaf = t[j + 1] if bounds[j + 2] == bounds[stop] else None
+        counts = fold.bond_count
         for key, eligible in fold.placements(bead):
             for r in range(min(len(eligible), arity), -1, -1):
                 top = base + r + room
                 if top < alpha or top <= best:
                     break
                 for partners in combinations(eligible, r):
-                    fold.push(key, partners, bead)
-                    score = self._value(fold, j + 1, stop, max(alpha, best + 1))
-                    fold.pop()
+                    if leaf is None:
+                        fold.push(key, partners, bead)
+                        score = self._value(fold, j + 1, stop, max(alpha, best + 1))
+                        fold.pop()
+                    else:
+                        # Spent as the push it replaces.
+                        self.nodes_left -= 1
+                        if self.nodes_left < 0:
+                            raise self._overrun()
+                        for p in partners:
+                            counts[p] += 1
+                        score = base + r + fold.most_bonds(leaf, key, room)
+                        for p in partners:
+                            counts[p] -= 1
                     if score > best:
                         best = score
                         if best == bound:

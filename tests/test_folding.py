@@ -745,6 +745,16 @@ def row_to_partner(n):
     return OritatamiSystem(RuleSet([("z", "p")]), 1, 3, seed, ("r", "x", "z"))
 
 
+def disk_in_rows(n):
+    """The first ``n`` points of a path that fills the radius-4 disk around
+    (0, 0) row by row (61 points, ending on the disk's edge at (0, 4))."""
+    path = []
+    for y in range(-4, 5):
+        row = list(range(max(-4, -4 - y), min(4, 4 - y) + 1))
+        path += [(x, y) for x in (row if y % 2 == 0 else row[::-1])]
+    return path[:n]
+
+
 class TestLookaheadBounds:
     """The partner-reach headroom, the reach bound of each search, the bound
     checked before each push, and the integer point keys, against
@@ -795,6 +805,65 @@ class TestLookaheadBounds:
         assert len(got) == 2
         assert pushes > 0
 
+    def test_leaf_skips_a_partner_its_predecessor_saturates(self, monkeypatch):
+        # x and z bond only with p, two steps from the path end; z, the last
+        # bead, is scored in place from each choice of x. At arity 1 a bond
+        # from x saturates p, so z must not count it: four steps of r tie at
+        # one bond. At arity 2 only the two steps that let both bond p win.
+        seed = Conformation.build([(0, 0), (1, 0), (2, -1)], ["p", "q", "q"])
+        rules = RuleSet([("x", "p"), ("z", "p")])
+        got, _ = self.search_first_bead(OritatamiSystem(rules, 1, 3, seed, ("r", "x", "z")), monkeypatch)
+        assert len(got) == 4
+        got, _ = self.search_first_bead(OritatamiSystem(rules, 2, 3, seed, ("r", "x", "z")), monkeypatch)
+        assert got == [StabilizationChoice(Point(1, -1), ()), StabilizationChoice(Point(2, -2), ())]
+
+    def test_last_bead_out_of_reach_is_not_scanned(self, monkeypatch):
+        # w bonds only with the f 7 steps from the path end, past its reach
+        # of 5, so its reach gain is 0 and z is the last bead that can bond
+        # (with the p 3 steps out). Only r is pushed: each choice of x scores
+        # z in place, and w is never scanned.
+        path = [(0, 0)] + [(-k, k + 1) for k in range(7)]
+        seed = Conformation.build(path, ["f", "q", "q", "q", "p", "q", "q", "q"])
+        sys_ = OritatamiSystem(RuleSet([("z", "p"), ("w", "f")]), 1, 4, seed, ("r", "x", "z", "w"))
+        scanned = []
+        most_bonds = _Fold.most_bonds
+        monkeypatch.setattr(
+            _Fold, "most_bonds", lambda self, bead, *args: scanned.append(bead) or most_bonds(self, bead, *args)
+        )
+        got, pushes = self.search_first_bead(sys_, monkeypatch)
+        assert got == [StabilizationChoice(Point(-5, 7), ()), StabilizationChoice(Point(-6, 6), ())]
+        assert pushes == 5
+        assert set(scanned) == {"z"}
+
+    @pytest.mark.parametrize("size", [61, 60])
+    def test_reach_from_the_disk_or_the_placed_beads(self, monkeypatch, size):
+        # A delay-3 search reads the partners within 4 steps of the path
+        # end: from the 61-point disk when the fold holds 61 beads, from the
+        # placed beads when it holds 60. Either way it writes the same bound.
+        # Every bead farther out is a p, which no bound may count.
+        path = disk_in_rows(size)
+        ex, ey = path[-1]
+        rng = random.Random(size)
+        beads = [
+            "p" if max(abs(x - ex), abs(y - ey), abs(x - ex + y - ey)) > 4 else rng.choice("pqqqqqs")
+            for x, y in path
+        ]
+        seed = Conformation.build(path, beads)
+        rules = RuleSet([("x", "p"), ("z", "p"), ("z", "s")])
+        disk_sizes = folding._DISK_SIZES
+        for arity in (1, 5):
+            sys_ = OritatamiSystem(rules, arity, 3, seed, ("r", "x", "z"))
+            bounds = []
+            # Forced onto the disk, forced onto the placed beads, then as chosen.
+            for sizes in ((0,) * 8, (size + 1,) * 8, disk_sizes):
+                monkeypatch.setattr(folding, "_DISK_SIZES", sizes)
+                search = _Lookahead(sys_)
+                search._reach_gains(_Fold(rules, arity, seed), 0, 3)
+                bounds.append(search.bound)
+            assert bounds[0] == bounds[1] == bounds[2]
+            assert bounds[0][3] > bounds[0][2] > 0
+            self.search_first_bead(sys_, monkeypatch)
+
     def test_nascent_partners(self, monkeypatch):
         # No placed bead bonds; z bonds only with p, the bead being placed.
         path = [(0, 0), (-1, 1), (-1, 2), (-2, 3), (-3, 3), (-3, 2)]
@@ -822,6 +891,19 @@ class TestLookaheadBounds:
             sys_ = OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript)
             (outcome,) = fold_all(sys_, "first")
             assert outcome.completed
+
+    @pytest.mark.parametrize("mirrored, needed", [(False, 1150), (True, 1182)])
+    def test_delay_six_glider_budget_is_exact(self, monkeypatch, mirrored, needed):
+        # The costliest step spends exactly ``needed`` of the budget, each
+        # choice scored in place counted as a push.
+        glider = glider_system(periods=2, mirrored=mirrored)
+        sys_ = OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript)
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed - 1)
+        with pytest.raises(LookaheadBudgetExceeded, match=f"pushes more than {needed - 1} nascent"):
+            fold_all(sys_, "first")
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed)
+        (outcome,) = fold_all(sys_, "first")
+        assert outcome.completed
 
     def test_late_partners_match_brute_force(self):
         rng = random.Random(4711)
