@@ -33,11 +33,10 @@ def render_svg(c: Conformation) -> str:
     width = (max(xs) - min(xs) + 2 * pad) * s
     height = (max(ys) - min(ys) + 2 * pad) * s
 
-    def sx(x: float) -> str:
-        return f"{(x - minx) * s:.2f}"
-
-    def sy(y: float) -> str:
-        return f"{(maxy - y) * s:.2f}"  # SVG y grows downward
+    # Each point's coordinates and each bead type's colour, formatted once;
+    # SVG y grows downward.
+    xy = [(f"{(x - minx) * s:.2f}", f"{(maxy - y) * s:.2f}") for x, y in pts]
+    colors = {bead: _bead_color(bead) for bead in set(c.beads)}
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -45,25 +44,25 @@ def render_svg(c: Conformation) -> str:
         f'width="{width:.2f}" height="{height:.2f}">',
     ]
     if len(pts) > 1:
-        poly = " ".join(f"{sx(x)},{sy(y)}" for x, y in pts)
+        poly = " ".join(f"{x},{y}" for x, y in xy)
         lines.append(
             f'  <polyline points="{poly}" fill="none" stroke="#444444" stroke-width="{0.08 * s:.2f}"/>'
         )
     for i, j in sorted(c.bonds):
-        (x1, y1), (x2, y2) = pts[i], pts[j]
+        (x1, y1), (x2, y2) = xy[i], xy[j]
         lines.append(
-            f'  <line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}" '
+            f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="#cc3333" stroke-width="{0.06 * s:.2f}" '
             f'stroke-dasharray="{0.15 * s:.2f},{0.1 * s:.2f}"/>'
         )
-    for (x, y), bead in zip(pts, c.beads):
+    for (x, y), bead in zip(xy, c.beads):
         lines.append(
-            f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="{0.3 * s:.2f}" '
-            f'fill="{_bead_color(bead)}" stroke="#222222" stroke-width="{0.03 * s:.2f}"/>'
+            f'  <circle cx="{x}" cy="{y}" r="{0.3 * s:.2f}" '
+            f'fill="{colors[bead]}" stroke="#222222" stroke-width="{0.03 * s:.2f}"/>'
         )
-    for (x, y), bead in zip(pts, c.beads):
+    for (x, y), bead in zip(xy, c.beads):
         lines.append(
-            f'  <text x="{sx(x)}" y="{sy(y)}" font-size="{0.25 * s:.2f}" '
+            f'  <text x="{x}" y="{y}" font-size="{0.25 * s:.2f}" '
             f'text-anchor="middle" dominant-baseline="central">{bead}</text>'
         )
     lines.append("</svg>")
