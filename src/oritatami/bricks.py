@@ -453,11 +453,6 @@ def _format_period(trace: PeriodTrace) -> str:
     )
 
 
-def format_verdict(code: Encoding, word: Sequence[str], result: RunResult) -> str:
-    """The run's one-line verdict: the last line of ``format_report``."""
-    return _verdict_line(code, len(word), result.accepted, result.branch_count)
-
-
 def _verdict_line(code: Encoding, word_len: int, accepted: bool, branch_count: int) -> str:
     verdict = "ACCEPT" if accepted else "REJECT (all branches halted)"
     return f"{verdict} branches={branch_count} steps={step_count(code, word_len)}"

@@ -12,7 +12,7 @@ import itertools
 import random
 from collections import Counter
 
-from oritatami.bricks import format_row, format_verdict
+from oritatami.bricks import format_row, step_count
 from oritatami.folding import Conformation, OritatamiSystem, RuleSet
 from oritatami.nfa import Nfa
 
@@ -192,6 +192,12 @@ def random_nfa(rng: random.Random) -> Nfa:
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from (list(w) for w in itertools.product(alphabet, repeat=length))
+
+
+def format_verdict(code, word, result) -> str:
+    """The run's one-line verdict: the last line of the report."""
+    verdict = "ACCEPT" if result.accepted else "REJECT (all branches halted)"
+    return f"{verdict} branches={result.branch_count} steps={step_count(code, len(word))}"
 
 
 def reference_report(nfa, code, word, result) -> str:
