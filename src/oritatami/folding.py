@@ -401,14 +401,14 @@ class _Lookahead:
     sizes are tried largest first, so are the smaller subsets of that
     placement. Ties therefore stay exact. A child whose later beads can add
     no bonds scores exactly its bonds and is not pushed. So the last bead
-    that can add bonds is never pushed, and unless it follows the bead being
-    placed, neither is the bead before it: for each choice of that bead, its
-    partners take one more bond while the free points around its point are
-    scanned (``_Fold.most_bonds``), and are then given back. The scan counts
-    eligible partners per free point, builds no lists and stops at the
-    bead's reach gain, which bounds it. One search
-    pushes at most ``LOOKAHEAD_BUDGET`` beads, each in-place score counted
-    as a push, else it raises LookaheadBudgetExceeded; so does a search
+    that can add bonds is never pushed, and neither is the bead before it,
+    unless that is the bead being placed: each choice of that bead is scored
+    in place. Its partners' bond counts go up by one while
+    ``_Fold.most_bonds`` scans the free points around its point, then go
+    back down. The scan counts eligible partners per free point, builds no
+    lists and stops at the bead's reach gain, which bounds it. One search
+    pushes at most ``LOOKAHEAD_BUDGET`` beads, an in-place score counting
+    as one push, else it raises LookaheadBudgetExceeded; so does a search
     nested deeper than the interpreter's stack allows.
 
     ``count`` counts the terminals below a search whose window reaches the
