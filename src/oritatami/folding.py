@@ -31,7 +31,6 @@ from .grid import (
     Point,
     Symmetry,
     are_adjacent,
-    compose,
     path_is_valid,
     transform,
 )
@@ -148,22 +147,15 @@ def validate_conformation(
             raise ValueError(f"bond ({i + 1}, {j + 1}) joins non-adjacent points")
         if rules is not None and not rules.allows(c.beads[i], c.beads[j]):
             raise ValueError(f"bond ({i + 1}, {j + 1}) pairs {c.beads[i]}/{c.beads[j]} outside the rule set")
-    if max_arity is not None and arity_of(c) > max_arity:
-        raise ValueError(f"conformation arity {arity_of(c)} exceeds cap {max_arity}")
+    if max_arity is not None:
+        arity = max(Counter(chain.from_iterable(c.bonds)).values(), default=0)
+        if arity > max_arity:
+            raise ValueError(f"conformation arity {arity} exceeds cap {max_arity}")
 
 
 def energy(c: Conformation) -> int:
     """Minus the number of bonds."""
     return -len(c.bonds)
-
-
-def arity_of(c: Conformation) -> int:
-    """Largest per-bead bond count; 0 for a bond-free conformation."""
-    counts: dict[int, int] = {}
-    for i, j in c.bonds:
-        counts[i] = counts.get(i, 0) + 1
-        counts[j] = counts.get(j, 0) + 1
-    return max(counts.values(), default=0)
 
 
 class StabilizationChoice(NamedTuple):
@@ -351,7 +343,6 @@ def elongations(
 # A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
 _MAX_NEW_BONDS = 5
 _DIRECTION_RANK = {d: k for k, d in enumerate(_NEIGHBOURS)}
-_POINT_RANK = {d: k for k, d in enumerate(DIRECTIONS)}
 
 
 def _hex_rings(radius: int) -> tuple[tuple[int, ...], ...]:
@@ -769,12 +760,9 @@ def fold_all(
     all terminal conformations (transcript completed, or stuck at a dead
     end), in depth-first order. They are distinct: two branches first differ
     at some bead in its point or its bonds to earlier beads. Raises
-    BranchBudgetExceeded past ``branch_budget`` terminals. From a seed that
-    grid symmetries fix, such as a single bead or a straight row, a subtree
-    that is the mirror image of an earlier sibling's is not searched: its
-    argmin sets are that sibling's, moved (see ``_walk``). The outcomes and
-    their order are those of a search at every step. ``fold_summary``
-    counts these outcomes without building them.
+    BranchBudgetExceeded past ``branch_budget`` terminals. Every node is
+    searched, so this is the reference that ``fold_summary``, which counts
+    these outcomes without building them, is checked against.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
@@ -794,14 +782,13 @@ def fold_summary(
     walks and searches as ``fold_all`` does down to the first node of each
     branch whose window reaches the transcript end, then counts the
     terminals below each of that node's argmin choices in one pass, with no
-    search or outcome built below (see ``_Lookahead.count``). A mirror-image
-    subtree takes the count of its source. The results equal ``fold_all``'s,
-    and so does BranchBudgetExceeded, raised as soon as the count passes
-    ``branch_budget``. A dead end below such a node is counted as a terminal
-    as before; a LookaheadBudgetExceeded that only a skipped search would
-    have raised does not happen. The count's pushes count against the
-    budget of that node's search, so past ``LOOKAHEAD_BUDGET`` of them it
-    raises LookaheadBudgetExceeded for that node.
+    search or outcome built below (see ``_Lookahead.count``); a mirror-image
+    subtree takes the count of its source (see ``_walk``). The results
+    equal ``fold_all``'s, and so does BranchBudgetExceeded, raised as soon
+    as the count passes ``branch_budget``. A dead end below such a node is
+    counted as a terminal; a LookaheadBudgetExceeded that only a skipped
+    search would have raised does not happen. The count's pushes spend the
+    budget of that node's search.
     """
     every = mode == "enumerate"
     walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every)
@@ -856,26 +843,20 @@ def _walk(
     retains from each step's argmin set, in order, as (1, 1 if completed
     else 0, the outcome). A branch ends where the transcript does, at a dead
     end, or where ``keep`` retains nothing. Past ``budget`` terminals it
-    raises BranchBudgetExceeded.
-
-    While a branch's points are all fixed by some grid symmetries about the
-    seed's first point (a single-bead or straight seed and the beads placed
-    on its axes), a symmetry ``g`` of that group maps the whole subtree below
-    a kept choice ``c`` onto the subtree below ``g(c)``. So a kept choice
-    that is ``g(c)`` for an earlier kept sibling ``c`` is an image: no node
-    below it is searched. Each of its nodes takes the argmin set of the
-    matching node below ``c``, moved by ``g`` and put back in canonical
-    order; the terminals and their order are those of a search at every
-    node. Images need ``keep`` to retain all of a step's choices whenever it
-    retains two or more, as every mode does.
+    raises BranchBudgetExceeded. Without ``count`` every node is searched.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
     given), the subtree below each choice of the first node of a branch
     whose window reaches the transcript end is counted, not walked, from
-    that node's best score and bound (``_Lookahead.count``). An image is
-    not walked either: its terminals are counted as its source's. Each count
+    that node's best score and bound (``_Lookahead.count``). Each count
     yields (terminals, completed ones, the first of them if it is the
-    walk's first terminal, else None).
+    walk's first terminal, else None). The grid's symmetries then cut the
+    walk too: while a branch's points are all fixed by some symmetries about
+    the seed's first point (a single-bead or straight seed and the beads
+    placed on its axes), a symmetry ``g`` of that group maps the subtree
+    below a kept choice ``c`` onto the subtree below ``g(c)``. So a kept
+    choice that is ``g(c)`` for an earlier kept sibling ``c`` is an image:
+    a leaf that yields the terminals and completed ones of ``c``'s subtree.
     """
     search = _Lookahead(system)
     fold = _Fold(system.rules, system.arity, system.seed)
@@ -895,50 +876,35 @@ def _walk(
         )
 
     # Choices still to try, as (bead index i, choice, node); taking one first
-    # rewinds the fold to its first i stabilized beads. A node is either
-    # (memo, None, group) for a node to search, where group holds the
-    # symmetries other than the identity that fix every point of it, or
-    # (memo, g, None) for the image under g of the searched node whose memo
-    # that is. A memo maps each kept choice of its node, in order, to its
-    # child's (memo, g or None); a searched node fills one only if an image
-    # will read it. With count, only a node with images has a memo, and it
-    # holds (terminals, completed) of the node's subtree under None.
+    # rewinds the fold to its first i stabilized beads. A node is (cell,
+    # group) for a node to search, where group holds the symmetries other
+    # than the identity that fix every point of it, or (cell, None) for an
+    # image. A child of a node that symmetries fix has a cell (any other node
+    # has None); it receives (terminals, completed) of the child's subtree
+    # once the walk leaves it, and the child's images share it.
     stack: list[tuple[int, StabilizationChoice, tuple]] = []
-    group = tuple(g for g in SYMMETRIES[1:] if all(transform(g, p, origin) == p for p in points))
-    memo, g, i = None, None, 0
+    group = (
+        tuple(g for g in SYMMETRIES[1:] if all(transform(g, p, origin) == p for p in points))
+        if count else ()
+    )
+    cell, i = None, 0
     total = completed = 0
-    # With count: each node with images whose subtree is being walked, as
-    # (i, memo, total, completed) at its entry.
-    sources: list[tuple[int, dict, int, int]] = []
+    # Each node with a cell whose subtree is being walked, as (i, cell,
+    # total, completed) at its entry.
+    sources: list[tuple[int, list, int, int]] = []
     while True:
-        found = None
-        if count and g is not None:
-            kept, found = (), (*memo[None], None)
+        kept, found = (), None
+        if group is None:
+            found = (*cell[0], None)
         elif i > tail:
-            kept = ()
             found = search.count(fold, i, budget - total, None if total else snapshot)
-        elif g is None:
-            kept = ()
-            if i < len(transcript):
-                try:
-                    kept = keep(search.minimizers(fold, i))
-                except DeadEnd:
-                    pass
-            mapped = memo is not None and not count
-            children = _children(kept, group, mapped, origin)
-            if mapped:
-                memo.update((ch, child[:2]) for ch, child in zip(kept, children))
-        else:
-            ex, ey = points[-1]
-            moved = []
-            for ch, child in memo.items():
-                p = transform(g, ch.point, origin)
-                moved.append((_POINT_RANK[p[0] - ex, p[1] - ey], ch.bonds, p, child))
-            moved.sort()
-            kept = [StabilizationChoice(p, bonds) for _, bonds, p, _ in moved]
-            children = [(m, compose(g, h) if h else g, None) for _, _, _, (m, h) in moved]
+        elif i < len(transcript):
+            try:
+                kept = keep(search.minimizers(fold, i))
+            except DeadEnd:
+                pass
         if kept:
-            stack.extend(zip(repeat(i), reversed(kept), reversed(children)))
+            stack.extend(zip(repeat(i), reversed(kept), reversed(_children(kept, group, origin))))
         else:
             if found is None:
                 done = i == len(transcript)
@@ -950,12 +916,12 @@ def _walk(
             yield found
         if not stack:
             return
-        i, ch, (memo, g, group) = stack.pop()
+        i, ch, (cell, group) = stack.pop()
         while sources and sources[-1][0] >= i:
-            _, cell, total0, completed0 = sources.pop()
-            cell[None] = (total - total0, completed - completed0)
-        if count and g is None and memo is not None:
-            sources.append((i, memo, total, completed))
+            _, left, total0, completed0 = sources.pop()
+            left.append((total - total0, completed - completed0))
+        if cell is not None and group is not None:
+            sources.append((i, cell, total, completed))
         while len(fold.path) > base + i:
             fold.pop()
         del points[base + i :]
@@ -964,40 +930,33 @@ def _walk(
         i += 1
 
 
-# The node of a choice to search that no memo records and no symmetry fixes.
-_PLAIN = (None, None, ())
+# The node of a choice to search that no symmetry fixes.
+_PLAIN = (None, ())
 
 
 def _children(
-    kept: Sequence[StabilizationChoice], group: tuple[Symmetry, ...], in_memo: bool, origin: Point
+    kept: Sequence[StabilizationChoice], group: tuple[Symmetry, ...], origin: Point
 ) -> list[tuple]:
     """The ``_walk`` node of each kept choice of a searched node whose points
     ``group`` fixes. A choice that an element of ``group`` makes out of an
-    earlier kept choice is an image of it. Memos go to the other choices
-    that have an image, or to all of them if the parent has a memo
-    (``in_memo``)."""
+    earlier kept choice is an image of it, and shares its cell."""
     if not group:
-        return [({}, None, ()) for _ in kept] if in_memo else [_PLAIN] * len(kept)
-    # Each choice a symmetry makes out of a kept choice that is not an
-    # image: (that choice's position, the symmetry).
-    images: dict[StabilizationChoice, tuple[int, Symmetry]] = {}
+        return [_PLAIN] * len(kept)
+    # The cell of each choice that a symmetry makes out of a kept choice
+    # that is not an image.
+    images: dict[StabilizationChoice, list] = {}
     nodes: list[tuple] = []
     for ch in kept:
         if ch in images:
-            nodes.append((*images[ch], None))
+            nodes.append((images[ch], None))
             continue
+        cell: list = []
         fixing = []
         for g in group:
             image = StabilizationChoice(transform(g, ch.point, origin), ch.bonds)
             if image == ch:
                 fixing.append(g)
             else:
-                images.setdefault(image, (len(nodes), g))
-        nodes.append((None, None, tuple(fixing)))
-    mirrored = {k for k, g, _ in nodes if g is not None}
-    for k, (source, g, fixing) in enumerate(nodes):
-        if g is None:
-            nodes[k] = ({} if in_memo or k in mirrored else None, None, fixing)
-        else:
-            nodes[k] = (nodes[source][0], g, None)
+                images.setdefault(image, cell)
+        nodes.append((cell, tuple(fixing)))
     return nodes

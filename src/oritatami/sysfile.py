@@ -117,7 +117,10 @@ class Directives:
             count, *beads = check_args(self.error, lineno, key, args, "COUNT BEAD ...", ints=1)
             if count < 0:
                 raise self.error(f"line {lineno}: 'repeat' COUNT must be >= 0, got {count}")
-            self.transcript.extend(beads * count)
+            try:
+                self.transcript.extend(beads * count)
+            except (MemoryError, OverflowError):
+                raise self.error(f"line {lineno}: 'repeat' COUNT {count} is too large") from None
         else:  # "transcript" or "fragment"
             self.transcript.extend(args)
         return True

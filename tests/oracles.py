@@ -40,6 +40,11 @@ def _bond_counts(path, bonds):
     return counts
 
 
+def arity_of(conf: Conformation) -> int:
+    """Largest per-bead bond count; 0 for a bond-free conformation."""
+    return max(_bond_counts(conf.path, conf.bonds).values(), default=0)
+
+
 def brute_elongations(state, bead, rule_pairs, arity):
     """Every one-bead elongation, enumerated naively."""
     path, beads, bonds = state

@@ -485,9 +485,11 @@ MALFORMED = [
     ("defs", "delay", None),
     ("defs", "repeat", None),
     ("defs", "repeat -1 579", None),
+    ("defs", "repeat 10000000000000000000 579", None),
     ("defs", "deterministic", 2),
     ("defs", "deterministic yess", 2),
     ("sys", "repeat", None),
+    ("sys", "repeat 4611686018427387904 579", None),
     ("sys", "seed 0 0", 3),
     ("cat", "entry T B", 2),
     ("cat", "seed 0 0", None),

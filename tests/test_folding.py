@@ -19,7 +19,6 @@ from oritatami.folding import (
     OritatamiSystem,
     RuleSet,
     StabilizationChoice,
-    arity_of,
     elongations,
     energy,
     fold_all,
@@ -144,12 +143,12 @@ class TestConformationBasics:
     def test_arity(self):
         base = [(0, 0), (1, 0), (1, 1), (0, 2), (-1, 2)]
         c = Conformation.build(base, list("abcde"))
-        assert arity_of(c) == 0
+        assert oracles.arity_of(c) == 0
         c1 = Conformation.build(base, list("abcde"), [(0, 2)])
-        assert arity_of(c1) == 1
+        assert oracles.arity_of(c1) == 1
         # bead 0 and bead 3 both carry two bonds
         c2 = Conformation.build(base, list("abcde"), [(0, 2), (0, 3), (1, 3)])
-        assert arity_of(c2) == 2
+        assert oracles.arity_of(c2) == 2
 
     def test_validation_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -471,8 +470,8 @@ def reseeded(system, seed):
 
 class TestSymmetricSeeds:
     """Enumerate from seeds that grid symmetries fix. ``fold_all`` searches
-    one child per symmetry orbit and maps the argmin sets of the others;
-    ``replay`` searches every node."""
+    every node, as ``replay`` does; ``fold_summary`` counts the image of a
+    mirrored subtree as its source."""
 
     @staticmethod
     def agrees_with_replay(sys_):
@@ -482,6 +481,7 @@ class TestSymmetricSeeds:
         except BranchBudgetExceeded:
             return False
         assert list(outcomes) == list(replay(sys_, "enumerate"))
+        assert fold_summary(sys_, branch_budget=300) == summary_of(sys_)
         return True
 
     def test_single_bead_seeds(self):
@@ -517,26 +517,28 @@ class TestSymmetricSeeds:
         assert compared >= 60
         assert symmetric >= 15
 
-    def test_mirror_images_are_not_searched(self, monkeypatch):
+    def test_fold_all_searches_every_node(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fold_all moved a point by a grid symmetry")
+
+        monkeypatch.setattr(folding, "transform", refuse)
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
             _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
         )
-        # The horizontal mirror fixes this seed. Searching every node takes
-        # 77 searches; the image of each mirrored subtree takes none.
+        # The horizontal mirror fixes this seed, and all 12 symmetries fix a
+        # single bead; fold_all moves no point and searches below every
+        # mirror image, as replay does.
         rules = RuleSet([("a", "b"), ("a", "c")])
-        seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
-        assert len(fold_all(OritatamiSystem(rules, 2, 3, seed, tuple("cbcab")), "enumerate")) == 102
-        assert len(calls) == 39
-        # All 12 symmetries fix a single bead, and the mirror through each
-        # bead on an axis still fixes the branch: 103 searches fall to 10.
-        calls.clear()
-        seed = Conformation.build([(0, 0)], ["a"])
-        assert len(fold_all(OritatamiSystem(rules, 2, 3, seed, tuple("cbcab")), "enumerate")) == 108
-        assert len(calls) == 10
-        # No symmetry fixes the glider's hexagonal seed: it searches as
-        # often as before, plain and mirrored.
+        for path, terminals, searched in (([(0, 0), (1, 0), (2, 0)], 102, 77), ([(0, 0)], 108, 103)):
+            seed = Conformation.build(path, ["a", "a", "b"][: len(path)])
+            sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
+            calls.clear()
+            outcomes = fold_all(sys_, "enumerate")
+            assert (len(outcomes), len(calls)) == (terminals, searched)
+            assert outcomes == replay(sys_, "enumerate")
+        # No symmetry fixes the glider's hexagonal seed, plain or mirrored.
         for mirrored in (False, True):
             calls.clear()
             fold_all(glider_system(periods=3, mirrored=mirrored), "enumerate")
@@ -655,8 +657,8 @@ class TestFoldSummary:
         monkeypatch.setattr(
             _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
         )
-        # test_mirror_images_are_not_searched's systems: fold_all searches
-        # 39 and 10 nodes. Counting searches down to bead 3, the first whose
+        # test_fold_all_searches_every_node's systems: fold_all searches
+        # 77 and 103 nodes. Counting searches down to bead 3, the first whose
         # window reaches the transcript end, one node per mirror orbit, and
         # nothing below it.
         rules = RuleSet([("a", "b"), ("a", "c")])
