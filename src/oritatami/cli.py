@@ -82,15 +82,16 @@ def _split_chunk(chunk: str, alphabet: tuple[str, ...]) -> list[str]:
 def _cmd_fold(args) -> int:
     system = parse_system_file(args.system)
     terminals, completed, first = fold_summary(system, args.mode, rng=args.rng_seed)
-    print(f"terminal conformations: {terminals}")
-    print(f"completed: {completed}")
-    print(f"energy of first terminal: {-len(first.conformation.bonds)}")
+    # The files come first, so a failed write leaves stdout empty.
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(sysfile.format_trace(first.conformation, len(system.seed)))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(first.conformation))
+    print(f"terminal conformations: {terminals}")
+    print(f"completed: {completed}")
+    print(f"energy of first terminal: {-len(first.conformation.bonds)}")
     return 0 if completed else 1
 
 

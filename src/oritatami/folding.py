@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -470,9 +470,10 @@ class _Lookahead:
         # Written by each search over its own window (see _reach_gains).
         self.bound = [0] * (len(t) + 1)
 
-    def minimizers(self, fold: _Fold, i: int) -> list[StabilizationChoice]:
+    def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
+        """``_search``'s argmin set for bead ``i``, from the table if it can."""
         if not self.shared[i]:
-            return [StabilizationChoice(fold.point(k), s) for k, s in self._search(fold, i)]
+            return self._search(fold, i)
         end = fold.path[-1]
         occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
         hood = []
@@ -492,7 +493,7 @@ class _Lookahead:
                     self.bound[i + 1 : stop + 1],
                     tuple((k - end, tuple(path[q] - end for q in bonds)) for k, bonds in found),
                 )
-            return [StabilizationChoice(fold.point(k), s) for k, s in found]
+            return found
         # The situation fixes the best score above the bonds so far and the
         # bound, which ``count`` reads as a search leaves them.
         gain, self.bound[i + 1 : stop + 1], entry = entry
@@ -503,7 +504,7 @@ class _Lookahead:
             (_DIRECTION_RANK[d], tuple(sorted(occupied[end + m] for m in mates)), end + d)
             for d, mates in entry
         )
-        return [StabilizationChoice(fold.point(k), bonds) for _, bonds, k in restored]
+        return [(k, bonds) for _, bonds, k in restored]
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical order."""
@@ -744,8 +745,9 @@ def stabilize_next(
     # A fresh search over beads i .. i + delay - 1 serves this one step. Its
     # headroom counts the bead types placed before bead i, so it reads them
     # from c_i. No window recurs within its own length, so it keeps no table.
-    search = _Lookahead(system, i, c_i.beads)
-    return search.minimizers(_Fold(system.rules, system.arity, c_i), 0)
+    fold = _Fold(system.rules, system.arity, c_i)
+    found = _Lookahead(system, i, c_i.beads).minimizers(fold, 0)
+    return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
 
 
 def fold_all(
@@ -783,9 +785,11 @@ def fold_summary(
     branch whose window reaches the transcript end, then counts the
     terminals below each of that node's argmin choices in one pass, with no
     search or outcome built below (see ``_Lookahead.count``); a mirror-image
-    subtree takes the count of its source (see ``_walk``). The results
-    equal ``fold_all``'s, and so does BranchBudgetExceeded, raised as soon
-    as the count passes ``branch_budget``. A dead end below such a node is
+    subtree is not walked, but weighs on its source's count (see
+    ``_walk``). The results equal ``fold_all``'s, and so does
+    BranchBudgetExceeded's message, raised as soon as the weighted count
+    passes ``branch_budget``: on a symmetric seed, that may be after fewer
+    searches than ``fold_all`` makes. A dead end below such a node is
     counted as a terminal; a LookaheadBudgetExceeded that only a skipped
     search would have raised does not happen. The count's pushes spend the
     budget of that node's search.
@@ -804,8 +808,9 @@ def fold_summary(
 
 def _keeper(
     mode: str, rng: random.Random | int | None
-) -> Callable[[list[StabilizationChoice]], Sequence[StabilizationChoice]]:
-    """What a fold in ``mode`` keeps of each step's argmin set."""
+) -> Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]]:
+    """What a fold in ``mode`` keeps of each step's argmin set, given as
+    (point key, bonds) pairs."""
     if mode == "enumerate":
         return lambda options: options
     if mode == "first":
@@ -835,15 +840,16 @@ def is_deterministic_run(system: OritatamiSystem) -> bool:
 
 def _walk(
     system: OritatamiSystem,
-    keep: Callable[[list[StabilizationChoice]], Sequence[StabilizationChoice]],
+    keep: Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]],
     budget: int | None = None,
     count: bool = False,
 ) -> Iterator[tuple[int, int, FoldOutcome | None]]:
-    """Every terminal of the depth-first walk over the choices that ``keep``
-    retains from each step's argmin set, in order, as (1, 1 if completed
-    else 0, the outcome). A branch ends where the transcript does, at a dead
-    end, or where ``keep`` retains nothing. Past ``budget`` terminals it
-    raises BranchBudgetExceeded. Without ``count`` every node is searched.
+    """Every terminal of the depth-first walk over the (point key, bonds)
+    choices that ``keep`` retains from each step's argmin set, in order, as
+    (1, 1 if completed else 0, the outcome). A branch ends where the
+    transcript does, at a dead end, or where ``keep`` retains nothing. Past
+    ``budget`` terminals it raises BranchBudgetExceeded. Without ``count``
+    every node is searched.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
     given), the subtree below each choice of the first node of a branch
@@ -855,108 +861,90 @@ def _walk(
     the seed's first point (a single-bead or straight seed and the beads
     placed on its axes), a symmetry ``g`` of that group maps the subtree
     below a kept choice ``c`` onto the subtree below ``g(c)``. So a kept
-    choice that is ``g(c)`` for an earlier kept sibling ``c`` is an image:
-    a leaf that yields the terminals and completed ones of ``c``'s subtree.
+    choice that is ``g(c)`` for an earlier kept sibling ``c`` is not
+    walked; it adds one to the weight of ``c`` (see ``_children``). A choice
+    stands for as many subtrees as the product of the weights on its way
+    from the root, and each terminal or count below it is yielded, and
+    spent from the budget, multiplied by that product. So the totals equal
+    ``fold_all``'s, but the budget may run out after fewer searches.
     """
     search = _Lookahead(system)
     fold = _Fold(system.rules, system.arity, system.seed)
-    transcript, base = system.transcript, len(system.seed)
+    transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
     # The bead of the first node whose window reaches the transcript end;
     # without count no node is past it.
     tail = max(len(transcript) - system.delay, 0) if count else len(transcript)
-    # The branch's points, kept beside the fold's keys for its snapshots.
-    points = list(system.seed.path)
-    origin = points[0]
 
     def snapshot(completed: bool) -> FoldOutcome:
-        # The branch's points, then those of beads the fold holds past them.
-        rest = map(fold.point, fold.path[len(points) :])
-        return FoldOutcome(
-            Conformation((*points, *rest), tuple(fold.beads), frozenset(fold.bond_log)), completed
-        )
+        # The seed's points, then those of the beads placed since.
+        path =(*seed, *map(fold.point, fold.path[base:]))
+        return FoldOutcome(Conformation(path, tuple(fold.beads), frozenset(fold.bond_log)), completed)
 
-    # Choices still to try, as (bead index i, choice, node); taking one first
-    # rewinds the fold to its first i stabilized beads. A node is (cell,
-    # group) for a node to search, where group holds the symmetries other
-    # than the identity that fix every point of it, or (cell, None) for an
-    # image. A child of a node that symmetries fix has a cell (any other node
-    # has None); it receives (terminals, completed) of the child's subtree
-    # once the walk leaves it, and the child's images share it.
-    stack: list[tuple[int, StabilizationChoice, tuple]] = []
-    group = (
-        tuple(g for g in SYMMETRIES[1:] if all(transform(g, p, origin) == p for p in points))
-        if count else ()
-    )
-    cell, i = None, 0
+    # Choices still to try, as (bead index i, point key, bonds, group,
+    # weight) (see _children); taking one first rewinds the fold to its
+    # first i stabilized beads.
+    stack: list[Sequence] = []
+    fixed = (g for g in SYMMETRIES[1:] if all(transform(g, p, seed[0]) == p for p in seed))
+    group = tuple(fixed) if count else ()
+    i, weight = 0, 1
     total = completed = 0
-    # Each node with a cell whose subtree is being walked, as (i, cell,
-    # total, completed) at its entry.
-    sources: list[tuple[int, list, int, int]] = []
     while True:
         kept, found = (), None
-        if group is None:
-            found = (*cell[0], None)
-        elif i > tail:
-            found = search.count(fold, i, budget - total, None if total else snapshot)
+        if i > tail:
+            found = search.count(fold, i, (budget - total) // weight, None if total else snapshot)
         elif i < len(transcript):
             try:
                 kept = keep(search.minimizers(fold, i))
             except DeadEnd:
                 pass
         if kept:
-            stack.extend(zip(repeat(i), reversed(kept), reversed(_children(kept, group, origin))))
+            stack.extend(reversed(_children(kept, group, fold, i, weight)))
         else:
             if found is None:
                 done = i == len(transcript)
                 found = (1, int(done), snapshot(done))
-            total += found[0]
-            completed += found[1]
+            n, done, outcome = found
+            total += n * weight
+            completed += done * weight
             if budget is not None and total > budget:
                 raise BranchBudgetExceeded(f"more than {budget} terminal branches")
-            yield found
+            yield n * weight, done * weight, outcome
         if not stack:
             return
-        i, ch, (cell, group) = stack.pop()
-        while sources and sources[-1][0] >= i:
-            _, left, total0, completed0 = sources.pop()
-            left.append((total - total0, completed - completed0))
-        if cell is not None and group is not None:
-            sources.append((i, cell, total, completed))
+        i, key, bonds, group, weight = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
-        del points[base + i :]
-        points.append(ch.point)
-        fold.push(fold.key(ch.point), ch.bonds, transcript[i])
+        fold.push(key, bonds, transcript[i])
         i += 1
 
 
-# The node of a choice to search that no symmetry fixes.
-_PLAIN = (None, ())
-
-
 def _children(
-    kept: Sequence[StabilizationChoice], group: tuple[Symmetry, ...], origin: Point
-) -> list[tuple]:
-    """The ``_walk`` node of each kept choice of a searched node whose points
-    ``group`` fixes. A choice that an element of ``group`` makes out of an
-    earlier kept choice is an image of it, and shares its cell."""
+    kept: Sequence[tuple[int, tuple[int, ...]]], group: Sequence[Symmetry], fold: _Fold, i: int, weight: int
+) -> list[Sequence]:
+    """The ``_walk`` stack entries (i, point key, bonds, group, weight) of
+    the choices ``kept`` for bead ``i`` at a node whose points ``group``
+    fixes, below a choice of weight ``weight``. Each entry's group holds the
+    symmetries of ``group`` that fix its choice. A choice that an element of
+    ``group`` makes out of an earlier kept choice has no entry: it adds
+    ``weight`` to that choice's."""
     if not group:
-        return [_PLAIN] * len(kept)
-    # The cell of each choice that a symmetry makes out of a kept choice
-    # that is not an image.
-    images: dict[StabilizationChoice, list] = {}
-    nodes: list[tuple] = []
-    for ch in kept:
-        if ch in images:
-            nodes.append((images[ch], None))
+        return [(i, key, bonds, (), weight) for key, bonds in kept]
+    # The entry of the choice each symmetry makes a kept choice from.
+    images: dict[tuple[int, tuple[int, ...]], list] = {}
+    entries = []
+    for choice in kept:
+        entry = images.get(choice)
+        if entry is not None:
+            entry[-1] += weight
             continue
-        cell: list = []
-        fixing = []
+        point = fold.point(choice[0])
+        fixing: list[Symmetry] = []
+        entry = [i, *choice, fixing, weight]
         for g in group:
-            image = StabilizationChoice(transform(g, ch.point, origin), ch.bonds)
-            if image == ch:
+            image = (fold.key(transform(g, point, fold.origin)), choice[1])
+            if image == choice:
                 fixing.append(g)
             else:
-                images.setdefault(image, cell)
-        nodes.append((cell, tuple(fixing)))
-    return nodes
+                images.setdefault(image, entry)
+        entries.append(entry)
+    return entries

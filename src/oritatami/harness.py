@@ -280,13 +280,15 @@ def _one_of(lineno: int, what: str, value: str, allowed: tuple[str, ...]) -> str
 def parse_environments(text: str) -> list[Environment]:
     """Parse an environment catalog: ``env <name>`` stanzas holding seed lines
     (system-file syntax), ``entry T|B``, ``input 0|1|N|Y``, and an optional
-    ``submodule <name>``."""
+    ``submodule <name>``, each of these three at most once per stanza."""
     envs: list[Environment] = []
     for name, directives in split_stanzas(text, "env", CatalogError):
         found = Directives(CatalogError, SEED_KEYS)
         fields: dict[str, str] = {}
         for lineno, key, args in directives:
             if key in _ENV_FIELDS:
+                if key in fields:
+                    raise CatalogError(f"line {lineno}: a second '{key}' line")
                 allowed = _ENV_FIELDS[key]
                 (value,) = check_args(CatalogError, lineno, key, args, "|".join(allowed) or "NAME")
                 fields[key] = _one_of(lineno, repr(key), value, allowed)
@@ -309,17 +311,20 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
     """Parse submodule definitions: ``submodule <name>`` stanzas with ``delay``,
     ``arity``, ``rule`` lines, a ``fragment`` (or ``repeat``) transcript, an
     optional ``deterministic yes|no``, and optional declared bricks as
-    ``expect <entry> <input> <exit> <bead> <bead> ...``. A repeated name is
-    a CatalogError."""
+    ``expect <entry> <input> <exit> <bead> <bead> ...``. A repeated name,
+    or a second ``delay``, ``arity`` or ``deterministic`` line in a stanza,
+    is a CatalogError."""
     defs: dict[str, SubmoduleDef] = {}
     for name, directives in split_stanzas(text, "submodule", CatalogError):
         if name in defs:
             raise CatalogError(f"duplicate submodule names: {name}")
         found = Directives(CatalogError, ("delay", "arity", "rule", "fragment", "repeat"))
-        deterministic = True
+        deterministic: bool | None = None
         expected: list[ExpectedBrick] = []
         for lineno, key, args in directives:
             if key == "deterministic":
+                if deterministic is not None:
+                    raise CatalogError(f"line {lineno}: a second 'deterministic' line")
                 (flag,) = check_args(CatalogError, lineno, key, args, "yes|no")
                 if flag.lower() not in _FLAGS:
                     raise CatalogError(f"line {lineno}: expected 'deterministic yes|no'")
@@ -338,6 +343,6 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
             raise CatalogError(f"submodule {name}: needs delay, arity and a fragment")
         defs[name] = SubmoduleDef(
             name, tuple(found.transcript), RuleSet(found.rules), found.delay, found.arity,
-            deterministic, tuple(expected),
+            deterministic is not False, tuple(expected),
         )
     return defs

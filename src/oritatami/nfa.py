@@ -241,7 +241,8 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     Directives: ``states:``, ``alphabet:``, ``initial:``, ``accept:``,
     ``trans: <origin> <letter> <target>`` (order = transition index order),
     ``statecode: <state> <bits>``, ``lettercode: <letter> <bits>``.
-    Code lines may name the future sink ``qAcc`` and the letter ``$``.
+    Code lines may name the future sink ``qAcc`` and the letter ``$``. A
+    second ``initial:``, or a second code line for one name, is an error.
     """
     lists: dict[str, list[str]] = {"states:": [], "alphabet:": [], "accept:": []}
     codes: dict[str, dict[str, str]] = {"statecode:": {}, "lettercode:": {}}
@@ -251,6 +252,8 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
         if key in lists:
             lists[key].extend(args)
         elif key == "initial:":
+            if initial is not None:
+                raise NfaFileError(f"line {lineno}: a second 'initial:' line")
             (initial,) = check_args(NfaFileError, lineno, key, args, "STATE")
         elif key == "trans:":
             usage = "ORIGIN LETTER TARGET"
@@ -258,6 +261,8 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
             transitions.append((origin, letter, target))
         elif key in codes:
             name, bits = check_args(NfaFileError, lineno, key, args, "NAME BITS")
+            if name in codes[key]:
+                raise NfaFileError(f"line {lineno}: a second '{key}' line for {name}")
             codes[key][name] = bits
         else:
             raise NfaFileError(f"line {lineno}: unknown directive {key!r}")

@@ -82,7 +82,7 @@ class Directives:
     ``arity``, ``rule``, ``seed``, ``seedbond``, and the transcript from
     ``transcript`` (``fragment`` in submodule defs) and ``repeat`` lines.
     ``read`` takes only the ``keys`` a format accepts and raises ``error``
-    on a malformed line."""
+    on a malformed line, a second ``delay`` or ``arity`` line included."""
 
     def __init__(self, error: type[ValueError], keys: Iterable[str]):
         self.error, self.keys = error, frozenset(keys)
@@ -99,6 +99,8 @@ class Directives:
         if key not in self.keys:
             return False
         if key in ("delay", "arity"):
+            if getattr(self, key) is not None:
+                raise self.error(f"line {lineno}: a second '{key}' line")
             (value,) = check_args(self.error, lineno, key, args, "N", ints=1)
             if value < 1:
                 raise self.error(f"line {lineno}: '{key}' must be >= 1, got {value}")

@@ -61,6 +61,7 @@ DEFS = """\
 submodule gspacer
 delay 3
 arity 2
+deterministic yes
 rule 579 584
 rule 580 589
 rule 581 588
@@ -97,6 +98,7 @@ seedbond 1 6
 seedbond 2 6
 entry B
 input 1
+submodule gspacer
 """
 
 
@@ -194,6 +196,14 @@ class TestFoldCommand:
                          "--trace", str(trace), "--svg", str(svg)]) == 0
             outputs.append((trace.read_bytes(), svg.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("option", ["--trace", "--svg"])
+    def test_unwritable_output_prints_no_summary(self, glider_file, tmp_path, capsys, option):
+        target = tmp_path / "missing" / "out"
+        assert main(["fold", glider_file, option, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
 
     def test_fold_missing_file_is_input_error(self, capsys):
         assert main(["fold", "no_such_file.sys"]) == 2
@@ -503,6 +513,17 @@ MALFORMED = [
     ("defs", "expect T 1 Z 588", None),
     ("cat", "entry X", None),
     ("cat", "input 7", None),
+    # A second single-valued directive.
+    ("sys", "delay 1", None),
+    ("sys", "arity 1", None),
+    ("defs", "delay 3", None),
+    ("defs", "deterministic no", None),
+    ("nfa", "initial: 1000", None),
+    ("nfa", "statecode: 1000 1000", None),
+    ("nfa", "lettercode: $ 101", None),
+    ("cat", "entry B", None),
+    ("cat", "input 1", None),
+    ("cat", "submodule gspacer", None),
 ]
 
 

@@ -444,13 +444,18 @@ class TestTableFreeReplay:
         sys_ = OritatamiSystem(rules, 1, 2, first, ("b", "b", "b"))
         search = _Lookahead(sys_)
 
-        got_first = search.minimizers(_Fold(rules, 1, first), 0)
+        def minimizers(conf):
+            # minimizers gives (point key, bonds) pairs; read them as choices.
+            fold = _Fold(rules, 1, conf)
+            return [StabilizationChoice(fold.point(k), s) for k, s in search.minimizers(fold, 0)]
+
+        got_first = minimizers(first)
         assert got_first == [
             StabilizationChoice(Point(1, 0), (1,)),  # the a-bead at (2, -1)
             StabilizationChoice(Point(1, 0), (5,)),  # the a-bead at (1, 1)
         ]
         assert len(search.table) == 1
-        got_second = search.minimizers(_Fold(rules, 1, second), 0)
+        got_second = minimizers(second)
         assert len(search.table) == 1  # answered from the table
         assert got_second == stabilize_next(sys_, second, 0)
         assert got_second == [
@@ -470,15 +475,18 @@ def reseeded(system, seed):
 
 class TestSymmetricSeeds:
     """Enumerate from seeds that grid symmetries fix. ``fold_all`` searches
-    every node, as ``replay`` does; ``fold_summary`` counts the image of a
-    mirrored subtree as its source."""
+    every node, as ``replay`` does; ``fold_summary`` walks one subtree of
+    each set of mirror images and weighs its counts by the set's size."""
 
     @staticmethod
     def agrees_with_replay(sys_):
-        """Whether ``sys_`` enumerates within budget; if so, check it."""
+        """Whether ``sys_`` enumerates within budget; if so, check it, and
+        if not, check that ``fold_summary`` fails alike."""
         try:
             outcomes = fold_all(sys_, "enumerate", branch_budget=300)
-        except BranchBudgetExceeded:
+        except BranchBudgetExceeded as exc:
+            with pytest.raises(BranchBudgetExceeded, match=str(exc)):
+                fold_summary(sys_, branch_budget=300)
             return False
         assert list(outcomes) == list(replay(sys_, "enumerate"))
         assert fold_summary(sys_, branch_budget=300) == summary_of(sys_)
@@ -516,6 +524,29 @@ class TestSymmetricSeeds:
                 symmetric += any(moved(sys_.seed, g, sys_.seed.path[0]) == sys_.seed for g in SYMMETRIES[1:])
         assert compared >= 60
         assert symmetric >= 15
+
+    def test_budget_stops_at_the_first_weighted_count(self, monkeypatch):
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        # From a single bead, bead 0's six placements are one set of images
+        # and bead 1's two choices mirror each other (beads are 0-based), so
+        # each subtree walked stands for 12. Below the three nodes of bead 3
+        # the count finds 2, 2 and 6 terminals: 120 in all. Past a budget of
+        # 10, the first count, weighed by 12, ends the walk, and the other
+        # two nodes of bead 3 are not searched.
+        rules = RuleSet([("a", "b"), ("a", "c")])
+        sys_ = OritatamiSystem(rules, 2, 3, Conformation.build([(0, 0)], ["a"]), tuple("cbcabc"))
+        want = summary_of(sys_)
+        calls.clear()
+        assert fold_summary(sys_) == want and want[:2] == (120, 120)
+        assert calls == [0, 1, 2, 3, 3, 3]
+        calls.clear()
+        with pytest.raises(BranchBudgetExceeded, match="more than 10 terminal branches"):
+            fold_summary(sys_, branch_budget=10)
+        assert calls == [0, 1, 2, 3]
 
     def test_fold_all_searches_every_node(self, monkeypatch):
         def refuse(*args):
