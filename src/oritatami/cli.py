@@ -23,12 +23,11 @@ import argparse
 import functools
 import sys
 
-from . import bricks, harness, sysfile
+from . import bricks, harness, seed, sysfile
 from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, fold_summary
 from .nfa import parse_nfa_file, prepare
 from .render import render_svg
 from .sysfile import format_seed_stanza, parse_system_file
-from .seed import build_seed
 
 
 def _tokenize_word(raw: str, alphabet: tuple[str, ...]) -> list[str]:
@@ -121,16 +120,16 @@ def _cmd_run_nfa(args) -> int:
 def _cmd_compile(args) -> int:
     machine, code = _load_machine(args.nfa)
     word = _tokenize_word(args.word, machine.alphabet)
-    layout, conformation = build_seed(machine, code, word)
+    arms = seed.layout(machine, code, word)
     stanza = (
         f"# seed for {len(machine.transitions)}-slot machine, "
         f"word of {len(word)} letters plus end marker\n"
-        f"# horizontal arm {len(layout.horizontal)} beads, "
-        f"vertical arm {len(layout.vertical)} beads\n"
-    ) + format_seed_stanza(conformation)
+        f"# horizontal arm {len(arms.horizontal)} beads, "
+        f"vertical arm {len(arms.vertical)} beads\n"
+    ) + format_seed_stanza(arms)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(stanza)
-    print(f"wrote {len(conformation)} seed beads to {args.out}")
+    print(f"wrote {len(arms.path)} seed beads to {args.out}")
     return 0
 
 

@@ -287,6 +287,31 @@ class _Fold:
                 best = n
         return best
 
+    def ways(self, bead: str, end: int, r: int) -> int:
+        """How many ways ``bead`` has to bond with exactly ``r`` partners at a
+        free point next to ``end``: the (point, ``r``-subset of its eligible
+        partners) pairs of ``placements``, counted with no lists built, and
+        scanned from ``end`` as ``most_bonds`` scans it. With ``r`` zero,
+        that is the number of free points."""
+        mates = self.rules.partners(bead)
+        occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
+        total = 0
+        for d, around in _STEPS:
+            key = end + d
+            if key in occupied:
+                continue
+            if not r:
+                total += 1
+                continue
+            n = 0
+            for e in around:
+                idx = occupied.get(key + e)
+                if idx is not None and beads[idx] in mates and bond_count[idx] < arity:
+                    n += 1
+            if n >= r:
+                total += comb(n, r)
+        return total
+
     def options(self, bead: str) -> list[tuple[int, tuple[int, ...]]]:
         """Every legal (point key, bond subset) for ``bead``, in canonical order
         (see ``_canonical``)."""
@@ -404,7 +429,12 @@ class _Lookahead:
 
     ``count`` counts the terminals below a search whose window reaches the
     transcript end, from its best score and bound; a table hit restores
-    both.
+    both. It scores each choice of the bead before the last in place, as
+    the search scores its leaf, and counts the last bead's bond subsets by
+    binomials.
+
+    With ``first``, a search keeps only the first argmin choice: after the
+    first best, a later root is searched only for a strictly better score.
 
     Argmin sets are remembered relative to the path end, keyed by the
     transcript window and every occupied point within ``delay + 1`` steps,
@@ -418,11 +448,15 @@ class _Lookahead:
     the table lives as long as this object.
     """
 
-    __slots__ = ("transcript", "start", "delay", "arity", "headroom", "table", "window_ids",
-                 "shared", "recurs", "disk", "bound", "best", "nodes_left", "root")
+    __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
+                 "window_ids", "shared", "recurs", "disk", "bound", "best", "nodes_left", "root")
 
     def __init__(
-        self, system: OritatamiSystem, start: int = 0, placed: Sequence[str] | None = None
+        self,
+        system: OritatamiSystem,
+        start: int = 0,
+        placed: Sequence[str] | None = None,
+        first: bool = False,
     ):
         # The search covers the whole transcript; or, given the beads
         # ``placed`` before transcript bead ``start``, only the ``delay``
@@ -437,6 +471,7 @@ class _Lookahead:
         self.start = start
         self.delay = delay = system.delay
         self.arity = system.arity
+        self.first = first
         cap = min(system.arity, _MAX_NEW_BONDS)
         present = set(placed)
         gains = []
@@ -507,7 +542,10 @@ class _Lookahead:
         return [(k, bonds) for _, bonds, k in restored]
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
-        """The argmin set for bead ``i`` as (point key, bonds), in canonical order."""
+        """The argmin set for bead ``i`` as (point key, bonds), in canonical
+        order; with ``first``, only its first choice. That search looks for a
+        strictly better root only after the first best, so it scores a later
+        root only if its bound beats the best (with ``alpha`` one above it)."""
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
@@ -520,17 +558,20 @@ class _Lookahead:
         base = fold.total_bonds
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
+        strict = self.first
         scores = []
         try:
-            for key, bonds in options:
+            for option in options:
+                key, bonds = option
                 score = base + len(bonds) + room
-                if room and score >= best:
+                alpha = best + strict
+                if room and score >= alpha:
                     fold.push(key, bonds, bead)
-                    score = self._value(fold, i + 1, stop, best)
+                    score = self._value(fold, i + 1, stop, alpha)
                     fold.pop()
                 scores.append(score)
                 if score > best:
-                    best = score
+                    best, top = score, option
         except RecursionError:
             # _value recurses once per level; past the stack the search is abandoned.
             raise LookaheadBudgetExceeded(
@@ -538,6 +579,8 @@ class _Lookahead:
                 "nests deeper than the interpreter stack allows"
             ) from None
         self.best = best
+        if strict:
+            return [top]
         return [option for option, score in zip(options, scores) if score == best]
 
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
@@ -590,7 +633,8 @@ class _Lookahead:
     def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
         (fewer if the path gets stuck). Exact when that is at least
-        ``alpha``; otherwise an upper bound strictly below it. The caller has
+        ``alpha``; otherwise both the returned number and the exact value
+        are below ``alpha``, and nothing more is promised. The caller has
         just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
         add bonds and that their bound reaches ``alpha``; so each call counts
         one push against the search's budget, as does each choice scored in
@@ -660,52 +704,93 @@ class _Lookahead:
         Every later step then looks as far ahead as that search did, so the
         terminals below are the ways on from here that reach its best score:
         completed, or stuck at a dead end with that many bonds. One
-        depth-first pass with its own stack counts them. It skips a child
-        whose bound (as in the search) falls below that score and counts the
-        last bead's bond subsets by binomials, without pushing them. Returns
-        (terminals, completed ones, the first in canonical order as
+        depth-first pass (``_terminals``) counts them. Returns (terminals,
+        completed ones, the first in canonical order as
         ``snapshot(completed)`` makes it, or None without ``snapshot``). The
-        pass stops once its count passes ``limit``; its pushes count against
-        the search's budget.
+        pass stops once its count passes ``limit``; its pushes and in-place
+        scores count against the search's budget.
         """
+        start, offset = j, len(fold.path) - j
+        total = completed = 0
+        first = None
+        for n, done, j, choice in self._terminals(fold, j):
+            if snapshot is not None and not total:
+                if choice is None:
+                    first = self._first(fold, j, snapshot)
+                else:
+                    fold.push(choice[0], choice[1], self.transcript[j])
+                    first = self._first(fold, j + 1, snapshot)
+                    fold.pop()
+            total += n
+            completed += done
+            if total > limit:
+                break
+        while len(fold.path) > offset + start:
+            fold.pop()
+        return total, completed, first
+
+    def _terminals(
+        self, fold: _Fold, j: int
+    ) -> Iterator[tuple[int, int, int, tuple[int, tuple[int, ...]] | None]]:
+        """``count``'s pass from bead ``j``: for each node with terminals
+        below, depth first in canonical order, (terminals, completed ones,
+        the node's next bead, None), with ``fold`` at that node. It skips a
+        child whose bound (as in the search) falls below the best score,
+        and counts the last bead's bond subsets by binomials, with no push.
+        Each choice of the bead before the last is scored in place, as
+        ``_value`` scores its leaf: its partners' bond counts go up by one
+        while the last bead's free points around it are scanned, and the
+        yield is (terminals, completed ones, that bead, the choice), with
+        ``fold`` before it. Such a choice with no free point is a dead-end
+        terminal if its bonds reach the best score. A push or an in-place
+        score spends one unit of the search's budget."""
         t, arity, target = self.transcript, self.arity, self.best
         stop = len(t)
         # A search whose later beads can add no bonds writes no bound.
         bound = self.bound if self.headroom[stop] > self.headroom[j] else [0] * (stop + 1)
+        counts = fold.bond_count
         start, offset = j, len(fold.path) - j
-        total = completed = 0
-        first = None
         # frames[k]: the choices left for bead start + k.
         frames: list[Iterator[tuple[int, tuple[int, ...]]]] = []
         while True:
             base = fold.total_bonds
-            n = done = 0
-            spots = fold.placements(t[j]) if j < stop else None
-            if spots is None:
-                n = done = 1
-            elif not spots:
-                n = int(base == target)
-            elif j + 1 < stop:
-                need = target - base - (bound[stop] - bound[j + 1])
-                frames.append(iter(_canonical(spots, arity, need)))
-            else:
-                # The last bead; the bound keeps r within the arity.
+            if j == stop:
+                yield 1, 1, j, None
+            elif j + 1 == stop:
+                # The last bead; the bound keeps r within the arity. With no
+                # free point, a dead end is a terminal if it has the score.
                 r = target - base
-                n = done = sum(comb(len(eligible), r) for _, eligible in spots)
-            if n:
-                if snapshot is not None and not total:
-                    if spots:
-                        # The last bead: its first subset that reaches the score.
-                        key, eligible = next(s for s in spots if len(s[1]) >= r)
-                        fold.push(key, sorted(eligible)[:r], t[j])
-                        first = snapshot(True)
-                        fold.pop()
-                    else:
-                        first = snapshot(bool(done))
-                total += n
-                completed += done
-                if total > limit:
-                    break
+                n = fold.ways(t[j], fold.path[-1], r)
+                if n:
+                    yield n, n, j, None
+                elif not r:
+                    yield 1, 0, j, None
+            else:
+                spots = fold.placements(t[j])
+                need = target - base - (bound[stop] - bound[j + 1])
+                choices = _canonical(spots, arity, need)
+                if not spots:
+                    if base == target:
+                        yield 1, 0, j, None
+                elif j + 2 < stop:
+                    frames.append(iter(choices))
+                else:
+                    last = t[j + 1]
+                    for choice in choices:
+                        self.nodes_left -= 1
+                        if self.nodes_left < 0:
+                            raise self._overrun()
+                        key, partners = choice
+                        for p in partners:
+                            counts[p] += 1
+                        r = target - base - len(partners)
+                        n = fold.ways(last, key, r)
+                        for p in partners:
+                            counts[p] -= 1
+                        if n:
+                            yield n, n, j, choice
+                        elif not r:
+                            yield 1, 0, j, choice
             # On to the next choice of the deepest frame with one left.
             step = None
             while frames and step is None:
@@ -713,7 +798,7 @@ class _Lookahead:
                 if step is None:
                     frames.pop()
             if step is None:
-                break
+                return
             j = start + len(frames) - 1
             while len(fold.path) > offset + j:
                 fold.pop()
@@ -722,9 +807,22 @@ class _Lookahead:
                 raise self._overrun()
             fold.push(step[0], step[1], t[j])
             j += 1
-        while len(fold.path) > offset + start:
-            fold.pop()
-        return total, completed, first
+
+    def _first(self, fold: _Fold, j: int, snapshot: Callable[[bool], FoldOutcome]) -> FoldOutcome:
+        """The first terminal, in canonical order, of a node that
+        ``_terminals`` counts at bead ``j`` with ``fold`` at it."""
+        if j == len(self.transcript):
+            return snapshot(True)
+        spots = fold.placements(self.transcript[j])
+        if not spots:
+            return snapshot(False)
+        # The last bead: its first subset that reaches the score.
+        r = self.best - fold.total_bonds
+        key, eligible = next(s for s in spots if len(s[1]) >= r)
+        fold.push(key, sorted(eligible)[:r], self.transcript[j])
+        first = snapshot(True)
+        fold.pop()
+        return first
 
 
 def stabilize_next(
@@ -780,7 +878,10 @@ def fold_summary(
 ) -> tuple[int, int, FoldOutcome]:
     """``fold_all``'s terminal count, completed count and first outcome.
 
-    first and sample follow one branch, as ``fold_all`` does. enumerate
+    first and sample follow one branch, as ``fold_all`` does. In first mode
+    each search looks for a strictly better root only after the first best
+    (see ``_Lookahead``), so it pushes no more beads than ``fold_all``'s,
+    and a LookaheadBudgetExceeded can only come later than there. enumerate
     walks and searches as ``fold_all`` does down to the first node of each
     branch whose window reaches the transcript end, then counts the
     terminals below each of that node's argmin choices in one pass, with no
@@ -795,7 +896,8 @@ def fold_summary(
     budget of that node's search.
     """
     every = mode == "enumerate"
-    walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every)
+    walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every,
+                 first=mode == "first")
     total = completed = 0
     first = None
     for n, done, outcome in walk:
@@ -843,13 +945,16 @@ def _walk(
     keep: Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]],
     budget: int | None = None,
     count: bool = False,
+    first: bool = False,
 ) -> Iterator[tuple[int, int, FoldOutcome | None]]:
     """Every terminal of the depth-first walk over the (point key, bonds)
     choices that ``keep`` retains from each step's argmin set, in order, as
     (1, 1 if completed else 0, the outcome). A branch ends where the
     transcript does, at a dead end, or where ``keep`` retains nothing. Past
     ``budget`` terminals it raises BranchBudgetExceeded. Without ``count``
-    every node is searched.
+    every node is searched. With ``first``, each search gives only its
+    first argmin choice (see ``_Lookahead._search``), for a ``keep`` that
+    retains no more than that.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
     given), the subtree below each choice of the first node of a branch
@@ -868,7 +973,7 @@ def _walk(
     spent from the budget, multiplied by that product. So the totals equal
     ``fold_all``'s, but the budget may run out after fewer searches.
     """
-    search = _Lookahead(system)
+    search = _Lookahead(system, first=first)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
     # The bead of the first node whose window reaches the transcript end;

@@ -18,7 +18,7 @@ junction to the row's east end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import repeat
 from typing import Sequence
 
 from .folding import Conformation
@@ -53,13 +53,6 @@ class BeadWord:
 
     def __len__(self) -> int:
         return len(self.beads)
-
-    def trace(self, origin: Point) -> tuple[Point, ...]:
-        """The grid path obtained by walking the directions from ``origin``:
-        the running sums of their coordinates."""
-        xs = accumulate((d[0] for d in self.directions), initial=origin[0])
-        ys = accumulate((d[1] for d in self.directions), initial=origin[1])
-        return tuple(map(Point._make, zip(xs, ys)))
 
 
 def encode_state_row(q_code: str, f_values: Sequence[str]) -> BeadWord:
@@ -135,28 +128,38 @@ def decode_input_column(word: BeadWord, n: int, code: Encoding) -> tuple[str, ..
 
 @dataclass(frozen=True)
 class SeedLayout:
-    """The two arms of the Gamma seed."""
+    """The two arms of the Gamma seed, and the bond-free seed they make:
+    ``path`` holds its points as plain ``(x, y)`` int pairs in path order,
+    ``beads`` the bead at each, and ``bonds`` is empty. So the layout
+    formats as a seed stanza (``sysfile.format_seed_stanza``) with no
+    ``Point`` or ``Conformation`` built."""
 
     horizontal: BeadWord
     vertical: BeadWord
+    path: tuple[tuple[int, int], ...]
+    beads: tuple[str, ...]
+    bonds: tuple[tuple[int, int], ...] = ()
+
+
+def layout(nfa: AugmentedNfa, code: Encoding, word: Sequence[str]) -> SeedLayout:
+    """The Gamma seed for running ``nfa`` on ``word``: the horizontal arm spells
+    the initial state with all flags N, the vertical arm spells word + $.
+
+    The path runs up the column on x = 0 from y = -len(vertical) to -1,
+    then east along the row on y = -1 from x = 1: it starts at the column
+    bottom and ends at the row's east end.
+    """
+    n = code.state_bits
+    row = encode_state_row(code.state_code[nfa.initial], ("N",) * n)
+    column = encode_input_column(list(word) + [nfa.dollar], code, n)
+    up, east = len(column), len(row)
+    path = (*zip(repeat(0, up), range(-up, 0)), *zip(range(1, east + 1), repeat(-1, east)))
+    return SeedLayout(row, column, path, column.beads[::-1] + row.beads)
 
 
 def build_seed(
     nfa: AugmentedNfa, code: Encoding, word: Sequence[str]
 ) -> tuple[SeedLayout, Conformation]:
-    """The Gamma seed for running ``nfa`` on ``word``: the horizontal arm spells
-    the initial state with all flags N, the vertical arm spells word + $.
-
-    The returned conformation is bond-free and places the row on y = -1
-    (x = 1 east) and the column on x = 0 (descending); its path starts at
-    the column bottom and ends at the row's east end.
-    """
-    n = code.state_bits
-    row = encode_state_row(code.state_code[nfa.initial], ("N",) * n)
-    column = encode_input_column(list(word) + [nfa.dollar], code, n)
-
-    row_points = row.trace(Point(1, -1))
-    column_points = column.trace(Point(0, -1))
-    path = tuple(reversed(column_points)) + row_points
-    beads = tuple(reversed(column.beads)) + row.beads
-    return SeedLayout(row, column), Conformation(path, beads)
+    """:func:`layout`, and its seed as a conformation of ``Point``s."""
+    seed = layout(nfa, code, word)
+    return seed, Conformation(tuple(map(Point._make, seed.path)), seed.beads)

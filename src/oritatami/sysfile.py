@@ -22,9 +22,12 @@ x, y, and the bond partner indices joined by ``;``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .folding import Conformation, OritatamiSystem, RuleSet, validate_conformation
+
+if TYPE_CHECKING:
+    from .seed import SeedLayout
 
 
 class SystemFileError(ValueError):
@@ -173,9 +176,11 @@ def format_system(system: OritatamiSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_seed_stanza(seed: Conformation) -> str:
-    """The ``seed``/``seedbond`` lines describing a conformation, path order."""
-    lines = [f"seed {p.x} {p.y} {bead}" for p, bead in zip(seed.path, seed.beads)]
+def format_seed_stanza(seed: Conformation | SeedLayout) -> str:
+    """The ``seed``/``seedbond`` lines describing a seed, path order: anything
+    with ``path`` (x, y pairs), ``beads`` and ``bonds`` (0-based index
+    pairs), such as a conformation or a ``seed.SeedLayout``."""
+    lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
     lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
     return "\n".join(lines) + "\n"
 

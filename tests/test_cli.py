@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -8,6 +9,8 @@ import pytest
 from oritatami import bricks, folding
 from oritatami.cli import main, _tokenize_word
 from oritatami.nfa import parse_nfa_file, prepare
+from oritatami.seed import build_seed
+from oritatami.sysfile import parse_system
 
 import oracles
 
@@ -410,10 +413,30 @@ class TestCompileCommand:
         assert len(seed_lines) == 98 + 276
         assert "seedbond" not in text  # the Gamma seed is bond-free
         # The emitted stanza parses back as a system seed.
-        from oritatami.sysfile import parse_system
-
         system = parse_system("delay 3\narity 2\n" + text)
         assert len(system.seed) == 98 + 276
+
+    def test_stanza_is_build_seeds_path_and_beads(self, tmp_path, capsys):
+        rng = random.Random(1919)
+        path, out = tmp_path / "m.nfa", tmp_path / "seed.sys"
+        for k in range(30):
+            nfa = oracles.random_nfa(rng)
+            path.write_text(_nfa_text(nfa))
+            machine, code = prepare(*parse_nfa_file(str(path)))
+            word = [rng.choice(nfa.alphabet) for _ in range(0 if k < 3 else rng.randint(1, 5))]
+            assert main(["compile", str(path), "--word", " ".join(word), "--out", str(out)]) == 0
+            _, conformation = build_seed(machine, code, word)
+            system = parse_system("delay 1\narity 1\n" + out.read_text())
+            assert system.seed == conformation
+            assert capsys.readouterr().out == f"wrote {len(conformation)} seed beads to {out}\n"
+
+    def test_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "seed.sys"
+        nfa = Path(__file__).parents[1] / "demos" / "branching.nfa"
+        assert main(["compile", str(nfa), "--word", "100 100", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 512 seed beads to {out}\n"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "67ec0f1602baf63e5c8490bb1f56ec53c5eeba74fc7e580843ce9ec91fc0b129"
 
 
 class TestCheckBricksCommand:

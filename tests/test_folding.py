@@ -708,6 +708,56 @@ class TestFoldSummary:
         assert fold_summary(glider_system(periods=3)) == want
         assert len(calls) == 22
 
+    def test_bead_before_the_last_is_scored_in_place(self, monkeypatch):
+        # The count scores each choice of the bead before the last in place,
+        # as the search scores its leaf, so it pushes none: the walk and the
+        # searches push 52 beads (pushing those choices would make 104).
+        pushes = []
+        push = _Fold.push
+        monkeypatch.setattr(
+            _Fold, "push", lambda self, *args: pushes.append(args) or push(self, *args)
+        )
+        rules = RuleSet([("a", "b"), ("a", "c")])
+        seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
+        sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
+        want = summary_of(sys_)
+        pushes.clear()
+        assert fold_summary(sys_) == want
+        assert len(pushes) == 52
+
+    def test_first_mode_takes_the_first_enumerate_terminal(self, monkeypatch):
+        # fold_summary's first mode searches each root after the first best
+        # only for a strictly better score; it keeps enumeration's first
+        # terminal, with fewer pushes than fold_all's first mode.
+        pushes = []
+        push = _Fold.push
+        monkeypatch.setattr(
+            _Fold, "push", lambda self, *args: pushes.append(args) or push(self, *args)
+        )
+        rng = random.Random(2020)
+        systems = [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(60)]
+        for mirrored in (False, True):
+            glider = glider_system(periods=2, mirrored=mirrored)
+            systems.append(
+                OritatamiSystem(glider.rules, glider.arity, 4, glider.seed, glider.transcript)
+            )
+        compared = fewer = 0
+        for sys_ in systems:
+            try:
+                outcomes = fold_all(sys_, "enumerate", branch_budget=1_000)
+            except BranchBudgetExceeded:
+                continue
+            pushes.clear()
+            (reference,) = fold_all(sys_, "first")
+            before = len(pushes)
+            pushes.clear()
+            assert fold_summary(sys_, "first") == (1, int(reference.completed), reference)
+            assert len(pushes) <= before
+            fewer += len(pushes) < before
+            assert reference == outcomes[0]
+            compared += 1
+        assert compared >= 50 and fewer >= 20
+
     def test_count_pushes_spend_the_search_budget(self, monkeypatch):
         # No rules: the search at bead 1 pushes nothing, and the count below
         # it pushes one bead per level until the budget runs out.
@@ -914,6 +964,41 @@ class TestLookaheadBounds:
             compared += TestOracleAgreement.compare_along_first_branch(sys_)
             assert fold_all(sys_, "first") == replay(sys_, "first")
         assert compared > 200
+
+    def test_value_below_alpha_is_only_below_alpha(self, monkeypatch):
+        # Each _value call is rerun with alpha -1, which makes it exact. At
+        # or above alpha the result is exact; below it, the result and the
+        # exact value are both below alpha, and the result is no bound on
+        # the exact value.
+        value = _Lookahead._value
+        seen = Counter()
+
+        def checked(self, fold, j, stop, alpha):
+            got = value(self, fold, j, stop, alpha)
+            if not seen["rerunning"]:
+                left = self.nodes_left
+                seen["rerunning"] = 1
+                exact = value(self, fold, j, stop, -1)
+                seen["rerunning"] = 0
+                self.nodes_left = left
+                if got >= alpha:
+                    assert got == exact
+                else:
+                    assert exact < alpha
+                    seen["below"] += 1
+                    seen["above the result"] += exact > got
+            return got
+
+        monkeypatch.setattr(_Lookahead, "_value", checked)
+        rng = random.Random(5)
+        for _ in range(80):
+            sys_ = oracles.random_system(rng, max_delay=5, max_arity=3)
+            for mode in ("enumerate", "first"):
+                try:
+                    fold_summary(sys_, mode, branch_budget=300)
+                except BranchBudgetExceeded:
+                    pass
+        assert seen["below"] >= 1_000 and seen["above the result"] >= 500
 
     def test_delay_six_glider_within_a_small_budget(self, monkeypatch):
         # The costliest step pushes 1,150 beads (1,182 mirrored); counting a

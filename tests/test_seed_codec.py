@@ -21,6 +21,7 @@ from oritatami.seed import (
     decode_state_row,
     encode_input_column,
     encode_state_row,
+    layout,
 )
 
 VOCABULARY = {
@@ -154,10 +155,6 @@ class TestInputColumn:
 
 
 class TestBeadWord:
-    def test_trace_builds_a_path(self):
-        word = BeadWord(("a", "b", "c"), (E, SW))
-        assert word.trace(Point(0, 0)) == (Point(0, 0), Point(1, 0), Point(1, -1))
-
     def test_direction_count_enforced(self):
         with pytest.raises(ValueError):
             BeadWord(("a", "b"), ())
@@ -203,3 +200,17 @@ class TestBuildSeed:
         column_points = [p for p in conf.path if p.x == 0]
         assert len(column_points) == len(layout.vertical)
         assert all(p.y <= -1 for p in column_points)
+
+    def test_layout_is_plain_pairs_and_build_seed_wraps_them(self):
+        nfa, code = branching_machine()
+        for word in ([], ["100"], ["100", "100"]):
+            arms = layout(nfa, code, word)
+            seed, conf = build_seed(nfa, code, word)
+            assert seed == arms and arms.bonds == ()
+            assert all(type(p) is tuple for p in arms.path)
+            assert all(type(p) is Point for p in conf.path)
+            assert conf.path == arms.path and conf.beads == arms.beads
+            up = len(arms.vertical)
+            assert arms.path[:up] == tuple((0, y) for y in range(-up, 0))
+            assert arms.path[up:] == tuple((x, -1) for x in range(1, len(arms.horizontal) + 1))
+            assert arms.beads == arms.vertical.beads[::-1] + arms.horizontal.beads
