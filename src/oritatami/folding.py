@@ -424,14 +424,11 @@ class _Lookahead:
     back down. The scan counts eligible partners per free point, builds no
     lists and stops at the bead's reach gain, which bounds it. One search
     pushes at most ``LOOKAHEAD_BUDGET`` beads, an in-place score counting
-    as one push, else it raises LookaheadBudgetExceeded; so does a search
-    nested deeper than the interpreter's stack allows.
-
-    ``count`` counts the terminals below a search whose window reaches the
-    transcript end, from its best score and bound; a table hit restores
-    both. It scores each choice of the bead before the last in place, as
-    the search scores its leaf, and counts the last bead's bond subsets by
-    binomials.
+    as one push (``_spend``), else it raises LookaheadBudgetExceeded; so
+    does a search nested deeper than the interpreter's stack allows.
+    ``_walk``'s count below a search whose window reaches the transcript
+    end reads its best score and bound (a table hit restores both), and
+    spends its budget through ``_spend`` too.
 
     With ``first``, a search keeps only the first argmin choice: after the
     first best, a later root is searched only for a strictly better score.
@@ -530,7 +527,7 @@ class _Lookahead:
                 )
             return found
         # The situation fixes the best score above the bonds so far and the
-        # bound, which ``count`` reads as a search leaves them.
+        # bound, which ``_walk``'s count reads as a search leaves them.
         gain, self.bound[i + 1 : stop + 1], entry = entry
         self.best = fold.total_bonds + gain
         # Partner offsets map back to indices whose order may differ from the
@@ -639,9 +636,7 @@ class _Lookahead:
         add bonds and that their bound reaches ``alpha``; so each call counts
         one push against the search's budget, as does each choice scored in
         place."""
-        self.nodes_left -= 1
-        if self.nodes_left < 0:
-            raise self._overrun()
+        self._spend()
         base = fold.total_bonds
         t, bounds = self.transcript, self.bound
         bead = t[j]
@@ -668,9 +663,7 @@ class _Lookahead:
                         fold.pop()
                     else:
                         # Spent as the push it replaces.
-                        self.nodes_left -= 1
-                        if self.nodes_left < 0:
-                            raise self._overrun()
+                        self._spend()
                         for p in partners:
                             counts[p] += 1
                         score = base + r + fold.most_bonds(leaf, key, room)
@@ -684,145 +677,16 @@ class _Lookahead:
                             break
         return best
 
-    def _overrun(self) -> LookaheadBudgetExceeded:
-        return LookaheadBudgetExceeded(
-            f"lookahead for transcript bead {self.start + self.root + 1} "
-            f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
-        )
-
-    def count(
-        self,
-        fold: _Fold,
-        j: int,
-        limit: int,
-        snapshot: Callable[[bool], FoldOutcome] | None = None,
-    ) -> tuple[int, int, FoldOutcome | None]:
-        """The terminals below a choice of the last ``minimizers`` call, just
-        pushed as bead ``j - 1``, when that call's window reached the
-        transcript end.
-
-        Every later step then looks as far ahead as that search did, so the
-        terminals below are the ways on from here that reach its best score:
-        completed, or stuck at a dead end with that many bonds. One
-        depth-first pass (``_terminals``) counts them. Returns (terminals,
-        completed ones, the first in canonical order as
-        ``snapshot(completed)`` makes it, or None without ``snapshot``). The
-        pass stops once its count passes ``limit``; its pushes and in-place
-        scores count against the search's budget.
-        """
-        start, offset = j, len(fold.path) - j
-        total = completed = 0
-        first = None
-        for n, done, j, choice in self._terminals(fold, j):
-            if snapshot is not None and not total:
-                if choice is None:
-                    first = self._first(fold, j, snapshot)
-                else:
-                    fold.push(choice[0], choice[1], self.transcript[j])
-                    first = self._first(fold, j + 1, snapshot)
-                    fold.pop()
-            total += n
-            completed += done
-            if total > limit:
-                break
-        while len(fold.path) > offset + start:
-            fold.pop()
-        return total, completed, first
-
-    def _terminals(
-        self, fold: _Fold, j: int
-    ) -> Iterator[tuple[int, int, int, tuple[int, tuple[int, ...]] | None]]:
-        """``count``'s pass from bead ``j``: for each node with terminals
-        below, depth first in canonical order, (terminals, completed ones,
-        the node's next bead, None), with ``fold`` at that node. It skips a
-        child whose bound (as in the search) falls below the best score,
-        and counts the last bead's bond subsets by binomials, with no push.
-        Each choice of the bead before the last is scored in place, as
-        ``_value`` scores its leaf: its partners' bond counts go up by one
-        while the last bead's free points around it are scanned, and the
-        yield is (terminals, completed ones, that bead, the choice), with
-        ``fold`` before it. Such a choice with no free point is a dead-end
-        terminal if its bonds reach the best score. A push or an in-place
-        score spends one unit of the search's budget."""
-        t, arity, target = self.transcript, self.arity, self.best
-        stop = len(t)
-        # A search whose later beads can add no bonds writes no bound.
-        bound = self.bound if self.headroom[stop] > self.headroom[j] else [0] * (stop + 1)
-        counts = fold.bond_count
-        start, offset = j, len(fold.path) - j
-        # frames[k]: the choices left for bead start + k.
-        frames: list[Iterator[tuple[int, tuple[int, ...]]]] = []
-        while True:
-            base = fold.total_bonds
-            if j == stop:
-                yield 1, 1, j, None
-            elif j + 1 == stop:
-                # The last bead; the bound keeps r within the arity. With no
-                # free point, a dead end is a terminal if it has the score.
-                r = target - base
-                n = fold.ways(t[j], fold.path[-1], r)
-                if n:
-                    yield n, n, j, None
-                elif not r:
-                    yield 1, 0, j, None
-            else:
-                spots = fold.placements(t[j])
-                need = target - base - (bound[stop] - bound[j + 1])
-                choices = _canonical(spots, arity, need)
-                if not spots:
-                    if base == target:
-                        yield 1, 0, j, None
-                elif j + 2 < stop:
-                    frames.append(iter(choices))
-                else:
-                    last = t[j + 1]
-                    for choice in choices:
-                        self.nodes_left -= 1
-                        if self.nodes_left < 0:
-                            raise self._overrun()
-                        key, partners = choice
-                        for p in partners:
-                            counts[p] += 1
-                        r = target - base - len(partners)
-                        n = fold.ways(last, key, r)
-                        for p in partners:
-                            counts[p] -= 1
-                        if n:
-                            yield n, n, j, choice
-                        elif not r:
-                            yield 1, 0, j, choice
-            # On to the next choice of the deepest frame with one left.
-            step = None
-            while frames and step is None:
-                step = next(frames[-1], None)
-                if step is None:
-                    frames.pop()
-            if step is None:
-                return
-            j = start + len(frames) - 1
-            while len(fold.path) > offset + j:
-                fold.pop()
-            self.nodes_left -= 1
-            if self.nodes_left < 0:
-                raise self._overrun()
-            fold.push(step[0], step[1], t[j])
-            j += 1
-
-    def _first(self, fold: _Fold, j: int, snapshot: Callable[[bool], FoldOutcome]) -> FoldOutcome:
-        """The first terminal, in canonical order, of a node that
-        ``_terminals`` counts at bead ``j`` with ``fold`` at it."""
-        if j == len(self.transcript):
-            return snapshot(True)
-        spots = fold.placements(self.transcript[j])
-        if not spots:
-            return snapshot(False)
-        # The last bead: its first subset that reaches the score.
-        r = self.best - fold.total_bonds
-        key, eligible = next(s for s in spots if len(s[1]) >= r)
-        fold.push(key, sorted(eligible)[:r], self.transcript[j])
-        first = snapshot(True)
-        fold.pop()
-        return first
+    def _spend(self) -> None:
+        """Spend one unit of the budget of the search that ran last: a push
+        below its root, or a choice scored in place. Past
+        ``LOOKAHEAD_BUDGET`` units it raises LookaheadBudgetExceeded."""
+        self.nodes_left -= 1
+        if self.nodes_left < 0:
+            raise LookaheadBudgetExceeded(
+                f"lookahead for transcript bead {self.start + self.root + 1} "
+                f"({self.transcript[self.root]}) pushes more than {LOOKAHEAD_BUDGET} nascent beads"
+            )
 
 
 def stabilize_next(
@@ -883,17 +747,17 @@ def fold_summary(
     (see ``_Lookahead``), so it pushes no more beads than ``fold_all``'s,
     and a LookaheadBudgetExceeded can only come later than there. enumerate
     walks and searches as ``fold_all`` does down to the first node of each
-    branch whose window reaches the transcript end, then counts the
-    terminals below each of that node's argmin choices in one pass, with no
-    search or outcome built below (see ``_Lookahead.count``); a mirror-image
-    subtree is not walked, but weighs on its source's count (see
-    ``_walk``). The results equal ``fold_all``'s, and so does
-    BranchBudgetExceeded's message, raised as soon as the weighted count
-    passes ``branch_budget``: on a symmetric seed, that may be after fewer
-    searches than ``fold_all`` makes. A dead end below such a node is
-    counted as a terminal; a LookaheadBudgetExceeded that only a skipped
-    search would have raised does not happen. The count's pushes spend the
-    budget of that node's search.
+    branch whose window reaches the transcript end, then goes on down on
+    the same stack, counting the terminals below each of that node's argmin
+    choices with no search or outcome built below (see ``_walk``); a
+    mirror-image subtree is not walked, but weighs on its source's count.
+    The results equal ``fold_all``'s, and so does BranchBudgetExceeded's
+    message, raised as soon as the weighted count passes ``branch_budget``:
+    on a symmetric seed, that may be after fewer searches than ``fold_all``
+    makes. A dead end below such a node is counted as a terminal; a
+    LookaheadBudgetExceeded that only a skipped search would have raised
+    does not happen. The count's pushes and in-place scores spend the
+    budget of the last search, that node's unless the table answered it.
     """
     every = mode == "enumerate"
     walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every,
@@ -957,33 +821,61 @@ def _walk(
     retains no more than that.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
-    given), the subtree below each choice of the first node of a branch
-    whose window reaches the transcript end is counted, not walked, from
-    that node's best score and bound (``_Lookahead.count``). Each count
-    yields (terminals, completed ones, the first of them if it is the
-    walk's first terminal, else None). The grid's symmetries then cut the
-    walk too: while a branch's points are all fixed by some symmetries about
-    the seed's first point (a single-bead or straight seed and the beads
-    placed on its axes), a symmetry ``g`` of that group maps the subtree
-    below a kept choice ``c`` onto the subtree below ``g(c)``. So a kept
-    choice that is ``g(c)`` for an earlier kept sibling ``c`` is not
-    walked; it adds one to the weight of ``c`` (see ``_children``). A choice
-    stands for as many subtrees as the product of the weights on its way
-    from the root, and each terminal or count below it is yielded, and
+    given), no node below the tail node of a branch is searched; the tail
+    node is the first whose window reaches the transcript end. Every later
+    step looks as far ahead as its search did, so the terminals below it are
+    the ways on that reach its best score: completed, or stuck at a dead end
+    with that many bonds. They are counted on the same stack. A node's
+    children there are its choices whose bound, as in the search, reaches
+    that score, each pushed as an entry of its own with no symmetry group;
+    the last bead's ways are counted by binomials (``_Fold.ways``), with no
+    push; and each choice of the bead before the last is scored in place,
+    as ``_Lookahead._value`` scores its leaf. Each push below the tail
+    node, and each in-place score, spends one unit of the budget of the
+    search that ran last (``_Lookahead._spend``). Each group of ways
+    counted at once yields (ways, completed ones, the first of them if it
+    is the walk's first terminal, else None).
+
+    With ``count``, the grid's symmetries also cut the walk down to the
+    tail node: while a branch's points are all fixed by some symmetries
+    about the seed's first point (a single-bead or straight seed and the
+    beads placed on its axes), a symmetry ``g`` of that group maps the
+    subtree below a kept choice ``c`` onto the subtree below ``g(c)``. So a
+    kept choice that is ``g(c)`` for an earlier kept sibling ``c`` is not
+    walked; it adds one to the weight of ``c`` (see ``_children``). A
+    choice stands for as many subtrees as the product of the weights on its
+    way from the root, and each terminal or count below it is yielded, and
     spent from the budget, multiplied by that product. So the totals equal
     ``fold_all``'s, but the budget may run out after fewer searches.
     """
     search = _Lookahead(system, first=first)
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
-    # The bead of the first node whose window reaches the transcript end;
-    # without count no node is past it.
-    tail = max(len(transcript) - system.delay, 0) if count else len(transcript)
+    stop = len(transcript)
+    # The bead of the tail node; without count no node is past it.
+    tail = max(stop - system.delay, 0) if count else stop
 
     def snapshot(completed: bool) -> FoldOutcome:
         # The seed's points, then those of the beads placed since.
-        path =(*seed, *map(fold.point, fold.path[base:]))
+        path = (*seed, *map(fold.point, fold.path[base:]))
         return FoldOutcome(Conformation(path, tuple(fold.beads), frozenset(fold.bond_log)), completed)
+
+    def first_way(j: int) -> FoldOutcome:
+        # The first way, in canonical order, counted at a node below the
+        # tail node at bead j, which is the transcript end, the last bead
+        # or a dead end.
+        if j == stop:
+            return snapshot(True)
+        spots = fold.placements(transcript[j])
+        if not spots:
+            return snapshot(False)
+        # The last bead: its first subset that reaches the score.
+        r = search.best - fold.total_bonds
+        key, eligible = next(s for s in spots if len(s[1]) >= r)
+        fold.push(key, sorted(eligible)[:r], transcript[j])
+        outcome = snapshot(True)
+        fold.pop()
+        return outcome
 
     # Choices still to try, as (bead index i, point key, bonds, group,
     # weight) (see _children); taking one first rewinds the fold to its
@@ -992,25 +884,62 @@ def _walk(
     fixed = (g for g in SYMMETRIES[1:] if all(transform(g, p, seed[0]) == p for p in seed))
     group = tuple(fixed) if count else ()
     i, weight = 0, 1
-    total = completed = 0
+    total = 0
+    # A choice of bead i to score in place, when it is the bead before the
+    # last below the tail node.
+    scored = None
     while True:
-        kept, found = (), None
-        if i > tail:
-            found = search.count(fold, i, (budget - total) // weight, None if total else snapshot)
-        elif i < len(transcript):
-            try:
-                kept = keep(search.minimizers(fold, i))
-            except DeadEnd:
-                pass
+        kept, n = (), 0
+        if i <= tail:
+            if i < stop:
+                try:
+                    kept = keep(search.minimizers(fold, i))
+                except DeadEnd:
+                    pass
+            if not kept:
+                n, done = 1, int(i == stop)
+        else:
+            # The ways here need r more bonds.
+            r = search.best - fold.total_bonds
+            if scored is not None:
+                # Its partners count one more bond while the last bead's
+                # ways around its point are counted.
+                key, partners = scored
+                for p in partners:
+                    fold.bond_count[p] += 1
+                r -= len(partners)
+                n = fold.ways(transcript[i + 1], key, r)
+                for p in partners:
+                    fold.bond_count[p] -= 1
+            elif i == stop:
+                n = 1
+            elif i + 1 == stop:
+                n = fold.ways(transcript[i], fold.path[-1], r)
+            else:
+                spots = fold.placements(transcript[i])
+                # A search whose later beads can add no bonds writes no bound.
+                room = 0
+                if search.headroom[stop] > search.headroom[tail + 1]:
+                    room = search.bound[stop] - search.bound[i + 1]
+                kept, group = _canonical(spots, system.arity, r - room), ()
+            done = n
+            if not (n or r or kept):
+                # A dead end with the best score.
+                n = 1
         if kept:
             stack.extend(reversed(_children(kept, group, fold, i, weight)))
-        else:
-            if found is None:
-                done = i == len(transcript)
-                found = (1, int(done), snapshot(done))
-            n, done, outcome = found
+        elif n:
+            if i <= tail:
+                outcome = snapshot(i == stop)
+            elif total:
+                outcome = None
+            elif scored is not None:
+                fold.push(*scored, transcript[i])
+                outcome = first_way(i + 1)
+                fold.pop()
+            else:
+                outcome = first_way(i)
             total += n * weight
-            completed += done * weight
             if budget is not None and total > budget:
                 raise BranchBudgetExceeded(f"more than {budget} terminal branches")
             yield n * weight, done * weight, outcome
@@ -1019,6 +948,12 @@ def _walk(
         i, key, bonds, group, weight = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
+        scored = None
+        if i > tail:
+            search._spend()
+            if i + 2 == stop:
+                scored = key, bonds
+                continue
         fold.push(key, bonds, transcript[i])
         i += 1
 

@@ -312,15 +312,15 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
     ``arity``, ``rule`` lines, a ``fragment`` (or ``repeat``) transcript, an
     optional ``deterministic yes|no``, and optional declared bricks as
     ``expect <entry> <input> <exit> <bead> <bead> ...``. A repeated name,
-    or a second ``delay``, ``arity`` or ``deterministic`` line in a stanza,
-    is a CatalogError."""
+    a second ``delay``, ``arity`` or ``deterministic`` line in a stanza, or
+    a second ``expect`` line for one entry and input, is a CatalogError."""
     defs: dict[str, SubmoduleDef] = {}
     for name, directives in split_stanzas(text, "submodule", CatalogError):
         if name in defs:
             raise CatalogError(f"duplicate submodule names: {name}")
         found = Directives(CatalogError, ("delay", "arity", "rule", "fragment", "repeat"))
         deterministic: bool | None = None
-        expected: list[ExpectedBrick] = []
+        expected: dict[tuple[str, str], ExpectedBrick] = {}
         for lineno, key, args in directives:
             if key == "deterministic":
                 if deterministic is not None:
@@ -336,13 +336,18 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
                 _one_of(lineno, "'expect' ENTRY", entry, _HEIGHTS)
                 _one_of(lineno, "'expect' INPUT", input_bit, _INPUTS)
                 _one_of(lineno, "'expect' EXIT", exit_height, _HEIGHTS)
-                expected.append(ExpectedBrick(entry, input_bit, exit_height, tuple(beads)))
+                if (entry, input_bit) in expected:
+                    raise CatalogError(
+                        f"line {lineno}: a second 'expect' line for {entry} {input_bit}"
+                    )
+                brick = ExpectedBrick(entry, input_bit, exit_height, tuple(beads))
+                expected[entry, input_bit] = brick
             elif not found.read(lineno, key, args):
                 raise CatalogError(f"line {lineno}: unknown directive {key!r}")
         if found.delay is None or found.arity is None or not found.transcript:
             raise CatalogError(f"submodule {name}: needs delay, arity and a fragment")
         defs[name] = SubmoduleDef(
             name, tuple(found.transcript), RuleSet(found.rules), found.delay, found.arity,
-            deterministic is not False, tuple(expected),
+            deterministic is not False, tuple(expected.values()),
         )
     return defs

@@ -82,6 +82,8 @@ class Nfa:
         for s in self.accepting:
             if s not in states:
                 raise ValueError(f"accepting state {s!r} not declared")
+        if len(set(self.accepting)) != len(self.accepting):
+            raise ValueError("duplicate accepting states")
         seen = set()
         for t in self.transitions:
             if t.origin not in states or t.target not in states:

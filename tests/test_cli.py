@@ -282,6 +282,15 @@ class TestRunNfaCommand:
         assert main(["run-nfa", nfa_file]) == 0
         assert capsys.readouterr().out.startswith("ACCEPT")
 
+    def test_repeated_accepting_state_exits_2(self, tmp_path, capsys):
+        # Each accepting state adds one $-transition, so a repeat is an error.
+        p = tmp_path / "twice.nfa"
+        p.write_text("states: q0 q1\nalphabet: a\ninitial: q0\naccept: q1 q1\ntrans: q0 a q1\n")
+        assert main(["run-nfa", str(p), "--word", "a"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: duplicate accepting states\n"
+
     def test_report_file(self, nfa_file, tmp_path):
         report = tmp_path / "run.txt"
         assert main(["run-nfa", nfa_file, "--word", "100", "--report", str(report)]) == 0
@@ -534,6 +543,7 @@ MALFORMED = [
     ("defs", "expect Q 1 T 588", None),
     ("defs", "expect T 7 T 588", None),
     ("defs", "expect T 1 Z 588", None),
+    ("defs", "expect T 1 T 588 587 582 581", None),
     ("cat", "entry X", None),
     ("cat", "input 7", None),
     # A second single-valued directive.

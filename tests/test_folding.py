@@ -708,10 +708,14 @@ class TestFoldSummary:
         assert fold_summary(glider_system(periods=3)) == want
         assert len(calls) == 22
 
-    def test_bead_before_the_last_is_scored_in_place(self, monkeypatch):
+    @pytest.mark.parametrize("delay, pushed", [(3, 52), (4, 159), (5, 225)])
+    def test_bead_before_the_last_is_scored_in_place(self, monkeypatch, delay, pushed):
         # The count scores each choice of the bead before the last in place,
-        # as the search scores its leaf, so it pushes none: the walk and the
-        # searches push 52 beads (pushing those choices would make 104).
+        # as the search scores its leaf, so it pushes none. At delay 3 the
+        # walk and the searches push 52 beads (pushing those choices would
+        # make 104); at delays 4 and 5 the count also pushes the levels
+        # above that bead, and the walk and the count push 18, 39 and 43
+        # of these beads.
         pushes = []
         push = _Fold.push
         monkeypatch.setattr(
@@ -719,11 +723,11 @@ class TestFoldSummary:
         )
         rules = RuleSet([("a", "b"), ("a", "c")])
         seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
-        sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
+        sys_ = OritatamiSystem(rules, 2, delay, seed, tuple("cbcab"))
         want = summary_of(sys_)
         pushes.clear()
         assert fold_summary(sys_) == want
-        assert len(pushes) == 52
+        assert len(pushes) == pushed
 
     def test_first_mode_takes_the_first_enumerate_terminal(self, monkeypatch):
         # fold_summary's first mode searches each root after the first best

@@ -32,6 +32,11 @@ class TestNfaValidation:
         with pytest.raises(ValueError):
             Nfa(("q0",), ("a",), "q0", (), (("q0", "a", "q0"), ("q0", "a", "q0")))
 
+    def test_duplicate_accepting_state_rejected(self):
+        # Each accepting state adds one $-transition to the augmented machine.
+        with pytest.raises(ValueError, match="duplicate accepting states"):
+            Nfa(("q0", "q1"), ("a",), "q0", ("q1", "q1"), (("q0", "a", "q1"),))
+
     def test_undeclared_components_rejected(self):
         with pytest.raises(ValueError):
             Nfa(("q0",), ("a",), "q1", (), ())
