@@ -129,7 +129,7 @@ def _cmd_compile(args) -> int:
     ) + format_seed_stanza(arms)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(stanza)
-    print(f"wrote {len(arms.path)} seed beads to {args.out}")
+    print(f"wrote {len(arms.vertical) + len(arms.horizontal)} seed beads to {args.out}")
     return 0
 
 

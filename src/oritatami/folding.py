@@ -881,7 +881,8 @@ def _walk(
     # weight) (see _children); taking one first rewinds the fold to its
     # first i stabilized beads.
     stack: list[Sequence] = []
-    fixed = (g for g in SYMMETRIES[1:] if all(transform(g, p, seed[0]) == p for p in seed))
+    # Far from seed[0], a symmetry seldom fixes a point: try the end first.
+    fixed =(g for g in SYMMETRIES[1:] if all(transform(g, p, seed[0]) == p for p in reversed(seed)))
     group = tuple(fixed) if count else ()
     i, weight = 0, 1
     total = 0

@@ -9,17 +9,16 @@ like 0 and Y like 1. The encoders are the only statement of this layout: the
 decoders look a seed's slots and letter blocks up in the encoders' output.
 
 The emitted bead vocabulary is fixed: 79, 84, 85, 90-96, 501-508, 623, 624,
-625, 630. Geometry follows a documented convention (the source drawings were
-not available): row beads on y = -1 heading east, column beads on x = 0
-descending, a single self-avoiding path from the column bottom through the
-junction to the row's east end.
+625, 630. Geometry follows a convention of this package (the source
+drawings were not available), stated by ``SeedLayout.column`` and
+``SeedLayout.row``: one self-avoiding path up the column, through the
+junction, east along the row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .folding import Conformation
 from .grid import E, SW, Point
@@ -128,33 +127,32 @@ def decode_input_column(word: BeadWord, n: int, code: Encoding) -> tuple[str, ..
 
 @dataclass(frozen=True)
 class SeedLayout:
-    """The two arms of the Gamma seed, and the bond-free seed they make:
-    ``path`` holds its points as plain ``(x, y)`` int pairs in path order,
-    ``beads`` the bead at each, and ``bonds`` is empty. So the layout
-    formats as a seed stanza (``sysfile.format_seed_stanza``) with no
-    ``Point`` or ``Conformation`` built."""
+    """The two arms of the bond-free Gamma seed. :meth:`column` and
+    :meth:`row` state its geometry, each arm as one fixed coordinate and a
+    range of the other, so the seed formats as a stanza
+    (``sysfile.format_seed_stanza``) with no point built per bead."""
 
     horizontal: BeadWord
     vertical: BeadWord
-    path: tuple[tuple[int, int], ...]
-    beads: tuple[str, ...]
-    bonds: tuple[tuple[int, int], ...] = ()
+
+    def column(self) -> tuple[int, range, Iterator[str]]:
+        """x, the y values and the beads of the column, in path order: it
+        runs up x = 0 from y = -len(vertical) to -1, so it starts the path."""
+        return 0, range(-len(self.vertical), 0), reversed(self.vertical.beads)
+
+    def row(self) -> tuple[range, int, tuple[str, ...]]:
+        """The x values, y and the beads of the row, in path order: it runs
+        east along y = -1 from x = 1, so it ends the path."""
+        return range(1, len(self.horizontal) + 1), -1, self.horizontal.beads
 
 
 def layout(nfa: AugmentedNfa, code: Encoding, word: Sequence[str]) -> SeedLayout:
     """The Gamma seed for running ``nfa`` on ``word``: the horizontal arm spells
-    the initial state with all flags N, the vertical arm spells word + $.
-
-    The path runs up the column on x = 0 from y = -len(vertical) to -1,
-    then east along the row on y = -1 from x = 1: it starts at the column
-    bottom and ends at the row's east end.
-    """
+    the initial state with all flags N, the vertical arm spells word + $."""
     n = code.state_bits
     row = encode_state_row(code.state_code[nfa.initial], ("N",) * n)
     column = encode_input_column(list(word) + [nfa.dollar], code, n)
-    up, east = len(column), len(row)
-    path = (*zip(repeat(0, up), range(-up, 0)), *zip(range(1, east + 1), repeat(-1, east)))
-    return SeedLayout(row, column, path, column.beads[::-1] + row.beads)
+    return SeedLayout(row, column)
 
 
 def build_seed(
@@ -162,4 +160,7 @@ def build_seed(
 ) -> tuple[SeedLayout, Conformation]:
     """:func:`layout`, and its seed as a conformation of ``Point``s."""
     seed = layout(nfa, code, word)
-    return seed, Conformation(tuple(map(Point._make, seed.path)), seed.beads)
+    x, ys, up = seed.column()
+    xs, y, east = seed.row()
+    path = (*(Point(x, v) for v in ys), *(Point(v, y) for v in xs))
+    return seed, Conformation(path, (*up, *east))

@@ -85,7 +85,8 @@ class Directives:
     ``arity``, ``rule``, ``seed``, ``seedbond``, and the transcript from
     ``transcript`` (``fragment`` in submodule defs) and ``repeat`` lines.
     ``read`` takes only the ``keys`` a format accepts and raises ``error``
-    on a malformed line, a second ``delay`` or ``arity`` line included."""
+    on a malformed line, a second ``delay`` or ``arity`` line, or a second
+    ``rule`` or ``seedbond`` line for one pair in either order, included."""
 
     def __init__(self, error: type[ValueError], keys: Iterable[str]):
         self.error, self.keys = error, frozenset(keys)
@@ -96,6 +97,7 @@ class Directives:
         self.beads: list[str] = []
         self.bonds: list[tuple[int, int]] = []
         self.transcript: list[str] = []
+        self.pairs: set[tuple[str, frozenset]] = set()
 
     def read(self, lineno: int, key: str, args: list[str]) -> bool:
         """Apply one directive line; False when ``key`` is not one of ``keys``."""
@@ -110,6 +112,7 @@ class Directives:
             setattr(self, key, value)
         elif key == "rule":
             a, b = check_args(self.error, lineno, key, args, "BEAD BEAD")
+            self._once(lineno, key, a, b)
             self.rules.append((a, b))
         elif key == "seed":
             x, y, bead = check_args(self.error, lineno, key, args, "X Y BEAD", ints=2)
@@ -117,6 +120,7 @@ class Directives:
             self.beads.append(bead)
         elif key == "seedbond":
             i, j = check_args(self.error, lineno, key, args, "I J", ints=2)
+            self._once(lineno, key, i, j)
             self.bonds.append((i - 1, j - 1))
         elif key == "repeat":
             count, *beads = check_args(self.error, lineno, key, args, "COUNT BEAD ...", ints=1)
@@ -129,6 +133,13 @@ class Directives:
         else:  # "transcript" or "fragment"
             self.transcript.extend(args)
         return True
+
+    def _once(self, lineno: int, key: str, a, b) -> None:
+        """Record a ``rule`` or ``seedbond`` line's pair, unordered, once."""
+        pair = (key, frozenset((a, b)))
+        if pair in self.pairs:
+            raise self.error(f"line {lineno}: a second '{key} {a} {b}' line")
+        self.pairs.add(pair)
 
     def seed(self) -> Conformation:
         """The conformation of the ``seed``/``seedbond`` lines read, checked
@@ -177,11 +188,19 @@ def format_system(system: OritatamiSystem) -> str:
 
 
 def format_seed_stanza(seed: Conformation | SeedLayout) -> str:
-    """The ``seed``/``seedbond`` lines describing a seed, path order: anything
-    with ``path`` (x, y pairs), ``beads`` and ``bonds`` (0-based index
-    pairs), such as a conformation or a ``seed.SeedLayout``."""
-    lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
-    lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
+    """The ``seed``/``seedbond`` lines describing a seed, path order. A
+    ``seed.SeedLayout`` is written arm by arm, the column then the row, from
+    each arm's fixed coordinate and range."""
+    if isinstance(seed, Conformation):
+        lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
+        lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
+    else:
+        x, ys, beads = seed.column()
+        head = f"seed {x} "
+        lines = [f"{head}{y} {bead}" for y, bead in zip(ys, beads)]
+        xs, y, beads = seed.row()
+        tail = f" {y} "
+        lines += [f"seed {x}{tail}{bead}" for x, bead in zip(xs, beads)]
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ from oritatami import bricks, folding
 from oritatami.cli import main, _tokenize_word
 from oritatami.nfa import parse_nfa_file, prepare
 from oritatami.seed import build_seed
-from oritatami.sysfile import parse_system
+from oritatami.sysfile import format_seed_stanza, parse_system
 
 import oracles
 
@@ -434,10 +434,33 @@ class TestCompileCommand:
             machine, code = prepare(*parse_nfa_file(str(path)))
             word = [rng.choice(nfa.alphabet) for _ in range(0 if k < 3 else rng.randint(1, 5))]
             assert main(["compile", str(path), "--word", " ".join(word), "--out", str(out)]) == 0
-            _, conformation = build_seed(machine, code, word)
+            arms, conformation = build_seed(machine, code, word)
+            header = (
+                f"# seed for {len(machine.transitions)}-slot machine, "
+                f"word of {len(word)} letters plus end marker\n"
+                f"# horizontal arm {len(arms.horizontal)} beads, "
+                f"vertical arm {len(arms.vertical)} beads\n"
+            )
+            # The arms are written straight; the conformation's stanza is the reference.
+            assert out.read_text() == header + format_seed_stanza(conformation)
             system = parse_system("delay 1\narity 1\n" + out.read_text())
             assert system.seed == conformation
             assert capsys.readouterr().out == f"wrote {len(conformation)} seed beads to {out}\n"
+
+    def test_compiled_seed_folds(self, tmp_path, capsys):
+        # The paper's pipeline: a Gamma seed for the word, then a fold that
+        # starts at the row's east end.
+        out, system = tmp_path / "seed.sys", tmp_path / "run.sys"
+        assert main(["compile", str(DEMOS / "branching.nfa"), "--word", "100", "--out", str(out)]) == 0
+        head = "delay 3\narity 2\nrule a 625\nrule b 624\nrule a 505\nrule c 623\n"
+        system.write_text(head + "transcript a b c\n" * 4 + out.read_text())
+        capsys.readouterr()
+        assert main(["fold", str(system)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "terminal conformations: 4782", "completed: 4706"
+        ]
+        outcomes = folding.fold_all(parse_system(system.read_text()))
+        assert (len(outcomes), sum(o.completed for o in outcomes)) == (4782, 4706)
 
     def test_bytes_are_pinned(self, tmp_path, capsys):
         out = tmp_path / "seed.sys"
@@ -557,6 +580,13 @@ MALFORMED = [
     ("cat", "entry B", None),
     ("cat", "input 1", None),
     ("cat", "submodule gspacer", None),
+    # A second rule or seed bond for one pair, in either order.
+    ("sys", "rule 579 584", None),
+    ("sys", "rule 584 579", None),
+    ("sys", "seedbond 1 6", None),
+    ("sys", "seedbond 6 1", None),
+    ("defs", "rule 584 579", None),
+    ("cat", "seedbond 6 1", None),
 ]
 
 

@@ -201,16 +201,13 @@ class TestBuildSeed:
         assert len(column_points) == len(layout.vertical)
         assert all(p.y <= -1 for p in column_points)
 
-    def test_layout_is_plain_pairs_and_build_seed_wraps_them(self):
+    def test_build_seed_is_the_column_then_the_row(self):
         nfa, code = branching_machine()
         for word in ([], ["100"], ["100", "100"]):
-            arms = layout(nfa, code, word)
-            seed, conf = build_seed(nfa, code, word)
-            assert seed == arms and arms.bonds == ()
-            assert all(type(p) is tuple for p in arms.path)
+            arms, conf = build_seed(nfa, code, word)
+            assert arms == layout(nfa, code, word) and conf.bonds == frozenset()
             assert all(type(p) is Point for p in conf.path)
-            assert conf.path == arms.path and conf.beads == arms.beads
-            up = len(arms.vertical)
-            assert arms.path[:up] == tuple((0, y) for y in range(-up, 0))
-            assert arms.path[up:] == tuple((x, -1) for x in range(1, len(arms.horizontal) + 1))
-            assert arms.beads == arms.vertical.beads[::-1] + arms.horizontal.beads
+            up, east = len(arms.vertical), len(arms.horizontal)
+            assert conf.path[:up] == tuple(Point(0, y) for y in range(-up, 0))
+            assert conf.path[up:] == tuple(Point(x, -1) for x in range(1, east + 1))
+            assert conf.beads == arms.vertical.beads[::-1] + arms.horizontal.beads
