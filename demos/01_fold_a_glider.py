@@ -11,7 +11,8 @@ Run:  python demos/01_fold_a_glider.py
 
 from pathlib import Path
 
-from oritatami import energy, fold_all, is_deterministic_run, stabilize_next
+from oritatami import energy, stabilize_next
+from oritatami.folding import fold_summary
 from oritatami.render import render_ascii, render_svg
 from oritatami.sysfile import format_trace, parse_system_file
 
@@ -26,12 +27,14 @@ print(f"transcript: {len(system.transcript)} beads, delay {system.delay}, arity 
 choices = stabilize_next(system, system.seed, 0)
 print(f"step 1 minimizers: {[(tuple(c.point), c.bonds) for c in choices]}")
 
-# The whole fold: enumerate mode proves there is exactly one terminal.
-outcomes = fold_all(system, "enumerate")
-print(f"terminal conformations: {len(outcomes)}")
-conf = outcomes[0].conformation
+# The whole fold: enumerate mode proves there is exactly one terminal. A tie
+# would put a terminal under each tied choice, so one completed terminal
+# means every step had a single minimizer.
+terminals, completed, outcome = fold_summary(system)
+print(f"terminal conformations: {terminals}")
+conf = outcome.conformation
 print(f"energy: {energy(conf)}  (two seed bonds + seven per period)")
-print(f"deterministic: {is_deterministic_run(system)}")
+print(f"deterministic: {terminals == completed == 1}")
 
 print()
 print(render_ascii(conf))

@@ -1,7 +1,7 @@
 """Oritatami: a cotranscriptional-folding simulator with a brick-level
 automaton executor, seed codecs, and a submodule verification harness."""
 
-from .folding import energy, fold_all, is_deterministic_run, stabilize_next
+from .folding import energy, fold_all, stabilize_next
 from .grid import path_is_valid
 from .nfa import oracle_accepts
 from .bricks import run_word

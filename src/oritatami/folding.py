@@ -135,7 +135,11 @@ def validate_conformation(
     rules: RuleSet | None = None,
     max_arity: int | None = None,
 ) -> None:
-    """Raise ValueError unless ``c`` is well formed (and R-valid / within arity, if given)."""
+    """Raise ValueError unless ``c`` is well formed (and R-valid / within arity, if given).
+
+    Every bond's range and adjacency are checked before any bond's rule, so
+    a conformation with both kinds of fault reports its geometry, whether
+    or not ``rules`` is given."""
     if len(c.beads) != len(c.path):
         raise ValueError(f"{len(c.beads)} beads on a {len(c.path)}-point path")
     if not path_is_valid(c.path):
@@ -145,8 +149,10 @@ def validate_conformation(
             raise ValueError(f"bond ({i + 1}, {j + 1}) out of range or between near-consecutive beads")
         if not are_adjacent(c.path[i], c.path[j]):
             raise ValueError(f"bond ({i + 1}, {j + 1}) joins non-adjacent points")
-        if rules is not None and not rules.allows(c.beads[i], c.beads[j]):
-            raise ValueError(f"bond ({i + 1}, {j + 1}) pairs {c.beads[i]}/{c.beads[j]} outside the rule set")
+    if rules is not None:
+        for i, j in c.bonds:
+            if not rules.allows(c.beads[i], c.beads[j]):
+                raise ValueError(f"bond ({i + 1}, {j + 1}) pairs {c.beads[i]}/{c.beads[j]} outside the rule set")
     if max_arity is not None:
         arity = max(Counter(chain.from_iterable(c.bonds)).values(), default=0)
         if arity > max_arity:
@@ -394,7 +400,10 @@ _DISTANCE = {d: r for r, ring in enumerate(_RINGS) for d in ring}
 
 
 class _Lookahead:
-    """Exact delay-bounded argmin search for one system.
+    """Exact delay-bounded argmin search for one system: its transcript's
+    beads placed after its seed. Messages number bead ``i`` as ``start + i +
+    1``, so a search over a part of a longer transcript (``stabilize_next``)
+    names each bead as the whole transcript does.
 
     Scores are bond totals, maximised, so the argmin over energy is the argmax
     here. The search is a branch-and-bound over the nascent beads. A bond is
@@ -448,29 +457,14 @@ class _Lookahead:
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
                  "window_ids", "shared", "recurs", "disk", "bound", "best", "nodes_left", "root")
 
-    def __init__(
-        self,
-        system: OritatamiSystem,
-        start: int = 0,
-        placed: Sequence[str] | None = None,
-        first: bool = False,
-    ):
-        # The search covers the whole transcript; or, given the beads
-        # ``placed`` before transcript bead ``start``, only the ``delay``
-        # beads from there, which is all one step at that bead reads. Its
-        # own bead 0 is then bead ``start``, and messages number beads as the
-        # whole transcript does.
-        if placed is None:
-            t, placed = system.transcript, system.seed.beads
-        else:
-            t = system.transcript[start : start + system.delay]
-        self.transcript = t
+    def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
+        self.transcript = t = system.transcript
         self.start = start
         self.delay = delay = system.delay
         self.arity = system.arity
         self.first = first
         cap = min(system.arity, _MAX_NEW_BONDS)
-        present = set(placed)
+        present = set(system.seed.beads)
         gains = []
         for b in t:
             gains.append(0 if system.rules.partners(b).isdisjoint(present) else cap)
@@ -698,17 +692,16 @@ def stabilize_next(
     further elongation by up to ``delay - 1`` transcript beads (truncated at
     the transcript end); every choice attaining the global minimum is
     returned, in canonical order. Raises DeadEnd when no placement exists,
-    and ValueError when ``c_i`` is empty or not a valid conformation of
-    ``system``.
+    and ValueError when ``c_i`` is not a valid seed of ``system``.
     """
-    if len(c_i) == 0:
-        raise ValueError("conformation must contain at least one bead")
-    validate_conformation(c_i, system.rules, system.arity)
-    # A fresh search over beads i .. i + delay - 1 serves this one step. Its
-    # headroom counts the bead types placed before bead i, so it reads them
-    # from c_i. No window recurs within its own length, so it keeps no table.
+    # This one step searches the system seeded with c_i whose transcript is
+    # beads i .. i + delay - 1: all the step reads. No window recurs within
+    # its own length, so the search keeps no table.
+    step = OritatamiSystem(
+        system.rules, system.arity, system.delay, c_i, system.transcript[i : i + system.delay]
+    )
     fold = _Fold(system.rules, system.arity, c_i)
-    found = _Lookahead(system, i, c_i.beads).minimizers(fold, 0)
+    found = _Lookahead(step, i).minimizers(fold, 0)
     return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
 
 
@@ -794,16 +787,6 @@ def _as_rng(rng: random.Random | int | None) -> random.Random:
     return random.Random(0) if rng is None else rng
 
 
-def is_deterministic_run(system: OritatamiSystem) -> bool:
-    """True iff every stabilization step yields exactly one minimizer.
-
-    A single branch then exists, so walking it covers every reachable step;
-    a dead end (zero minimizers) counts as not deterministic.
-    """
-    ((_, _, outcome),) = _walk(system, lambda options: options if len(options) == 1 else ())
-    return outcome.completed
-
-
 def _walk(
     system: OritatamiSystem,
     keep: Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]],
@@ -814,11 +797,10 @@ def _walk(
     """Every terminal of the depth-first walk over the (point key, bonds)
     choices that ``keep`` retains from each step's argmin set, in order, as
     (1, 1 if completed else 0, the outcome). A branch ends where the
-    transcript does, at a dead end, or where ``keep`` retains nothing. Past
-    ``budget`` terminals it raises BranchBudgetExceeded. Without ``count``
-    every node is searched. With ``first``, each search gives only its
-    first argmin choice (see ``_Lookahead._search``), for a ``keep`` that
-    retains no more than that.
+    transcript does, or at a dead end. Past ``budget`` terminals it raises
+    BranchBudgetExceeded. Without ``count`` every node is searched. With
+    ``first``, each search gives only its first argmin choice (see
+    ``_Lookahead._search``), for a ``keep`` that retains no more than that.
 
     With ``count`` (``keep`` must retain every choice, and ``budget`` be
     given), no node below the tail node of a branch is searched; the tail

@@ -23,6 +23,7 @@ from .folding import (
     OritatamiSystem,
     RuleSet,
     fold_all,
+    validate_conformation,
 )
 from .sysfile import SEED_KEYS, Directives, check_args, split_stanzas
 
@@ -280,7 +281,9 @@ def _one_of(lineno: int, what: str, value: str, allowed: tuple[str, ...]) -> str
 def parse_environments(text: str) -> list[Environment]:
     """Parse an environment catalog: ``env <name>`` stanzas holding seed lines
     (system-file syntax), ``entry T|B``, ``input 0|1|N|Y``, and an optional
-    ``submodule <name>``, each of these three at most once per stanza."""
+    ``submodule <name>``, each of these three at most once per stanza. Each
+    seed's geometry is checked here; its rules and arity, only against the
+    submodule that folds in it."""
     envs: list[Environment] = []
     for name, directives in split_stanzas(text, "env", CatalogError):
         found = Directives(CatalogError, SEED_KEYS)
@@ -297,7 +300,9 @@ def parse_environments(text: str) -> list[Environment]:
         if "entry" not in fields or "input" not in fields:
             raise CatalogError(f"env {name}: needs both 'entry' and 'input'")
         try:
-            envs.append(Environment(name, found.seed(), fields["entry"], fields["input"],
+            seed = found.seed()
+            validate_conformation(seed)
+            envs.append(Environment(name, seed, fields["entry"], fields["input"],
                                     fields.get("submodule")))
         except ValueError as exc:
             raise CatalogError(f"env {name}: {exc}") from None

@@ -252,7 +252,7 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     transitions: list[tuple[str, str, str]] = []
     for lineno, key, args in tokenize(text.splitlines()):
         if key in lists:
-            lists[key].extend(args)
+            lists[key].extend(check_args(NfaFileError, lineno, key, args, "NAME ..."))
         elif key == "initial:":
             if initial is not None:
                 raise NfaFileError(f"line {lineno}: a second 'initial:' line")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .folding import Conformation, OritatamiSystem, RuleSet, validate_conformation
+from .folding import Conformation, OritatamiSystem, RuleSet
 
 if TYPE_CHECKING:
     from .seed import SeedLayout
@@ -131,7 +131,7 @@ class Directives:
             except (MemoryError, OverflowError):
                 raise self.error(f"line {lineno}: 'repeat' COUNT {count} is too large") from None
         else:  # "transcript" or "fragment"
-            self.transcript.extend(args)
+            self.transcript.extend(check_args(self.error, lineno, key, args, "BEAD ..."))
         return True
 
     def _once(self, lineno: int, key: str, a, b) -> None:
@@ -142,16 +142,12 @@ class Directives:
         self.pairs.add(pair)
 
     def seed(self) -> Conformation:
-        """The conformation of the ``seed``/``seedbond`` lines read, checked
-        for geometry but not for rule validity."""
+        """The conformation of the ``seed``/``seedbond`` lines read, not yet
+        checked: ``OritatamiSystem`` checks a system file's seed, and
+        ``harness.parse_environments`` a catalog's."""
         if not self.points:
             raise self.error("no 'seed' lines")
-        conformation = Conformation.build(self.points, self.beads, self.bonds)
-        try:
-            validate_conformation(conformation)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
-        return conformation
+        return Conformation.build(self.points, self.beads, self.bonds)
 
 
 def parse_system(text: str) -> OritatamiSystem:
@@ -163,10 +159,9 @@ def parse_system(text: str) -> OritatamiSystem:
             raise SystemFileError(f"line {lineno}: unknown directive {key!r}")
     if found.delay is None or found.arity is None:
         raise SystemFileError("system file must set both 'delay' and 'arity'")
-    seed = found.seed()
     try:
         return OritatamiSystem(
-            RuleSet(found.rules), found.arity, found.delay, seed, tuple(found.transcript)
+            RuleSet(found.rules), found.arity, found.delay, found.seed(), tuple(found.transcript)
         )
     except ValueError as exc:
         raise SystemFileError(str(exc)) from None

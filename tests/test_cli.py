@@ -587,6 +587,12 @@ MALFORMED = [
     ("sys", "seedbond 6 1", None),
     ("defs", "rule 584 579", None),
     ("cat", "seedbond 6 1", None),
+    # A list directive with no items.
+    ("sys", "transcript", None),
+    ("defs", "fragment", None),
+    ("nfa", "states:", None),
+    ("nfa", "alphabet:", None),
+    ("nfa", "accept:", None),
 ]
 
 

@@ -23,7 +23,6 @@ from oritatami.folding import (
     energy,
     fold_all,
     fold_summary,
-    is_deterministic_run,
     stabilize_next,
     validate_conformation,
 )
@@ -90,7 +89,7 @@ def replay(system, mode, rng=0, step=stabilize_next):
 
 def replay_is_deterministic(system, step=stabilize_next):
     """Whether every step of the first-choice replay had exactly one option:
-    the reference for ``is_deterministic_run``."""
+    the reference for ``deterministic``."""
     conf = system.seed
     for i, bead in enumerate(system.transcript):
         try:
@@ -101,6 +100,17 @@ def replay_is_deterministic(system, step=stabilize_next):
             return False
         conf = extend(conf, options[0], bead)
     return True
+
+
+def deterministic(system):
+    """Whether enumerate finds one terminal, and it completed: every step
+    then had a single minimizer, since a tie puts at least one terminal
+    under each tied choice. A second terminal passes the budget of one, so
+    ``BranchBudgetExceeded`` reads as not deterministic."""
+    try:
+        return fold_summary(system, branch_budget=1)[:2] == (1, 1)
+    except BranchBudgetExceeded:
+        return False
 
 
 def two_bead_system(delay=1, transcript=("b",)):
@@ -306,14 +316,14 @@ class TestFoldAll:
 
 class TestDeterminism:
     def test_glider_is_deterministic(self):
-        assert is_deterministic_run(glider_system(periods=2))
+        assert fold_summary(glider_system(periods=2))[:2] == (1, 1)
 
     def test_free_space_ties_are_not(self):
         sys_ = OritatamiSystem(RuleSet([]), 1, 1, Conformation.build([(0, 0)], ["s"]), ("s",))
-        assert not is_deterministic_run(sys_)
+        assert fold_summary(sys_)[:2] == (6, 6)
 
     def test_two_bead_system_is_not(self):
-        assert not is_deterministic_run(two_bead_system())
+        assert fold_summary(two_bead_system())[:2] == (2, 2)
 
 
 class TestOracleAgreement:
@@ -411,8 +421,8 @@ class TestTableFreeReplay:
             sys_ = OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript)
             for mode in ("first", "sample"):
                 assert list(fold_all(sys_, mode, rng=5)) == list(replay(sys_, mode, rng=5))
-            determinism.add(is_deterministic_run(sys_))
-            assert is_deterministic_run(sys_) == replay_is_deterministic(sys_)
+            determinism.add(deterministic(sys_))
+            assert deterministic(sys_) == replay_is_deterministic(sys_)
             try:
                 outcomes = fold_all(sys_, "enumerate", branch_budget=200)
             except BranchBudgetExceeded:
@@ -426,7 +436,7 @@ class TestTableFreeReplay:
         sys_ = glider_system(periods=3, mirrored=True)
         for mode in ("first", "enumerate"):
             assert list(fold_all(sys_, mode)) == list(replay(sys_, mode))
-        assert is_deterministic_run(sys_) and replay_is_deterministic(sys_)
+        assert deterministic(sys_) and replay_is_deterministic(sys_)
 
     def test_table_hit_restores_canonical_order(self):
         # Two seeds occupy the same cells around the path end (0, 0) with the
@@ -1038,7 +1048,7 @@ class TestLookaheadBounds:
             for mode in ("first", "sample"):
                 got = fold_all(sys_, mode, rng=5)
                 assert list(got) == list(replay(sys_, mode, rng=5, step=brute_step))
-            assert is_deterministic_run(sys_) == replay_is_deterministic(sys_, step=brute_step)
+            assert deterministic(sys_) == replay_is_deterministic(sys_, step=brute_step)
             try:
                 outcomes = fold_all(sys_, "enumerate", branch_budget=60)
             except BranchBudgetExceeded:
@@ -1066,7 +1076,7 @@ class TestLookaheadBounds:
                     FoldOutcome(shifted(o.conformation, dx, dy), o.completed) for o in plain
                 )
                 assert fold_all(far, mode, rng=3, branch_budget=200) == expected
-            assert is_deterministic_run(far) == is_deterministic_run(sys_)
+            assert deterministic(far) == deterministic(sys_)
 
     def test_five_bond_hole_beats_four(self):
         # The p-ring around (0, 0) ends at (0, 1); the p-beads around (1, 2)

@@ -292,6 +292,12 @@ class TestCatalogFiles:
         with pytest.raises(CatalogError):
             parse_environments(text)
 
+    def test_crossing_seed_fails_at_parse_time(self):
+        text = "env loop\nseed 0 0 a\nseed 1 0 b\nseed 0 0 c\nentry T\ninput 1\n"
+        with pytest.raises(CatalogError) as info:
+            parse_environments(text)
+        assert str(info.value) == "env loop: path is not a self-avoiding chain of adjacent points"
+
     @pytest.mark.parametrize(
         "flag, expected",
         [("yes", True), ("TRUE", True), ("1", True), ("no", False), ("false", False), ("0", False)],

@@ -1,5 +1,6 @@
 import pytest
 
+from oritatami import folding
 from oritatami.fixtures import glider_system
 from oritatami.folding import fold_all
 from oritatami.sysfile import (
@@ -108,3 +109,28 @@ def test_seed_stanza_round_trips():
     seed = glider_system(periods=1).seed
     stanza = "delay 3\narity 2\nrule 585 590\nrule 586 590\n" + format_seed_stanza(seed)
     assert parse_system(stanza).seed == seed
+
+
+@pytest.mark.parametrize("bonds", [("1 3", "1 4"), ("1 4", "1 3")])
+def test_seed_geometry_error_comes_before_rule_error(bonds):
+    # Bond (1, 3) joins adjacent points but pairs a/c outside the (empty)
+    # rule set; bond (1, 4) joins points two steps apart. Every bond's
+    # geometry is checked before any bond's rule, in either line order.
+    text = "delay 1\narity 2\nseed 0 0 a\nseed 1 0 b\nseed 0 1 c\nseed 0 2 d\n"
+    text += "".join(f"seedbond {pair}\n" for pair in bonds)
+    with pytest.raises(SystemFileError) as info:
+        parse_system(text)
+    assert str(info.value) == "bond (1, 4) joins non-adjacent points"
+
+
+def test_seed_path_is_checked_once(monkeypatch):
+    calls = []
+    real = folding.path_is_valid
+
+    def spy(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(folding, "path_is_valid", spy)
+    parse_system(GLIDER_TEXT)
+    assert calls == [6]
