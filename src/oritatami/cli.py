@@ -12,9 +12,9 @@ Subcommands:
 Exit codes: 0 success / ACCEPT, 1 REJECT (or all-branch dead end / closure
 failure), 2 input error (including a branch or lookahead budget overrun).
 fold enumerate counts its terminals without building them all
-(folding.fold_summary): same output and same branch budget (10,000).
-run-nfa enumerate counts its branches without listing them, so only with
---report does it have a branch budget (10,000).
+(folding.fold_summary): same output and same branch budget
+(folding.BRANCH_BUDGET). run-nfa enumerate counts its branches without
+listing them, so only with --report does it have that branch budget.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 import sys
 
 from . import bricks, harness, seed, sysfile
-from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, fold_summary
+from .folding import BranchBudgetExceeded, LookaheadBudgetExceeded, energy, fold_summary
 from .nfa import parse_nfa_file, prepare
 from .render import render_svg
 from .sysfile import format_seed_stanza, parse_system_file
@@ -90,7 +90,7 @@ def _cmd_fold(args) -> int:
             fh.write(render_svg(first.conformation))
     print(f"terminal conformations: {terminals}")
     print(f"completed: {completed}")
-    print(f"energy of first terminal: {-len(first.conformation.bonds)}")
+    print(f"energy of first terminal: {energy(first.conformation)}")
     return 0 if completed else 1
 
 
@@ -186,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--report",
-                   help="write the full run report here (enumerate: at most 10,000 branches)")
+    p.add_argument("--report", help="write the full run report here "
+                   f"(enumerate: at most {bricks.BRANCH_BUDGET:,} branches)")
     p.set_defaults(func=_cmd_run_nfa)
 
     p = sub.add_parser("compile", help="emit the Gamma-seed stanza for a machine and word")

@@ -434,10 +434,11 @@ class _Lookahead:
     lists and stops at the bead's reach gain, which bounds it. One search
     pushes at most ``LOOKAHEAD_BUDGET`` beads, an in-place score counting
     as one push (``_spend``), else it raises LookaheadBudgetExceeded; so
-    does a search nested deeper than the interpreter's stack allows.
-    ``_walk``'s count below a search whose window reaches the transcript
-    end reads its best score and bound (a table hit restores both), and
-    spends its budget through ``_spend`` too.
+    does a search nested deeper than the interpreter's stack allows. Every
+    search writes its window's bound, zeros if no later bead has headroom.
+    ``_walk``'s count below a node reads that node's best score and bound,
+    and spends its budget through ``_spend``: a table hit restores the
+    first two and starts the third, as a search does.
 
     With ``first``, a search keeps only the first argmin choice: after the
     first best, a later root is searched only for a strictly better score.
@@ -446,16 +447,17 @@ class _Lookahead:
     transcript window and every occupied point within ``delay + 1`` steps,
     and never more than one step past the transcript's length (with bead
     type and bond count): that is everything the search can touch, so a
-    translated repeat of a situation is answered without searching. The key
-    is built only for windows that occur more than once in the transcript,
-    since no other window can hit, and whose beads after the first have
-    headroom, since the search of any other is a scan of at most six
-    placements. Entries are stored only for windows that recur later, and
-    the table lives as long as this object.
+    translated repeat of a situation is answered without searching. Only a
+    window with an id in ``window_ids`` keys the table: one that occurs more
+    than once in the transcript, since no other window can hit, and has
+    headroom after its first bead, since the search of any other is a scan
+    of at most six placements. Every search of such a window is stored,
+    since enumeration meets a bead again on each sibling branch, and the
+    table lives as long as this object.
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
-                 "window_ids", "shared", "recurs", "disk", "bound", "best", "nodes_left", "root")
+                 "window_ids", "disk", "bound", "best", "nodes_left", "root")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
@@ -473,32 +475,23 @@ class _Lookahead:
         self.headroom = headroom = list(accumulate(gains, initial=0))
         self.table: dict = {}
         windows = [t[i : i + delay] for i in range(len(t))]
-        ids: dict[tuple[str, ...], int] = {}
-        last: dict[tuple[str, ...], int] = {}
-        for i, w in enumerate(windows):
-            ids.setdefault(w, len(ids))
-            last[w] = i
         count = Counter(windows)
-        self.window_ids = [ids[w] for w in windows]
-        # A window with no headroom after its first bead is searched
-        # directly: that search scans at most six placements, less than its
-        # key would read.
-        self.shared = [
-            count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1]
+        ids: dict[tuple[str, ...], int] = {}
+        # None for a window that is searched directly (see the class).
+        self.window_ids = [
+            ids.setdefault(w, len(ids))
+            if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
             for i, w in enumerate(windows)
         ]
-        self.recurs = [last[w] > i for i, w in enumerate(windows)]
-        # Only shared windows key the table on the disk around the chain end.
-        self.disk = (
-            tuple(chain.from_iterable(_hex_rings(min(delay, len(t)) + 1)))
-            if any(self.shared) else ()
-        )
+        # Only keyed windows read the disk around the chain end.
+        self.disk = tuple(chain.from_iterable(_hex_rings(min(delay, len(t)) + 1))) if ids else ()
         # Written by each search over its own window (see _reach_gains).
         self.bound = [0] * (len(t) + 1)
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """``_search``'s argmin set for bead ``i``, from the table if it can."""
-        if not self.shared[i]:
+        window = self.window_ids[i]
+        if window is None:
             return self._search(fold, i)
         end = fold.path[-1]
         occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
@@ -507,23 +500,23 @@ class _Lookahead:
             idx = occupied.get(end + d)
             if idx is not None:
                 hood.append((d, beads[idx], counts[idx]))
-        key = (self.window_ids[i], tuple(hood))
+        key = (window, tuple(hood))
         entry = self.table.get(key)
         stop = min(i + self.delay, len(self.transcript))
         if entry is None:
             found = self._search(fold, i)
-            if self.recurs[i]:
-                path = fold.path
-                self.table[key] = (
-                    self.best - fold.total_bonds,
-                    self.bound[i + 1 : stop + 1],
-                    tuple((k - end, tuple(path[q] - end for q in bonds)) for k, bonds in found),
-                )
+            self.table[key] = (
+                self.best - fold.total_bonds,
+                self.bound[i + 1 : stop + 1],
+                tuple((k - end, tuple(fold.path[q] - end for q in bonds)) for k, bonds in found),
+            )
             return found
         # The situation fixes the best score above the bonds so far and the
-        # bound, which ``_walk``'s count reads as a search leaves them.
+        # bound, and a hit starts its node's budget: ``_walk``'s count below
+        # this node reads all three as a search leaves them.
         gain, self.bound[i + 1 : stop + 1], entry = entry
         self.best = fold.total_bonds + gain
+        self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         # Partner offsets map back to indices whose order may differ from the
         # stored situation's, so canonical order is rebuilt.
         restored = sorted(
@@ -542,10 +535,8 @@ class _Lookahead:
         if not options:
             raise DeadEnd(f"no placement for transcript bead {self.start + i + 1} ({bead})")
         stop = min(i + self.delay, len(self.transcript))
-        room = 0
-        if self.headroom[stop] > self.headroom[i + 1]:
-            self._reach_gains(fold, i, stop)
-            room = self.bound[stop] - self.bound[i + 1]
+        self._reach_gains(fold, i, stop)
+        room = self.bound[stop] - self.bound[i + 1]
         base = fold.total_bonds
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
@@ -577,8 +568,12 @@ class _Lookahead:
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
         """Write ``bound[i + 1 .. stop]`` for a search at bead ``i``: the
         prefix sums of the most bonds each bead of ``i + 1 .. stop - 1`` can
-        add, counted from the partners within its reach (see the class)."""
+        add, counted from the partners within its reach (see the class), or
+        zeros with no scan when none of them has headroom."""
         t, headroom, bound = self.transcript, self.headroom, self.bound
+        if headroom[stop] == headroom[i + 1]:
+            bound[i + 1 : stop + 1] = [0] * (stop - i)
+            return
         partners, arity = fold.rules.partners, fold.arity
         path, beads, counts = fold.path, fold.beads, fold.bond_count
         end = path[-1]
@@ -672,8 +667,8 @@ class _Lookahead:
         return best
 
     def _spend(self) -> None:
-        """Spend one unit of the budget of the search that ran last: a push
-        below its root, or a choice scored in place. Past
+        """Spend one unit of the budget of the node searched, or answered by
+        the table, last: a push below it, or a choice scored in place. Past
         ``LOOKAHEAD_BUDGET`` units it raises LookaheadBudgetExceeded."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
@@ -749,8 +744,8 @@ def fold_summary(
     on a symmetric seed, that may be after fewer searches than ``fold_all``
     makes. A dead end below such a node is counted as a terminal; a
     LookaheadBudgetExceeded that only a skipped search would have raised
-    does not happen. The count's pushes and in-place scores spend the
-    budget of the last search, that node's unless the table answered it.
+    does not happen. The count below a node spends that node's budget,
+    whether it was searched or the table answered it.
     """
     every = mode == "enumerate"
     walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every,
@@ -813,10 +808,10 @@ def _walk(
     the last bead's ways are counted by binomials (``_Fold.ways``), with no
     push; and each choice of the bead before the last is scored in place,
     as ``_Lookahead._value`` scores its leaf. Each push below the tail
-    node, and each in-place score, spends one unit of the budget of the
-    search that ran last (``_Lookahead._spend``). Each group of ways
-    counted at once yields (ways, completed ones, the first of them if it
-    is the walk's first terminal, else None).
+    node, and each in-place score, spends one unit of the tail node's
+    budget (``_Lookahead._spend``). Each group of ways counted at once
+    yields (ways, completed ones, the first of them if it is the walk's
+    first terminal, else None).
 
     With ``count``, the grid's symmetries also cut the walk down to the
     tail node: while a branch's points are all fixed by some symmetries
@@ -851,10 +846,9 @@ def _walk(
         spots = fold.placements(transcript[j])
         if not spots:
             return snapshot(False)
-        # The last bead: its first subset that reaches the score.
-        r = search.best - fold.total_bonds
-        key, eligible = next(s for s in spots if len(s[1]) >= r)
-        fold.push(key, sorted(eligible)[:r], transcript[j])
+        # The last bead's first choice that reaches the score.
+        key, bonds = _canonical(spots, system.arity, search.best - fold.total_bonds)[0]
+        fold.push(key, bonds, transcript[j])
         outcome = snapshot(True)
         fold.pop()
         return outcome
@@ -899,12 +893,8 @@ def _walk(
             elif i + 1 == stop:
                 n = fold.ways(transcript[i], fold.path[-1], r)
             else:
-                spots = fold.placements(transcript[i])
-                # A search whose later beads can add no bonds writes no bound.
-                room = 0
-                if search.headroom[stop] > search.headroom[tail + 1]:
-                    room = search.bound[stop] - search.bound[i + 1]
-                kept, group = _canonical(spots, system.arity, r - room), ()
+                room = search.bound[stop] - search.bound[i + 1]
+                kept, group = _canonical(fold.placements(transcript[i]), system.arity, r - room), ()
             done = n
             if not (n or r or kept):
                 # A dead end with the best score.

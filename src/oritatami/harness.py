@@ -160,7 +160,10 @@ def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
             f"{submodule.name} in {env.name}: {len(completed)} distinct folds"
         )
     conformation = completed[0]
-    exit_height, exposed = _classify(conformation, start)
+    try:
+        exit_height, exposed = _classify(conformation, start)
+    except UnexpectedFold as exc:
+        raise UnexpectedFold(f"{submodule.name} in {env.name}: {exc}") from None
     expected = submodule.expectation_for(env.entry, env.input_bit)
     if expected is not None and (expected.exit, expected.exposed) != (exit_height, exposed):
         raise UnexpectedFold(

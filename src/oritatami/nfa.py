@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .sysfile import check_args, tokenize
 
@@ -108,7 +108,7 @@ class AugmentedNfa:
     initial: str
     transitions: tuple[Transition, ...]
     sink: str = SINK
-    dollar: str = DOLLAR
+    dollar: ClassVar[str] = DOLLAR
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", _as_transitions(self.transitions))

@@ -514,6 +514,49 @@ class TestCheckBricksCommand:
             "pushes more than 1000 nascent beads\n"
         )
 
+    def test_closure_violation_exits_1(self, tmp_path, capsys):
+        # The mirrored seed routes the spacer out at the bottom, and the only
+        # environment is declared with entry T.
+        defs = tmp_path / "gspacer.defs"
+        defs.write_text("".join(x for x in DEFS.splitlines(True) if not x.startswith("expect ")))
+        catalog = tmp_path / "bottom.cat"
+        catalog.write_text(CATALOG[CATALOG.index("env band_bottom"):].replace("entry B", "entry T"))
+        assert main(["check-bricks", str(defs), str(catalog)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "closure violation: no declared environment with entry B follows band_bottom\n"
+
+    @pytest.mark.parametrize("seed, message", [
+        # With no rules, the first fold runs east from a single bead.
+        ([(0, 0)], "fragment folded flat; no row band to classify"),
+        # The seed ends at the centre of its own ring.
+        ([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)], "every branch dead-ends"),
+    ], ids=["flat", "dead-end"])
+    def test_unclassified_fold_exits_1(self, tmp_path, capsys, seed, message):
+        defs = tmp_path / "loose.defs"
+        defs.write_text("submodule loose\ndelay 1\narity 1\nfragment a a\ndeterministic no\n")
+        catalog = tmp_path / "loose.cat"
+        lines = "".join(f"seed {x} {y} z\n" for x, y in seed)
+        catalog.write_text(f"env here\n{lines}entry T\ninput 1\n")
+        assert main(["check-bricks", str(defs), str(catalog)]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"here !! UnexpectedFold: loose in here: {message}\n\ndigraph bricks {{\n}}\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("empty, message", [
+        ("catalog", "no 'env' stanza"),
+        ("defs", "no 'submodule' stanza"),
+    ], ids=["catalog", "defs"])
+    def test_empty_file_exits_2(self, tmp_path, capsys, empty, message):
+        paths = {"defs": tmp_path / "gspacer.defs", "catalog": tmp_path / "bands.cat"}
+        paths["defs"].write_text(DEFS)
+        paths["catalog"].write_text(CATALOG)
+        paths[empty].write_text("")
+        assert main(["check-bricks", str(paths["defs"]), str(paths["catalog"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unlicensed_seed_bond_names_env(self, tmp_path, capsys):
         # The seed's first bond (seedbond 1 6) pairs 585 with 590.
         defs = tmp_path / "gspacer.defs"
@@ -545,59 +588,65 @@ def test_usage_error_exits_two(capsys):
 
 
 # One malformed line per row: (file kind, the line, the line number it is
-# put at; None appends it).
+# put at, None appending it, and the message that follows "line N: ").
+# A single-valued directive goes in at or before the file's own line, so
+# that it is read first and does not hit the second-line check instead.
 MALFORMED = [
-    ("defs", "delay", None),
-    ("defs", "repeat", None),
-    ("defs", "repeat -1 579", None),
-    ("defs", "repeat 10000000000000000000 579", None),
-    ("defs", "deterministic", 2),
-    ("defs", "deterministic yess", 2),
-    ("sys", "repeat", None),
-    ("sys", "repeat 4611686018427387904 579", None),
-    ("sys", "seed 0 0", 3),
-    ("cat", "entry T B", 2),
-    ("cat", "seed 0 0", None),
-    ("nfa", "trans: a x", None),
-    ("sys", "delay 0", None),
-    ("sys", "arity 0", None),
-    ("defs", "delay 0", None),
-    ("defs", "arity 0", None),
-    ("defs", "expect Q 1 T 588", None),
-    ("defs", "expect T 7 T 588", None),
-    ("defs", "expect T 1 Z 588", None),
-    ("defs", "expect T 1 T 588 587 582 581", None),
-    ("cat", "entry X", None),
-    ("cat", "input 7", None),
+    ("defs", "delay", 2, "expected 'delay N'"),
+    ("defs", "repeat", None, "expected 'repeat COUNT BEAD ...'"),
+    ("defs", "repeat -1 579", None, "'repeat' COUNT must be >= 0, got -1"),
+    ("defs", "repeat 10000000000000000000 579", None,
+     "'repeat' COUNT 10000000000000000000 is too large"),
+    ("defs", "deterministic", 2, "expected 'deterministic yes|no'"),
+    ("defs", "deterministic yess", 2, "expected 'deterministic yes|no'"),
+    ("sys", "repeat", None, "expected 'repeat COUNT BEAD ...'"),
+    ("sys", "repeat 4611686018427387904 579", None,
+     "'repeat' COUNT 4611686018427387904 is too large"),
+    ("sys", "seed 0 0", 3, "expected 'seed X Y BEAD'"),
+    ("cat", "entry T B", 2, "expected 'entry T|B'"),
+    ("cat", "seed 0 0", None, "expected 'seed X Y BEAD'"),
+    ("nfa", "trans: a x", None, "expected 'trans: ORIGIN LETTER TARGET'"),
+    ("sys", "delay 0", 1, "'delay' must be >= 1, got 0"),
+    ("sys", "arity 0", 2, "'arity' must be >= 1, got 0"),
+    ("defs", "delay 0", 2, "'delay' must be >= 1, got 0"),
+    ("defs", "arity 0", 3, "'arity' must be >= 1, got 0"),
+    ("defs", "expect Q 1 T 588", None, "'expect' ENTRY must be T|B, got 'Q'"),
+    ("defs", "expect T 7 T 588", None, "'expect' INPUT must be 0|1|N|Y, got '7'"),
+    ("defs", "expect T 1 Z 588", None, "'expect' EXIT must be T|B, got 'Z'"),
+    ("defs", "expect T 1 T 588 587 582 581", None, "a second 'expect' line for T 1"),
+    ("cat", "entry X", 10, "'entry' must be T|B, got 'X'"),
+    ("cat", "input 7", 11, "'input' must be 0|1|N|Y, got '7'"),
     # A second single-valued directive.
-    ("sys", "delay 1", None),
-    ("sys", "arity 1", None),
-    ("defs", "delay 3", None),
-    ("defs", "deterministic no", None),
-    ("nfa", "initial: 1000", None),
-    ("nfa", "statecode: 1000 1000", None),
-    ("nfa", "lettercode: $ 101", None),
-    ("cat", "entry B", None),
-    ("cat", "input 1", None),
-    ("cat", "submodule gspacer", None),
+    ("sys", "delay 1", None, "a second 'delay' line"),
+    ("sys", "arity 1", None, "a second 'arity' line"),
+    ("defs", "delay 3", None, "a second 'delay' line"),
+    ("defs", "deterministic no", None, "a second 'deterministic' line"),
+    ("nfa", "initial: 1000", None, "a second 'initial:' line"),
+    ("nfa", "statecode: 1000 1000", None, "a second 'statecode:' line for 1000"),
+    ("nfa", "lettercode: $ 101", None, "a second 'lettercode:' line for $"),
+    ("cat", "entry B", None, "a second 'entry' line"),
+    ("cat", "input 1", None, "a second 'input' line"),
+    ("cat", "submodule gspacer", None, "a second 'submodule' line"),
     # A second rule or seed bond for one pair, in either order.
-    ("sys", "rule 579 584", None),
-    ("sys", "rule 584 579", None),
-    ("sys", "seedbond 1 6", None),
-    ("sys", "seedbond 6 1", None),
-    ("defs", "rule 584 579", None),
-    ("cat", "seedbond 6 1", None),
+    ("sys", "rule 579 584", None, "a second 'rule 579 584' line"),
+    ("sys", "rule 584 579", None, "a second 'rule 584 579' line"),
+    ("sys", "seedbond 1 6", None, "a second 'seedbond 1 6' line"),
+    ("sys", "seedbond 6 1", None, "a second 'seedbond 6 1' line"),
+    ("defs", "rule 584 579", None, "a second 'rule 584 579' line"),
+    ("cat", "seedbond 6 1", None, "a second 'seedbond 6 1' line"),
     # A list directive with no items.
-    ("sys", "transcript", None),
-    ("defs", "fragment", None),
-    ("nfa", "states:", None),
-    ("nfa", "alphabet:", None),
-    ("nfa", "accept:", None),
+    ("sys", "transcript", None, "expected 'transcript BEAD ...'"),
+    ("defs", "fragment", None, "expected 'fragment BEAD ...'"),
+    ("nfa", "states:", None, "expected 'states: NAME ...'"),
+    ("nfa", "alphabet:", None, "expected 'alphabet: NAME ...'"),
+    ("nfa", "accept:", None, "expected 'accept: NAME ...'"),
 ]
 
 
-@pytest.mark.parametrize("kind, line, at", MALFORMED, ids=[f"{k}:{l}" for k, l, _ in MALFORMED])
-def test_malformed_line_is_input_error(tmp_path, capsys, kind, line, at):
+@pytest.mark.parametrize(
+    "kind, line, at, message", MALFORMED, ids=[f"{k}:{l}" for k, l, _, _ in MALFORMED]
+)
+def test_malformed_line_is_input_error(tmp_path, capsys, kind, line, at, message):
     texts = {"sys": GLIDER_SYS, "nfa": BRANCHING_NFA, "defs": DEFS, "cat": CATALOG}
     lines = texts[kind].splitlines()
     at = at or len(lines) + 1
@@ -614,6 +663,4 @@ def test_malformed_line_is_input_error(tmp_path, capsys, kind, line, at):
         "cat": ["check-bricks", paths["defs"], paths["cat"]],
     }[kind]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"line {at}:" in err
+    assert capsys.readouterr().err == f"error: line {at}: {message}\n"

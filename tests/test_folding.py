@@ -473,6 +473,23 @@ class TestTableFreeReplay:
             StabilizationChoice(Point(1, 0), (5,)),
         ]
 
+    def test_last_occurrence_of_a_window_is_stored(self, monkeypatch):
+        # Enumeration meets a bead again on each sibling branch, so the
+        # search at the last occurrence of the window (b0, b0, b0), bead 3,
+        # is stored too, and answers that bead on a later branch: fold_all
+        # makes 2,229 searches, where storing only windows that recur later
+        # made 2,235.
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        seed = Conformation.build([(0, 0), (-1, 1)], ["b0", "b0"])
+        sys_ = OritatamiSystem(RuleSet([("b0", "b0")]), 1, 3, seed, ("b0",) * 6)
+        outcomes = fold_all(sys_, "enumerate")
+        assert (len(outcomes), len(calls)) == (2164, 2229)
+        assert outcomes == replay(sys_, "enumerate")
+
 
 def moved(conf, g, center=Point(0, 0)):
     """``conf`` moved by the grid symmetry ``g`` about ``center``."""
@@ -779,6 +796,18 @@ class TestFoldSummary:
         sys_ = OritatamiSystem(RuleSet(), 1, 60, Conformation.build([(0, 0)], ["s"]), ("a",) * 60)
         with pytest.raises(LookaheadBudgetExceeded, match="bead 1 .a. pushes more than 50 nascent"):
             fold_summary(sys_)
+
+    def test_count_below_a_table_hit_spends_that_nodes_budget(self, monkeypatch):
+        # The tail node at bead 4 (0-based) is answered by the table on
+        # later branches. The count below it spends a budget the hit starts,
+        # as a search does; spending what an earlier search left would pass
+        # a budget of 20 at bead 5.
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 20)
+        seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["b2", "b0", "b1"])
+        transcript = ("b0", "b1", "b1", "b2", "b1", "b1", "b2")
+        sys_ = OritatamiSystem(RuleSet([("b1", "b1")]), 1, 3, seed, transcript)
+        want = summary_of(sys_)
+        assert fold_summary(sys_) == want and want[:2] == (4688, 4684)
 
 
 class TestGridSymmetry:

@@ -15,6 +15,7 @@ from oritatami.harness import (
     NondeterministicBrick,
     SubmoduleDef,
     UnexpectedFold,
+    _classify,
     explore_closure,
     fold_in_environment,
     format_automaton,
@@ -95,6 +96,13 @@ class TestFoldInEnvironment:
         env = Environment("open", Conformation.build([(0, 0), (1, 0)], ["s", "s"]), "T", "N")
         with pytest.raises(UnexpectedFold):
             fold_in_environment(sub, env)
+
+    def test_fragment_ending_mid_band_is_unexpected(self):
+        # A one-bead seed, then a fragment that climbs two rows and steps
+        # back down to the middle one.
+        fold = Conformation.build([(0, 0), (1, 0), (1, 1), (1, 2), (2, 1)], ["s", "a", "a", "a", "a"])
+        with pytest.raises(UnexpectedFold, match=r"^fragment ends mid-band \(y=1, band 0\.\.2\)$"):
+            _classify(fold, 1)
 
     def test_declared_mismatch_is_unexpected(self):
         wrong = SubmoduleDef(
