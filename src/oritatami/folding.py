@@ -293,14 +293,14 @@ class _Fold:
                 best = n
         return best
 
-    def ways(self, bead: str, end: int, r: int) -> int:
+    def ways(self, bead: str, r: int) -> int:
         """How many ways ``bead`` has to bond with exactly ``r`` partners at a
-        free point next to ``end``: the (point, ``r``-subset of its eligible
-        partners) pairs of ``placements``, counted with no lists built, and
-        scanned from ``end`` as ``most_bonds`` scans it. With ``r`` zero,
-        that is the number of free points."""
+        free point next to the path end: the (point, ``r``-subset of its
+        eligible partners) pairs of ``placements``, counted with no lists
+        built. With ``r`` zero, that is the number of free points."""
         mates = self.rules.partners(bead)
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
+        end = self.path[-1]
         total = 0
         for d, around in _STEPS:
             key = end + d
@@ -451,9 +451,15 @@ class _Lookahead:
     window with an id in ``window_ids`` keys the table: one that occurs more
     than once in the transcript, since no other window can hit, and has
     headroom after its first bead, since the search of any other is a scan
-    of at most six placements. Every search of such a window is stored,
-    since enumeration meets a bead again on each sibling branch, and the
-    table lives as long as this object.
+    of at most six placements. And windows are keyed only while that disk
+    fits in ``_RINGS`` (``min(delay, len(transcript)) + 1 <= _REACH``, so
+    up to delay 6 on a long transcript). Past it neither the window list,
+    ``len(transcript)`` tuples of ``delay`` beads, nor the disk, about
+    ``3 * delay ** 2`` keys probed at every keyed step, is built, and every
+    window is searched directly. A hit only answers a situation that was
+    searched before, so keying changes no result. Every search of a keyed
+    window is stored, since enumeration meets a bead again on each sibling
+    branch, and the table lives as long as this object.
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
@@ -474,17 +480,20 @@ class _Lookahead:
         # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
         self.headroom = headroom = list(accumulate(gains, initial=0))
         self.table: dict = {}
-        windows = [t[i : i + delay] for i in range(len(t))]
-        count = Counter(windows)
+        width = min(delay, len(t))
         ids: dict[tuple[str, ...], int] = {}
         # None for a window that is searched directly (see the class).
-        self.window_ids = [
-            ids.setdefault(w, len(ids))
-            if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
-            for i, w in enumerate(windows)
-        ]
+        self.window_ids: list[int | None] = [None] * len(t)
+        if width + 1 <= _REACH:
+            windows = [t[i : i + delay] for i in range(len(t))]
+            count = Counter(windows)
+            self.window_ids = [
+                ids.setdefault(w, len(ids))
+                if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
+                for i, w in enumerate(windows)
+            ]
         # Only keyed windows read the disk around the chain end.
-        self.disk = tuple(chain.from_iterable(_hex_rings(min(delay, len(t)) + 1))) if ids else ()
+        self.disk = tuple(chain.from_iterable(_RINGS[: width + 2])) if ids else ()
         # Written by each search over its own window (see _reach_gains).
         self.bound = [0] * (len(t) + 1)
 
@@ -687,8 +696,11 @@ def stabilize_next(
     further elongation by up to ``delay - 1`` transcript beads (truncated at
     the transcript end); every choice attaining the global minimum is
     returned, in canonical order. Raises DeadEnd when no placement exists,
-    and ValueError when ``c_i`` is not a valid seed of ``system``.
+    and ValueError when ``i`` is not a bead of the transcript or ``c_i`` is
+    not a valid seed of ``system``.
     """
+    if not 0 <= i < len(system.transcript):
+        raise ValueError(f"bead index {i} is outside a transcript of {len(system.transcript)} beads")
     # This one step searches the system seeded with c_i whose transcript is
     # beads i .. i + delay - 1: all the step reads. No window recurs within
     # its own length, so the search keeps no table.
@@ -804,14 +816,12 @@ def _walk(
     the ways on that reach its best score: completed, or stuck at a dead end
     with that many bonds. They are counted on the same stack. A node's
     children there are its choices whose bound, as in the search, reaches
-    that score, each pushed as an entry of its own with no symmetry group;
-    the last bead's ways are counted by binomials (``_Fold.ways``), with no
-    push; and each choice of the bead before the last is scored in place,
-    as ``_Lookahead._value`` scores its leaf. Each push below the tail
-    node, and each in-place score, spends one unit of the tail node's
-    budget (``_Lookahead._spend``). Each group of ways counted at once
-    yields (ways, completed ones, the first of them if it is the walk's
-    first terminal, else None).
+    that score, each pushed as an entry of its own with no symmetry group,
+    except the last bead's: its ways are counted by binomials
+    (``_Fold.ways``), with no push. Each push below the tail node spends
+    one unit of the tail node's budget (``_Lookahead._spend``). Each group
+    of ways counted at once yields (ways, completed ones, the first of them
+    if it is the walk's first terminal, else None).
 
     With ``count``, the grid's symmetries also cut the walk down to the
     tail node: while a branch's points are all fixed by some symmetries
@@ -837,22 +847,6 @@ def _walk(
         path = (*seed, *map(fold.point, fold.path[base:]))
         return FoldOutcome(Conformation(path, tuple(fold.beads), frozenset(fold.bond_log)), completed)
 
-    def first_way(j: int) -> FoldOutcome:
-        # The first way, in canonical order, counted at a node below the
-        # tail node at bead j, which is the transcript end, the last bead
-        # or a dead end.
-        if j == stop:
-            return snapshot(True)
-        spots = fold.placements(transcript[j])
-        if not spots:
-            return snapshot(False)
-        # The last bead's first choice that reaches the score.
-        key, bonds = _canonical(spots, system.arity, search.best - fold.total_bonds)[0]
-        fold.push(key, bonds, transcript[j])
-        outcome = snapshot(True)
-        fold.pop()
-        return outcome
-
     # Choices still to try, as (bead index i, point key, bonds, group,
     # weight) (see _children); taking one first rewinds the fold to its
     # first i stabilized beads.
@@ -862,9 +856,6 @@ def _walk(
     group = tuple(fixed) if count else ()
     i, weight = 0, 1
     total = 0
-    # A choice of bead i to score in place, when it is the bead before the
-    # last below the tail node.
-    scored = None
     while True:
         kept, n = (), 0
         if i <= tail:
@@ -878,20 +869,10 @@ def _walk(
         else:
             # The ways here need r more bonds.
             r = search.best - fold.total_bonds
-            if scored is not None:
-                # Its partners count one more bond while the last bead's
-                # ways around its point are counted.
-                key, partners = scored
-                for p in partners:
-                    fold.bond_count[p] += 1
-                r -= len(partners)
-                n = fold.ways(transcript[i + 1], key, r)
-                for p in partners:
-                    fold.bond_count[p] -= 1
-            elif i == stop:
+            if i == stop:
                 n = 1
             elif i + 1 == stop:
-                n = fold.ways(transcript[i], fold.path[-1], r)
+                n = fold.ways(transcript[i], r)
             else:
                 room = search.bound[stop] - search.bound[i + 1]
                 kept, group = _canonical(fold.placements(transcript[i]), system.arity, r - room), ()
@@ -902,16 +883,17 @@ def _walk(
         if kept:
             stack.extend(reversed(_children(kept, group, fold, i, weight)))
         elif n:
-            if i <= tail:
-                outcome = snapshot(i == stop)
-            elif total:
+            if i > tail and total:
                 outcome = None
-            elif scored is not None:
-                fold.push(*scored, transcript[i])
-                outcome = first_way(i + 1)
+            elif i > tail and done and i < stop:
+                # The last bead's ways: the first, in canonical order, is
+                # its first choice that reaches the score.
+                key, bonds = _canonical(fold.placements(transcript[i]), system.arity, r)[0]
+                fold.push(key, bonds, transcript[i])
+                outcome = snapshot(True)
                 fold.pop()
             else:
-                outcome = first_way(i)
+                outcome = snapshot(i == stop)
             total += n * weight
             if budget is not None and total > budget:
                 raise BranchBudgetExceeded(f"more than {budget} terminal branches")
@@ -921,12 +903,8 @@ def _walk(
         i, key, bonds, group, weight = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
-        scored = None
         if i > tail:
             search._spend()
-            if i + 2 == stop:
-                scored = key, bonds
-                continue
         fold.push(key, bonds, transcript[i])
         i += 1
 

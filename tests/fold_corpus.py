@@ -1,0 +1,106 @@
+"""Fold a fixed corpus of systems and print one digest of every result.
+
+Run it with one or more lookahead budgets:
+
+    python3 tests/fold_corpus.py 100000 20 60
+
+The corpus is the benchmark's random-fold pool (``perfbench.inputs.
+random_system(0..399)``), the glider at delay 3 (1, 5 and 10 periods), 4 (2
+and 3), 5 (2) and 6 (1 period), plain and mirrored, and 300 systems from
+``oracles.random_system(Random(5), max_delay=5, max_arity=3)``. At each
+``LOOKAHEAD_BUDGET`` it runs ``fold_summary`` in enumerate mode at branch
+budgets 10,000 and 50, then in first mode and in sample mode (rng 5), and
+records each result or error message. It prints the digest of all of them,
+then how often each part of the corpus called ``_Fold.push``,
+``_Fold.ways``, ``_Lookahead._search`` and ``_Lookahead._spend`` in each run.
+
+Two versions of the engine fold the corpus alike if they print the same
+digest. The call counts show where they differ in work. The script sets no
+gate, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
+
+import oracles  # noqa: E402
+from oritatami import folding  # noqa: E402
+from oritatami.folding import _Fold, _Lookahead, fold_summary  # noqa: E402
+from perfbench.inputs import glider, random_system  # noqa: E402
+
+GLIDERS = ((3, 1), (3, 5), (3, 10), (4, 2), (4, 3), (5, 2), (6, 1))
+RUNS = (("enumerate", 10_000), ("enumerate", 50), ("first", None), ("sample", None))
+COUNTED = ((_Fold, "push"), (_Fold, "ways"), (_Lookahead, "_search"), (_Lookahead, "_spend"))
+
+
+def corpus() -> dict[str, list]:
+    rng = random.Random(5)
+    return {
+        "pool": [random_system(k) for k in range(400)],
+        "gliders": [glider(d, p, m) for d, p in GLIDERS for m in (False, True)],
+        "oracles": [oracles.random_system(rng, max_delay=5, max_arity=3) for _ in range(300)],
+    }
+
+
+def count_calls(calls: Counter) -> None:
+    """Wrap each counted method so that every call adds one to ``calls``."""
+    for cls, name in COUNTED:
+        method = getattr(cls, name)
+
+        def counted(*args, _method=method, _name=f"{cls.__name__}.{name}"):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(cls, name, counted)
+
+
+def outcome_text(outcome) -> str:
+    c = outcome.conformation
+    return repr((c.path, c.beads, sorted(c.bonds), outcome.completed))
+
+
+def result_text(system, mode: str, budget: int | None) -> str:
+    try:
+        if mode == "enumerate":
+            total, completed, first = fold_summary(system, mode, branch_budget=budget)
+        else:
+            total, completed, first = fold_summary(system, mode, rng=5)
+    except (folding.BranchBudgetExceeded, folding.LookaheadBudgetExceeded) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{total} {completed} {outcome_text(first)}"
+
+
+def main(argv: list[str]) -> int:
+    budgets = [int(a) for a in argv] or [folding.LOOKAHEAD_BUDGET]
+    parts = corpus()
+    calls: Counter = Counter()
+    count_calls(calls)
+    digest = hashlib.sha256()
+    rows = []
+    for budget in budgets:
+        folding.LOOKAHEAD_BUDGET = budget
+        for mode, branches in RUNS:
+            for part, systems in parts.items():
+                calls.clear()
+                for system in systems:
+                    text = result_text(system, mode, branches)
+                    digest.update(f"{budget} {mode} {branches} {text}\n".encode())
+                run = f"{mode} {branches}" if branches else mode
+                rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
+    print(f"digest {digest.hexdigest()[:16]}")
+    header = ("lookahead", "run", "part", *(f"{c.__name__}.{n}" for c, n in COUNTED))
+    print("\t".join(header))
+    for row in rows:
+        print("\t".join(map(str, row)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

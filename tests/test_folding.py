@@ -262,6 +262,12 @@ class TestStabilizeNext:
         with pytest.raises(ValueError, match="at least one bead"):
             stabilize_next(sys_, Conformation((), ()), 0)
 
+    @pytest.mark.parametrize("i", [12, -1])
+    def test_bead_index_outside_the_transcript_raises_value_error(self, i):
+        sys_ = glider_system(periods=1)
+        with pytest.raises(ValueError, match=rf"^bead index {i} is outside a transcript of 12 beads$"):
+            stabilize_next(sys_, sys_.seed, i)
+
 
 class TestFoldAll:
     def test_empty_transcript_returns_seed(self):
@@ -489,6 +495,21 @@ class TestTableFreeReplay:
         outcomes = fold_all(sys_, "enumerate")
         assert (len(outcomes), len(calls)) == (2164, 2229)
         assert outcomes == replay(sys_, "enumerate")
+
+    def test_windows_are_keyed_only_while_the_disk_fits_the_rings(self):
+        # From delay 7 on the key disk would pass _RINGS, so no window is
+        # keyed and neither the windows nor the disk are built, though every
+        # full window of (a, ..., a) recurs and has headroom.
+        seed = Conformation.build([(0, 0)], ["a"])
+        for delay in (7, 50):
+            sys_ = OritatamiSystem(RuleSet([("a", "a")]), 1, delay, seed, ("a",) * (2 * delay))
+            search = _Lookahead(sys_)
+            assert search.window_ids == [None] * (2 * delay) and search.disk == ()
+        # At delay 6 the glider's repeated windows still key the table.
+        glider = glider_system(periods=2)
+        search = _Lookahead(OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript))
+        assert any(w is not None for w in search.window_ids)
+        assert len(search.disk) == 169  # the points within 7 steps
 
 
 def moved(conf, g, center=Point(0, 0)):
@@ -735,14 +756,12 @@ class TestFoldSummary:
         assert fold_summary(glider_system(periods=3)) == want
         assert len(calls) == 22
 
-    @pytest.mark.parametrize("delay, pushed", [(3, 52), (4, 159), (5, 225)])
-    def test_bead_before_the_last_is_scored_in_place(self, monkeypatch, delay, pushed):
-        # The count scores each choice of the bead before the last in place,
-        # as the search scores its leaf, so it pushes none. At delay 3 the
-        # walk and the searches push 52 beads (pushing those choices would
-        # make 104); at delays 4 and 5 the count also pushes the levels
-        # above that bead, and the walk and the count push 18, 39 and 43
-        # of these beads.
+    @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 198), (5, 4, 283)])
+    def test_every_choice_but_the_last_beads_is_pushed(self, monkeypatch, delay, terminals, pushed):
+        # Below the tail node the count pushes each choice it keeps, down to
+        # the bead before the last; the last bead's ways are counted by
+        # binomials, with no push. The walk, the searches and the count push
+        # 104, 198 and 283 beads for 102, 28 and 4 terminals.
         pushes = []
         push = _Fold.push
         monkeypatch.setattr(
@@ -753,7 +772,7 @@ class TestFoldSummary:
         sys_ = OritatamiSystem(rules, 2, delay, seed, tuple("cbcab"))
         want = summary_of(sys_)
         pushes.clear()
-        assert fold_summary(sys_) == want
+        assert fold_summary(sys_) == want and want[0] == terminals
         assert len(pushes) == pushed
 
     def test_first_mode_takes_the_first_enumerate_terminal(self, monkeypatch):
