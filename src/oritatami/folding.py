@@ -433,9 +433,9 @@ class _Lookahead:
     back down. The scan counts eligible partners per free point, builds no
     lists and stops at the bead's reach gain, which bounds it. One search
     pushes at most ``LOOKAHEAD_BUDGET`` beads, an in-place score counting
-    as one push (``_spend``), else it raises LookaheadBudgetExceeded; so
-    does a search nested deeper than the interpreter's stack allows. Every
-    search writes its window's bound, zeros if no later bead has headroom.
+    as one push (``_spend``), else it raises LookaheadBudgetExceeded: its
+    only limit, at any depth (``_value``). Every search writes its
+    window's bound, zeros if no later bead has headroom.
     ``_walk``'s count below a node reads that node's best score and bound,
     and spends its budget through ``_spend``: a table hit restores the
     first two and starts the third, as a search does.
@@ -463,7 +463,7 @@ class _Lookahead:
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
-                 "window_ids", "disk", "bound", "best", "nodes_left", "root")
+                 "window_ids", "disk", "bound", "best", "nodes_left", "root", "score")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
@@ -551,24 +551,17 @@ class _Lookahead:
         best = -1
         strict = self.first
         scores = []
-        try:
-            for option in options:
-                key, bonds = option
-                score = base + len(bonds) + room
-                alpha = best + strict
-                if room and score >= alpha:
-                    fold.push(key, bonds, bead)
-                    score = self._value(fold, i + 1, stop, alpha)
-                    fold.pop()
-                scores.append(score)
-                if score > best:
-                    best, top = score, option
-        except RecursionError:
-            # _value recurses once per level; past the stack the search is abandoned.
-            raise LookaheadBudgetExceeded(
-                f"lookahead for transcript bead {self.start + i + 1} ({bead}) "
-                "nests deeper than the interpreter stack allows"
-            ) from None
+        for option in options:
+            key, bonds = option
+            score = base + len(bonds) + room
+            alpha = best + strict
+            if room and score >= alpha:
+                fold.push(key, bonds, bead)
+                score = self._value(fold, i + 1, stop, alpha)
+                fold.pop()
+            scores.append(score)
+            if score > best:
+                best, top = score, option
         self.best = best
         if strict:
             return [top]
@@ -631,16 +624,31 @@ class _Lookahead:
         ``alpha``; otherwise both the returned number and the exact value
         are below ``alpha``, and nothing more is promised. The caller has
         just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
-        add bonds and that their bound reaches ``alpha``; so each call counts
-        one push against the search's budget, as does each choice scored in
-        place."""
+        add bonds and that their bound reaches ``alpha``. Each pushed bead
+        gets a ``_node`` frame on a list, so only ``LOOKAHEAD_BUDGET`` limits
+        how deep a search goes."""
+        frames = [self._node(fold, j, stop, alpha)]
+        while frames:
+            child = next(frames[-1], None)
+            if child is None:
+                frames.pop()
+            else:
+                frames.append(child)
+        return self.score
+
+    def _node(self, fold: _Fold, j: int, stop: int, alpha: int) -> Iterator[Iterator]:
+        """``_value``'s frame for bead ``j``. It yields each child's frame, then
+        reads the child's score from ``score``; it writes its own there and
+        returns, as closing a suspended frame would raise GeneratorExit in it.
+        Each frame, and each choice scored in place, spends one push."""
         self._spend()
         base = fold.total_bonds
         t, bounds = self.transcript, self.bound
         bead = t[j]
         room = bounds[stop] - bounds[j + 1]
         if not room:
-            return base + fold.most_bonds(bead, fold.path[-1], bounds[j + 1] - bounds[j])
+            self.score = base + fold.most_bonds(bead, fold.path[-1], bounds[j + 1] - bounds[j])
+            return
         bound = base + bounds[stop] - bounds[j]
         best = base
         arity = self.arity
@@ -657,8 +665,9 @@ class _Lookahead:
                 for partners in combinations(eligible, r):
                     if leaf is None:
                         fold.push(key, partners, bead)
-                        score = self._value(fold, j + 1, stop, max(alpha, best + 1))
+                        yield self._node(fold, j + 1, stop, max(alpha, best + 1))
                         fold.pop()
+                        score = self.score
                     else:
                         # Spent as the push it replaces.
                         self._spend()
@@ -670,10 +679,11 @@ class _Lookahead:
                     if score > best:
                         best = score
                         if best == bound:
-                            return best
+                            self.score = best
+                            return
                         if top <= best:
                             break
-        return best
+        self.score = best
 
     def _spend(self) -> None:
         """Spend one unit of the budget of the node searched, or answered by

@@ -256,6 +256,11 @@ def explore_closure(
     return auto
 
 
+def _dot(text: str) -> str:
+    """``text`` as the inside of a quoted DOT string: ``\\`` and ``"`` escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def format_automaton(auto: BrickAutomaton) -> str:
     """Text edge list plus a dot-style listing, ready for graph tooling."""
     lines = [f"{src} -{label}-> {dst}" for src, label, dst in auto.transitions]
@@ -264,9 +269,9 @@ def format_automaton(auto: BrickAutomaton) -> str:
     lines.append("")
     lines.append("digraph bricks {")
     for name, brick in sorted(auto.bricks.items()):
-        lines.append(f'  "{name}" [label="{name}\\n{brick.name}"];')
+        lines.append(f'  "{_dot(name)}" [label="{_dot(name)}\\n{_dot(brick.name)}"];')
     for src, label, dst in auto.transitions:
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        lines.append(f'  "{_dot(src)}" -> "{_dot(dst)}" [label="{_dot(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -244,7 +244,8 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     ``trans: <origin> <letter> <target>`` (order = transition index order),
     ``statecode: <state> <bits>``, ``lettercode: <letter> <bits>``.
     Code lines may name the future sink ``qAcc`` and the letter ``$``. A
-    second ``initial:``, or a second code line for one name, is an error.
+    second ``initial:``, or a second code line for one name, is an error, and
+    so is an alphabet letter holding a comma, since words split on commas.
     """
     lists: dict[str, list[str]] = {"states:": [], "alphabet:": [], "accept:": []}
     codes: dict[str, dict[str, str]] = {"statecode:": {}, "lettercode:": {}}
@@ -252,7 +253,12 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     transitions: list[tuple[str, str, str]] = []
     for lineno, key, args in tokenize(text.splitlines()):
         if key in lists:
-            lists[key].extend(check_args(NfaFileError, lineno, key, args, "NAME ..."))
+            names = check_args(NfaFileError, lineno, key, args, "NAME ...")
+            if key == "alphabet:":
+                for name in names:
+                    if "," in name:
+                        raise NfaFileError(f"line {lineno}: letter {name!r} holds a comma, which splits words")
+            lists[key].extend(names)
         elif key == "initial:":
             if initial is not None:
                 raise NfaFileError(f"line {lineno}: a second 'initial:' line")

@@ -33,10 +33,14 @@ def render_svg(c: Conformation) -> str:
     width = (max(xs) - min(xs) + 2 * pad) * s
     height = (max(ys) - min(ys) + 2 * pad) * s
 
-    # Each point's coordinates and each bead type's colour, formatted once;
-    # SVG y grows downward.
+    # Each point's coordinates and each bead type's colour and label (with
+    # &, < and > escaped), formatted once; SVG y grows downward.
     xy = [(f"{(x - minx) * s:.2f}", f"{(maxy - y) * s:.2f}") for x, y in pts]
-    colors = {bead: _bead_color(bead) for bead in set(c.beads)}
+    types = set(c.beads)
+    colors = {bead: _bead_color(bead) for bead in types}
+    labels = {
+        bead: bead.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for bead in types
+    }
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -63,7 +67,7 @@ def render_svg(c: Conformation) -> str:
     for (x, y), bead in zip(xy, c.beads):
         lines.append(
             f'  <text x="{x}" y="{y}" font-size="{0.25 * s:.2f}" '
-            f'text-anchor="middle" dominant-baseline="central">{bead}</text>'
+            f'text-anchor="middle" dominant-baseline="central">{labels[bead]}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -256,15 +256,16 @@ class TestFoldCommand:
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr() == ("", "error: more than 10000 terminal branches\n")
 
-    def test_lookahead_deeper_than_the_stack_exits_2(self, tmp_path, capsys):
-        # One bond per level keeps the search within its node budget, but
-        # 1,200 levels nest deeper than the interpreter stack.
+    def test_deep_lookahead_past_its_push_budget_exits_2(self, tmp_path, capsys):
+        # The bound counts a bond at every one of the 1,200 levels, which no
+        # path reaches, so the search cannot stop early and pushes past its
+        # node budget.
         p = tmp_path / "deep.sys"
         p.write_text("delay 1200\narity 1\nrule a a\nseed 0 0 a\nrepeat 1200 a\n")
         assert main(["fold", str(p), "--mode", "first"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: lookahead for transcript bead 1 (a) ")
+        assert capsys.readouterr() == (
+            "", "error: lookahead for transcript bead 1 (a) pushes more than 100000 nascent beads\n"
+        )
 
 
 class TestRunNfaCommand:
@@ -606,6 +607,7 @@ MALFORMED = [
     ("cat", "entry T B", 2, "expected 'entry T|B'"),
     ("cat", "seed 0 0", None, "expected 'seed X Y BEAD'"),
     ("nfa", "trans: a x", None, "expected 'trans: ORIGIN LETTER TARGET'"),
+    ("nfa", "alphabet: a,b", None, "letter 'a,b' holds a comma, which splits words"),
     ("sys", "delay 0", 1, "'delay' must be >= 1, got 0"),
     ("sys", "arity 0", 2, "'arity' must be >= 1, got 0"),
     ("defs", "delay 0", 2, "'delay' must be >= 1, got 0"),

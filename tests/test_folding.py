@@ -262,6 +262,14 @@ class TestStabilizeNext:
         with pytest.raises(ValueError, match="at least one bead"):
             stabilize_next(sys_, Conformation((), ()), 0)
 
+    def test_lookahead_deeper_than_a_thousand_beads(self):
+        # A rail of s beads ends at (0, 0); each a bonds the next s along
+        # it. The search for bead 1 nests 1,500 deep but pushes about 3,000
+        # beads, within its budget: depth alone does not end a search.
+        seed = Conformation.build([(x, 0) for x in range(1509, -1, -1)], ["s"] * 1510)
+        sys_ = OritatamiSystem(RuleSet([("a", "s")]), 1, 1500, seed, ("a",) * 1500)
+        assert stabilize_next(sys_, seed, 0) == [((0, 1), (1508,)), ((1, -1), (1508,))]
+
     @pytest.mark.parametrize("i", [12, -1])
     def test_bead_index_outside_the_transcript_raises_value_error(self, i):
         sys_ = glider_system(periods=1)
@@ -1028,30 +1036,35 @@ class TestLookaheadBounds:
         assert compared > 200
 
     def test_value_below_alpha_is_only_below_alpha(self, monkeypatch):
-        # Each _value call is rerun with alpha -1, which makes it exact. At
-        # or above alpha the result is exact; below it, the result and the
-        # exact value are both below alpha, and the result is no bound on
-        # the exact value.
-        value = _Lookahead._value
+        # Each node's frame, nested ones included, is checked against a
+        # rerun of its node with alpha -1, which makes it exact, made when
+        # the frame is created. At or above alpha the frame's score is
+        # exact; below it, the score and the exact value are both below
+        # alpha, and the score is no bound on the exact value.
+        node = _Lookahead._node
         seen = Counter()
 
         def checked(self, fold, j, stop, alpha):
-            got = value(self, fold, j, stop, alpha)
-            if not seen["rerunning"]:
-                left = self.nodes_left
-                seen["rerunning"] = 1
-                exact = value(self, fold, j, stop, -1)
-                seen["rerunning"] = 0
-                self.nodes_left = left
-                if got >= alpha:
-                    assert got == exact
-                else:
-                    assert exact < alpha
-                    seen["below"] += 1
-                    seen["above the result"] += exact > got
-            return got
+            if seen["rerunning"]:
+                return node(self, fold, j, stop, alpha)
+            left = self.nodes_left
+            seen["rerunning"] = 1
+            exact = self._value(fold, j, stop, -1)
+            seen["rerunning"] = 0
+            self.nodes_left = left
+            return check(self, node(self, fold, j, stop, alpha), exact, alpha)
 
-        monkeypatch.setattr(_Lookahead, "_value", checked)
+        def check(search, frame, exact, alpha):
+            yield from frame
+            got = search.score
+            if got >= alpha:
+                assert got == exact
+            else:
+                assert exact < alpha
+                seen["below"] += 1
+                seen["above the result"] += exact > got
+
+        monkeypatch.setattr(_Lookahead, "_node", checked)
         rng = random.Random(5)
         for _ in range(80):
             sys_ = oracles.random_system(rng, max_delay=5, max_arity=3)

@@ -224,6 +224,26 @@ class TestExploreClosure:
         assert "digraph bricks {" in text
         assert '"band_bottom" -> "band_bottom" [label="B"];' in text
 
+    def test_format_automaton_escapes_names_inside_dot_strings(self):
+        # The edge list keeps each name as it is; inside the DOT listing's
+        # quoted strings a quote and a backslash are escaped.
+        envs = [
+            Environment('band"top', glider_seed(), "T", "1"),
+            Environment("band\\bottom", glider_seed(mirrored=True), "B", "1"),
+        ]
+        text = format_automaton(explore_closure({"gspacer": gspacer()}, envs))
+        assert text == (
+            'band"top -T-> band"top\n'
+            "band\\bottom -B-> band\\bottom\n"
+            "\n"
+            "digraph bricks {\n"
+            '  "band\\"top" [label="band\\"top\\ngspacer_-t1"];\n'
+            '  "band\\\\bottom" [label="band\\\\bottom\\ngspacer_-b1"];\n'
+            '  "band\\"top" -> "band\\"top" [label="T"];\n'
+            '  "band\\\\bottom" -> "band\\\\bottom" [label="B"];\n'
+            "}\n"
+        )
+
 
 CATALOG_TEXT = """\
 env band_top

@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 from oritatami.fixtures import glider_seed, glider_system
 from oritatami.folding import Conformation, fold_all
 from oritatami.render import render_ascii, render_svg
@@ -22,6 +24,13 @@ def test_bond_segments_match_bond_count():
     assert svg.count("<line") == len(conf.bonds)
     assert svg.count("<circle") == len(conf.path)
     assert svg.count("<text") == len(conf.path)
+
+
+def test_bead_names_are_escaped_as_xml_text():
+    conf = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a<b", "x&y", "a<b"])
+    doc = minidom.parseString(render_svg(conf))
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert labels == ["a<b", "x&y", "a<b"]
 
 
 def test_byte_stability():
