@@ -17,15 +17,18 @@ survivor, scanned right to left, with the lowest-index survivor as the
 forced fallback).
 
 A run fills a (state, letter) period table: each period goes through the
-four stages once, and every branch that reaches it shares its traces.
-Enumerate mode's verdict (``run_verdict``) is a frontier carried through
-that table, {state: live branch count} letter by letter, so it takes time
-linear in the word and has no branch budget. Listing the branches
-(``run_word``, ``write_report``) is one depth-first walk over the table with
-a prefix stack of one (trace, state) per depth, capped at ``BRANCH_BUDGET``
-branches; sample mode is the same walk with one coin pick per period. The
-report is written branch by branch from encoded pieces that are made once,
-so its memory does not grow with the number of branches.
+four stages once, and every branch that reaches it shares its traces. The
+table builds each row once per state or slot (the stage-1 row once per
+state, a slot's stage-3 and stage-4 rows once per slot), so an entry builds
+only its stage-2 row and stage 3's mark. Enumerate mode's verdict
+(``run_verdict``) is a frontier carried through that table, {state: live
+branch count} letter by letter, so it takes time linear in the word and has
+no branch budget. Listing the branches (``run_word``, ``write_report``) is
+one depth-first walk over the table with a prefix stack of one (trace,
+state) per depth, capped at ``BRANCH_BUDGET`` branches. Sample mode is a
+plain loop over the letters: one table look-up and one coin pick per
+period. The report is written branch by branch from encoded pieces that are
+made once, so its memory does not grow with the number of branches.
 """
 
 from __future__ import annotations
@@ -54,7 +57,18 @@ class _Halt:
 HALT = _Halt()
 
 N, Y, YP = "N", "Y", "Y'"
+_X_VALUES = frozenset((N, Y, YP))
+_Z_VALUES = frozenset((0, 1, None))
 _T = TypeVar("_T")
+
+
+def _all_in(values: Iterable, allowed: frozenset) -> bool:
+    """Whether every one of ``values`` is ``in`` the members of ``allowed``.
+    An unhashable value is compared with each member, as ``in`` a tuple is."""
+    try:
+        return allowed.issuperset(values)
+    except TypeError:
+        return all(v in tuple(allowed) for v in values)
 
 
 @dataclass(frozen=True)
@@ -71,9 +85,9 @@ class BrickRow:
     def __post_init__(self):
         if len(self.x) != len(self.z):
             raise ValueError("x and z slot vectors must have equal length")
-        if any(v not in (N, Y, YP) for v in self.x):
+        if not _all_in(self.x, _X_VALUES):
             raise ValueError(f"bad x values in {self.x!r}")
-        if any(v not in (0, 1, None) for v in self.z):
+        if not _all_in(self.z, _Z_VALUES):
             raise ValueError(f"bad z values in {self.z!r}")
 
     @property
@@ -109,10 +123,10 @@ def module2(row: BrickRow, code: Encoding, nfa: AugmentedNfa, letter: str) -> Br
     """Letter filter: a slot survives only if its transition reads ``letter``
     bit-for-bit. State bits are not propagated through this stage."""
     b_bits = code.letter_bits_of(letter)
-    x = tuple(
+    x = tuple([
         v if v == Y and code.letter_bits_of(t.letter) == b_bits else N
         for v, t in zip(row.x, nfa.transitions)
-    )
+    ])
     return BrickRow(x, (None,) * row.n)
 
 
@@ -128,7 +142,9 @@ def mark_first_valid(row: BrickRow) -> BrickRow | None:
 
 
 def _one_hot(n: int, k: int) -> BrickRow:
-    return BrickRow(tuple(Y if i == k else N for i in range(n)), (0,) * n)
+    x = [N] * n
+    x[k] = Y
+    return BrickRow(tuple(x), (0,) * n)
 
 
 def module3(
@@ -164,14 +180,13 @@ def _coin_pick(survivors: Sequence[_T], rng: random.Random) -> _T:
 def module4(row: BrickRow, code: Encoding, nfa: AugmentedNfa) -> BrickRow:
     """Write the chosen transition's target code into the z slots and clear
     the chosen flag, restoring the period-boundary format."""
-    if any(v != 0 for v in row.z):
+    if row.z.count(0) != row.n:
         raise NoChoiceMarked("stage-4 input must carry all-zero z slots")
-    chosen = [k for k, v in enumerate(row.x) if v != N]
-    if len(chosen) != 1 or row.x[chosen[0]] != Y:
+    # Exactly one slot is not N, and that one is Y.
+    if row.x.count(N) != row.n - 1 or row.x.count(Y) != 1:
         raise NoChoiceMarked(f"expected exactly one chosen slot, got {row.x!r}")
-    k = chosen[0]
-    bits = code.state_code[nfa.transitions[k].target]
-    return BrickRow((N,) * row.n, tuple(int(ch) for ch in bits))
+    bits = code.state_code[nfa.transitions[row.x.index(Y)].target]
+    return BrickRow((N,) * row.n, tuple(map(int, bits)))
 
 
 @dataclass(frozen=True)
@@ -212,33 +227,44 @@ def _period_shape(n: int, m: int) -> tuple[int, int]:
     return zigzags, zigzags * 2 * n
 
 
-def _run_period(
-    nfa: AugmentedNfa, code: Encoding, state: str, letter: str
-) -> list[tuple[PeriodTrace, str | None]]:
-    """All (trace, next state) pairs for one period, in slot order; next
-    state None on halt."""
-    r1 = module1(boundary_row(code, state), code, nfa)
-    r2 = module2(r1, code, nfa, letter)
-    marked = mark_first_valid(r2)
-    outcomes: list[tuple[PeriodTrace, str | None]] = []
-    if marked is None:
-        return [(PeriodTrace(letter, r1, r2, None, None, None, None, True), None)]
-    for r3 in module3(r2):
-        k = r3.x.index(Y)
-        r4 = module4(r3, code, nfa)
-        trace = PeriodTrace(letter, r1, r2, marked, r3, r4, k + 1, False)
-        outcomes.append((trace, nfa.transitions[k].target))
-    return outcomes
-
-
 _PeriodTable = Callable[[str, str], list[tuple[PeriodTrace, str | None]]]
 
 
 def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
-    """A run's period table: (state, letter) -> ``_run_period``'s options.
-    Each period goes through the four stages once, on first use, and every
-    branch that reaches it shares its ``PeriodTrace`` objects."""
-    return functools.cache(functools.partial(_run_period, nfa, code))
+    """A run's period table: (state, letter) -> every (trace, next state)
+    pair of that period, in slot order; next state None on halt.
+
+    An entry is built on first use, and every branch that reaches it shares
+    its ``PeriodTrace`` objects. Only stage 2 and stage 3's mark depend on
+    the letter, so the other rows are built once per run, also on first
+    use: the boundary row and its ``module1`` row once per state, and a
+    slot's one-hot stage-3 row (as ``module3`` builds it) and its
+    ``module4`` row once per slot. Traces share those row objects.
+    """
+
+    @functools.cache
+    def origin_row(state: str) -> BrickRow:
+        return module1(boundary_row(code, state), code, nfa)
+
+    @functools.cache
+    def choice_rows(k: int) -> tuple[BrickRow, BrickRow]:
+        r3 = _one_hot(len(nfa.transitions), k)
+        return r3, module4(r3, code, nfa)
+
+    @functools.cache
+    def period(state: str, letter: str) -> list[tuple[PeriodTrace, str | None]]:
+        r1 = origin_row(state)
+        r2 = module2(r1, code, nfa, letter)
+        marked = mark_first_valid(r2)
+        if marked is None:
+            return [(PeriodTrace(letter, r1, r2, None, None, None, None, True), None)]
+        return [
+            (PeriodTrace(letter, r1, r2, marked, *choice_rows(k), k + 1, False),
+             nfa.transitions[k].target)
+            for k, v in enumerate(r2.x) if v == Y
+        ]
+
+    return period
 
 
 def _periods(nfa: AugmentedNfa, word: Sequence[str]) -> list[str]:
@@ -269,13 +295,9 @@ def _frontier(table: _PeriodTable, initial: str, letters: Sequence[str]) -> tupl
 
 
 def _walk(
-    table: _PeriodTable,
-    initial: str,
-    letters: Sequence[str],
-    rng: random.Random | None = None,
+    table: _PeriodTable, initial: str, letters: Sequence[str]
 ) -> Iterator[tuple[list[PeriodTrace], list[str], bool, int]]:
-    """Every terminal branch in depth-first slot order or, given ``rng``,
-    the one branch ``_coin_pick`` draws period by period.
+    """Every terminal branch, in depth-first slot order.
 
     Yields (traces, states, accepted, kept) from the walker's prefix stack:
     the trace of each period run and the states visited, one per depth, and
@@ -285,16 +307,14 @@ def _walk(
     traces: list[PeriodTrace] = []
     states = [initial]
     last = len(letters) - 1
-    # Stack entries are (depth, trace, target); enumerate pushes the same
-    # entries whenever a state recurs at a depth, so they are kept.
+    # Stack entries are (depth, trace, target); the same entries are pushed
+    # whenever a state recurs at a depth, so they are kept.
     pushes: dict[tuple[str, int], list[tuple[int, PeriodTrace, str | None]]] = {}
 
     def options(state: str, depth: int) -> list[tuple[int, PeriodTrace, str | None]]:
-        found = table(state, letters[depth])
-        if rng is not None:
-            return [(depth, *_coin_pick(found, rng))]
         push = pushes.get((state, depth))
         if push is None:
+            found = table(state, letters[depth])
             push = pushes[state, depth] = [(depth, *option) for option in reversed(found)]
         return push
 
@@ -315,6 +335,23 @@ def _walk(
         kept = depth
 
 
+def _sample(
+    table: _PeriodTable, initial: str, letters: Sequence[str], rng: random.Random
+) -> tuple[list[PeriodTrace], list[str], bool, int]:
+    """The one branch that ``_coin_pick`` draws period by period, as
+    ``_walk`` would yield it."""
+    traces: list[PeriodTrace] = []
+    states = [initial]
+    state: str | None = initial
+    for letter in letters:
+        trace, state = _coin_pick(table(state, letter), rng)
+        traces.append(trace)
+        if state is None:
+            return traces, states, False, 0
+        states.append(state)
+    return traces, states, True, 0
+
+
 def branches(
     nfa: AugmentedNfa,
     code: Encoding,
@@ -322,7 +359,8 @@ def branches(
     mode: str = "enumerate",
     rng: random.Random | int | None = None,
 ) -> Iterator[tuple[list[PeriodTrace], list[str], bool, int]]:
-    """The run's terminal branches as ``_walk`` yields them.
+    """The run's terminal branches as ``_walk`` yields them; in sample mode,
+    the one branch ``_sample`` draws.
 
     The word and mode are checked here, and enumerate mode raises
     BranchBudgetExceeded past ``BRANCH_BUDGET`` branches (counted by the
@@ -333,7 +371,7 @@ def branches(
         raise ValueError(f"unknown run mode {mode!r}")
     table = _period_table(nfa, code)
     if mode == "sample":
-        return _walk(table, nfa.initial, letters, _as_rng(rng))
+        return iter((_sample(table, nfa.initial, letters, _as_rng(rng)),))
     if _frontier(table, nfa.initial, letters)[1] > BRANCH_BUDGET:
         raise BranchBudgetExceeded(f"more than {BRANCH_BUDGET} terminal branches")
     return _walk(table, nfa.initial, letters)
@@ -407,49 +445,63 @@ def write_report(
     binary file ``fh`` one branch at a time; return its verdict's
     (accepted, branch count).
 
-    Branches share the period table's ``PeriodTrace`` objects, so each
-    distinct trace is formatted and encoded once, keyed on its ``id`` (the
+    Branches share the period table's ``PeriodTrace`` objects, and traces
+    share the table's rows, so each distinct trace is formatted and encoded
+    once and each distinct row formatted once, both keyed on ``id`` (the
     table or the caller keeps every trace alive meanwhile), and each
     ``  period P`` prefix once per depth. A prefix stack holds the encoded
     periods of the current branch; only those past its ``kept`` leading
-    periods are looked up again, and a branch is one join of the stack.
+    periods are looked up again, and a branch is copied once, by one join
+    of the stack.
     """
     fh.write(f"word: {' '.join(word)} {nfa.dollar}".rstrip().encode() + b"\n")
+    rows: dict[int, str] = {}
     blocks: dict[int, bytes] = {}
     prefixes: list[bytes] = []
-    body: list[bytes] = []
+    # The branch line, then a prefix and a block per period.
+    body: list[bytes] = [b""]
     accepted, count = False, 0
+
+    def row_text(row: BrickRow) -> str:
+        text = rows.get(id(row))
+        if text is None:
+            text = rows[id(row)] = format_row(row)
+        return text
+
     for traces, states, ok, kept in runs:
         count += 1
         accepted = accepted or ok
-        del body[2 * kept :]
-        for p in range(kept, len(traces)):
-            if p == len(prefixes):
-                prefixes.append(b"  period %d" % (p + 1))
-            block = blocks.get(id(traces[p]))
+        body[0] = b"branch %d:\n" % count
+        del body[1 + 2 * kept :]
+        if len(prefixes) < len(traces):
+            prefixes += [b"  period %d" % p for p in range(len(prefixes) + 1, len(traces) + 1)]
+        for prefix, trace in zip(prefixes[kept:], traces[kept:]):
+            block = blocks.get(id(trace))
             if block is None:
-                block = blocks[id(traces[p])] = _format_period(traces[p]).encode()
-            body += (prefixes[p], block)
+                block = blocks[id(trace)] = _format_period(trace, row_text).encode()
+            body += (prefix, block)
         tail = b"accepted" if ok else b"halted at period %d" % len(traces)
-        path = " -> ".join(states).encode()
-        fh.write(b"branch %d:\n%b  states: %b (%b)\n" % (count, b"".join(body), path, tail))
+        body.append(b"  states: %b (%b)\n" % (" -> ".join(states).encode(), tail))
+        fh.write(b"".join(body))
+        body.pop()
     fh.write(_verdict_line(code, len(word), accepted, count).encode() + b"\n")
     return accepted, count
 
 
-def _format_period(trace: PeriodTrace) -> str:
-    """A period's report lines after its ``  period P`` prefix."""
+def _format_period(trace: PeriodTrace, row: Callable[[BrickRow], str]) -> str:
+    """A period's report lines after its ``  period P`` prefix, with each
+    row as ``row`` formats it."""
     text = (
         f" letter={trace.letter}\n"
-        f"    module1 {format_row(trace.after_module1)}\n"
-        f"    module2 {format_row(trace.after_module2)}\n"
+        f"    module1 {row(trace.after_module1)}\n"
+        f"    module2 {row(trace.after_module2)}\n"
     )
     if trace.halted:
         return text + "    module3 HALT\n"
     return text + (
-        f"    module3 mark {format_row(trace.marked)}\n"
-        f"    module3 choice f{trace.chosen} {format_row(trace.after_module3)}\n"
-        f"    module4 {format_row(trace.after_module4)}\n"
+        f"    module3 mark {row(trace.marked)}\n"
+        f"    module3 choice f{trace.chosen} {row(trace.after_module3)}\n"
+        f"    module4 {row(trace.after_module4)}\n"
     )
 
 

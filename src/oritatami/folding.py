@@ -463,7 +463,8 @@ class _Lookahead:
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
-                 "window_ids", "disk", "bound", "best", "nodes_left", "root", "score")
+                 "window_ids", "disk", "bound", "bound_top", "best", "nodes_left", "root",
+                 "score")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
@@ -495,7 +496,9 @@ class _Lookahead:
         # Only keyed windows read the disk around the chain end.
         self.disk = tuple(chain.from_iterable(_RINGS[: width + 2])) if ids else ()
         # Written by each search over its own window (see _reach_gains).
+        # Every entry from bound_top on reads zero.
         self.bound = [0] * (len(t) + 1)
+        self.bound_top = 0
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """``_search``'s argmin set for bead ``i``, from the table if it can."""
@@ -524,6 +527,7 @@ class _Lookahead:
         # bound, and a hit starts its node's budget: ``_walk``'s count below
         # this node reads all three as a search leaves them.
         gain, self.bound[i + 1 : stop + 1], entry = entry
+        self.bound_top = max(self.bound_top, stop + 1)
         self.best = fold.total_bonds + gain
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         # Partner offsets map back to indices whose order may differ from the
@@ -571,10 +575,16 @@ class _Lookahead:
         """Write ``bound[i + 1 .. stop]`` for a search at bead ``i``: the
         prefix sums of the most bonds each bead of ``i + 1 .. stop - 1`` can
         add, counted from the partners within its reach (see the class), or
-        zeros with no scan when none of them has headroom."""
+        zeros with no scan when none of them has headroom. Zeros are written
+        only below ``bound_top``, so a bond-free fold writes none."""
         t, headroom, bound = self.transcript, self.headroom, self.bound
         if headroom[stop] == headroom[i + 1]:
-            bound[i + 1 : stop + 1] = [0] * (stop - i)
+            top = self.bound_top
+            if top > i + 1:
+                end = min(stop + 1, top)
+                bound[i + 1 : end] = [0] * (end - i - 1)
+                if end == top:
+                    self.bound_top = i + 1
             return
         partners, arity = fold.rules.partners, fold.arity
         path, beads, counts = fold.path, fold.beads, fold.bond_count
@@ -617,6 +627,8 @@ class _Lookahead:
                         n += 1
                 total += min(cap, n)
             bound[k + 1] = total
+        if total:
+            self.bound_top = max(self.bound_top, stop + 1)
 
     def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``

@@ -10,20 +10,34 @@ and 3), 5 (2) and 6 (1 period), plain and mirrored, and 300 systems from
 ``oracles.random_system(Random(5), max_delay=5, max_arity=3)``. At each
 ``LOOKAHEAD_BUDGET`` it runs ``fold_summary`` in enumerate mode at branch
 budgets 10,000 and 50, then in first mode and in sample mode (rng 5), and
-records each result or error message. It prints the digest of all of them,
-then how often each part of the corpus called ``_Fold.push``,
-``_Fold.ways``, ``_Lookahead._search`` and ``_Lookahead._spend`` in each run.
+records each result or error message. It prints the digest of all of them.
+
+Then it runs ``run-nfa`` in process on the brick cases and prints their
+digest on a second line, ``bricks <digest>``, over each run's exit code,
+stdout, stderr and report bytes. The cases are the doubling machine (every
+letter doubles the branches) at 14 and 1,000 letters, in enumerate mode
+without and with ``--report`` (both past the branch budget) and in sample
+mode, and 200 machines from ``oracles.random_nfa(Random(26))``, each with a
+word of 0-10 letters, in enumerate and sample mode with ``--report``.
+
+Last come the counts of how often each part of the fold corpus called
+``_Fold.push``, ``_Fold.ways``, ``_Lookahead._search`` and
+``_Lookahead._spend`` in each run.
 
 Two versions of the engine fold the corpus alike if they print the same
-digest. The call counts show where they differ in work. The script sets no
+digest, and run the machines alike if they print the same ``bricks``
+digest. The call counts show where folds differ in work. The script sets no
 gate, and pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -31,13 +45,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
-from oritatami import folding  # noqa: E402
+from oritatami import cli, folding  # noqa: E402
 from oritatami.folding import _Fold, _Lookahead, fold_summary  # noqa: E402
 from perfbench.inputs import glider, random_system  # noqa: E402
 
 GLIDERS = ((3, 1), (3, 5), (3, 10), (4, 2), (4, 3), (5, 2), (6, 1))
 RUNS = (("enumerate", 10_000), ("enumerate", 50), ("first", None), ("sample", None))
 COUNTED = ((_Fold, "push"), (_Fold, "ways"), (_Lookahead, "_search"), (_Lookahead, "_spend"))
+DOUBLING_NFA = "states: p q\nalphabet: a\ninitial: p\naccept: p\n" + "".join(
+    f"trans: {o} a {t}\n" for o in "pq" for t in "pq"
+)
 
 
 def corpus() -> dict[str, list]:
@@ -77,6 +94,48 @@ def result_text(system, mode: str, budget: int | None) -> str:
     return f"{total} {completed} {outcome_text(first)}"
 
 
+def nfa_text(nfa) -> str:
+    lines = [f"states: {' '.join(nfa.states)}", f"alphabet: {' '.join(nfa.alphabet)}",
+             f"initial: {nfa.initial}"]
+    if nfa.accepting:
+        lines.append(f"accept: {' '.join(nfa.accepting)}")
+    lines += [f"trans: {t.origin} {t.letter} {t.target}" for t in nfa.transitions]
+    return "\n".join(lines) + "\n"
+
+
+def brick_cases() -> list[tuple[str, list[str], bool]]:
+    """Each brick case as (NFA file text, run-nfa options, with a report)."""
+    cases = []
+    for letters in (14, 1000):
+        word = ["--word", "a" * letters]
+        cases += [(DOUBLING_NFA, word, False), (DOUBLING_NFA, word, True),
+                  (DOUBLING_NFA, [*word, "--mode", "sample", "--rng-seed", "5"], True)]
+    rng = random.Random(26)
+    for _ in range(200):
+        nfa = oracles.random_nfa(rng)
+        word = " ".join(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 10)))
+        seed = str(rng.randrange(1000))
+        for mode in ("enumerate", "sample"):
+            cases.append((nfa_text(nfa), ["--word", word, "--mode", mode, "--rng-seed", seed], True))
+    return cases
+
+
+def bricks_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        machine, report = Path(tmp, "m.nfa"), Path(tmp, "run.txt")
+        for text, options, with_report in brick_cases():
+            machine.write_text(text)
+            report.unlink(missing_ok=True)
+            argv = ["run-nfa", str(machine), *options] + (["--report", str(report)] if with_report else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            written = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else "-"
+            digest.update(f"{text!r} {options} {code} {out.getvalue()!r} {err.getvalue()!r} {written}\n".encode())
+    return digest.hexdigest()[:16]
+
+
 def main(argv: list[str]) -> int:
     budgets = [int(a) for a in argv] or [folding.LOOKAHEAD_BUDGET]
     parts = corpus()
@@ -95,6 +154,7 @@ def main(argv: list[str]) -> int:
                 run = f"{mode} {branches}" if branches else mode
                 rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
     print(f"digest {digest.hexdigest()[:16]}")
+    print(f"bricks {bricks_digest()}")
     header = ("lookahead", "run", "part", *(f"{c.__name__}.{n}" for c, n in COUNTED))
     print("\t".join(header))
     for row in rows:

@@ -7,6 +7,7 @@ from oritatami.bricks import (
     HALT,
     BrickRow,
     NoChoiceMarked,
+    PeriodTrace,
     boundary_row,
     format_report,
     format_row,
@@ -19,6 +20,7 @@ from oritatami.bricks import (
     run_word,
     step_count,
 )
+from oritatami.bricks import _period_table
 from oritatami.folding import BRANCH_BUDGET, BranchBudgetExceeded
 from oritatami.fixtures import branching_machine
 from oritatami.nfa import DOLLAR, LetterNotEncoded, Nfa, assign_codes, augment, oracle_accepts
@@ -44,6 +46,23 @@ class TestRow:
             BrickRow(("N",), (0, 1))
         with pytest.raises(ValueError):
             BrickRow(("Q",), (0,))
+
+    @pytest.mark.parametrize(
+        "value", ["N", "Y", "Y'", "Q", "", None, 0, 1, 2, True, False, 0.0, [0], {}], ids=repr
+    )
+    @pytest.mark.parametrize("slot", ["x", "z"])
+    def test_slot_values_are_checked_as_in_a_tuple(self, slot, value):
+        # A slot value is accepted iff it is ``in`` the tuple of allowed
+        # values, and rejected with ValueError, unhashable values included.
+        if slot == "x":
+            allowed, args = value in ("N", "Y", "Y'"), ((value,), (0,))
+        else:
+            allowed, args = value in (0, 1, None), (("N",), (value,))
+        if allowed:
+            assert BrickRow(*args).n == 1
+        else:
+            with pytest.raises(ValueError, match=f"bad {slot} values"):
+                BrickRow(*args)
 
     def test_format(self):
         row = BrickRow(("N", "Y'", "N", "Y"), (None, None, None, None))
@@ -312,6 +331,52 @@ class TestRunWord:
                         assert trace.after_module4.is_boundary()
                         bits = "".join(str(b) for b in trace.after_module4.z)
                         assert bits == code.state_code[state]
+
+
+def replayed_period(nfa, code, state, letter):
+    """One period run afresh through the stages: what the period table must
+    hold for (state, letter)."""
+    r1 = module1(boundary_row(code, state), code, nfa)
+    r2 = module2(r1, code, nfa, letter)
+    marked = mark_first_valid(r2)
+    if marked is None:
+        assert module3(r2) == (HALT,)
+        return [(PeriodTrace(letter, r1, r2, None, None, None, None, True), None)]
+    options = []
+    for r3 in module3(r2):
+        k = r3.x.index("Y")
+        trace = PeriodTrace(letter, r1, r2, marked, r3, module4(r3, code, nfa), k + 1, False)
+        options.append((trace, nfa.transitions[k].target))
+    return options
+
+
+class TestPeriodTable:
+    def test_shared_rows_match_a_fresh_stage_replay(self):
+        # Every (state, letter) of random machines, $ included, in a
+        # shuffled order: the table's rows are built once per state or slot
+        # and shared, and each entry equals the stages run afresh.
+        rng = random.Random(2626)
+        entries = halts = 0
+        for _ in range(60):
+            aug = augment(oracles.random_nfa(rng))
+            code = assign_codes(aug)
+            table = _period_table(aug, code)
+            pairs = [(q, a) for q in aug.states for a in (*aug.alphabet, aug.dollar)]
+            rng.shuffle(pairs)
+            origin, choice = {}, {}
+            for state, letter in pairs:
+                options = table(state, letter)
+                assert options == replayed_period(aug, code, state, letter)
+                assert table(state, letter) is options
+                for trace, _ in options:
+                    assert origin.setdefault(state, trace.after_module1) is trace.after_module1
+                    if not trace.halted:
+                        rows = (trace.after_module3, trace.after_module4)
+                        assert choice.setdefault(trace.chosen, rows) == rows
+                        assert all(a is b for a, b in zip(choice[trace.chosen], rows))
+                entries += 1
+                halts += options[0][0].halted
+        assert entries > 300 and 0 < halts < entries
 
 
 class TestRunVerdict:

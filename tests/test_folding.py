@@ -988,6 +988,36 @@ class TestLookaheadBounds:
         assert pushes == 5
         assert set(scanned) == {"z"}
 
+    def test_bond_free_searches_write_no_bound(self, monkeypatch):
+        # A search whose window cannot bond zeros ``bound`` only where an
+        # earlier search may have left a nonzero entry. So a bond-free fold
+        # writes nothing, and a bond-free tail writes only next to the
+        # bonding prefix before it, however long the tail.
+        written = []
+
+        class Counted(list):
+            def __setitem__(self, key, value):
+                written.append(key.stop if isinstance(key, slice) else key + 1)
+                super().__setitem__(key, value)
+
+        init = _Lookahead.__init__
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.bound = Counted(self.bound)
+
+        monkeypatch.setattr(_Lookahead, "__init__", counted_init)
+        seed = Conformation.build([(0, 0)], ["s"])
+        for mode in ("first", "sample"):
+            free = OritatamiSystem(RuleSet(), 1, 50, seed, ("a",) * 200)
+            assert fold_summary(free, mode, rng=5)[0] == 1
+            assert written == []
+        tail = OritatamiSystem(RuleSet([("a", "s")]), 1, 3, seed, ("a",) * 4 + ("x",) * 60)
+        for mode in ("first", "sample"):
+            written.clear()
+            fold_summary(tail, mode, rng=5)
+            assert written and max(written) <= 4 + 3
+
     @pytest.mark.parametrize("size", [61, 60])
     def test_reach_from_the_disk_or_the_placed_beads(self, monkeypatch, size):
         # A delay-3 search reads the partners within 4 steps of the path
