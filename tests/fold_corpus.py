@@ -52,9 +52,6 @@ from perfbench.inputs import glider, random_system  # noqa: E402
 GLIDERS = ((3, 1), (3, 5), (3, 10), (4, 2), (4, 3), (5, 2), (6, 1))
 RUNS = (("enumerate", 10_000), ("enumerate", 50), ("first", None), ("sample", None))
 COUNTED = ((_Fold, "push"), (_Fold, "ways"), (_Lookahead, "_search"), (_Lookahead, "_spend"))
-DOUBLING_NFA = "states: p q\nalphabet: a\ninitial: p\naccept: p\n" + "".join(
-    f"trans: {o} a {t}\n" for o in "pq" for t in "pq"
-)
 
 
 def corpus() -> dict[str, list]:
@@ -94,29 +91,21 @@ def result_text(system, mode: str, budget: int | None) -> str:
     return f"{total} {completed} {outcome_text(first)}"
 
 
-def nfa_text(nfa) -> str:
-    lines = [f"states: {' '.join(nfa.states)}", f"alphabet: {' '.join(nfa.alphabet)}",
-             f"initial: {nfa.initial}"]
-    if nfa.accepting:
-        lines.append(f"accept: {' '.join(nfa.accepting)}")
-    lines += [f"trans: {t.origin} {t.letter} {t.target}" for t in nfa.transitions]
-    return "\n".join(lines) + "\n"
-
-
 def brick_cases() -> list[tuple[str, list[str], bool]]:
     """Each brick case as (NFA file text, run-nfa options, with a report)."""
     cases = []
     for letters in (14, 1000):
         word = ["--word", "a" * letters]
-        cases += [(DOUBLING_NFA, word, False), (DOUBLING_NFA, word, True),
-                  (DOUBLING_NFA, [*word, "--mode", "sample", "--rng-seed", "5"], True)]
+        doubling = oracles.DOUBLING_NFA
+        cases += [(doubling, word, False), (doubling, word, True),
+                  (doubling, [*word, "--mode", "sample", "--rng-seed", "5"], True)]
     rng = random.Random(26)
     for _ in range(200):
         nfa = oracles.random_nfa(rng)
         word = " ".join(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 10)))
         seed = str(rng.randrange(1000))
         for mode in ("enumerate", "sample"):
-            cases.append((nfa_text(nfa), ["--word", word, "--mode", mode, "--rng-seed", seed], True))
+            cases.append((oracles.nfa_text(nfa), ["--word", word, "--mode", mode, "--rng-seed", seed], True))
     return cases
 
 

@@ -194,6 +194,29 @@ def random_nfa(rng: random.Random) -> Nfa:
         )
 
 
+def nfa_text(nfa) -> str:
+    """An NFA file for ``nfa``; its codes are left to be assigned."""
+    lines = [f"states: {' '.join(nfa.states)}", f"alphabet: {' '.join(nfa.alphabet)}",
+             f"initial: {nfa.initial}"]
+    if nfa.accepting:
+        lines.append(f"accept: {' '.join(nfa.accepting)}")
+    lines += [f"trans: {t.origin} {t.letter} {t.target}" for t in nfa.transitions]
+    return "\n".join(lines) + "\n"
+
+
+# Every letter doubles the branches: t letters give 2**t.
+DOUBLING_NFA = """\
+states: p q
+alphabet: a
+initial: p
+accept: p
+trans: p a p
+trans: p a q
+trans: q a p
+trans: q a q
+"""
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from (list(w) for w in itertools.product(alphabet, repeat=length))

@@ -105,29 +105,6 @@ submodule gspacer
 """
 
 
-# Every letter doubles the branches: t letters give 2**t.
-DOUBLING_NFA = """\
-states: p q
-alphabet: a
-initial: p
-accept: p
-trans: p a p
-trans: p a q
-trans: q a p
-trans: q a q
-"""
-
-
-def _nfa_text(nfa) -> str:
-    """An NFA file for ``nfa``; its codes are left to be assigned."""
-    lines = [f"states: {' '.join(nfa.states)}", f"alphabet: {' '.join(nfa.alphabet)}",
-             f"initial: {nfa.initial}"]
-    if nfa.accepting:
-        lines.append(f"accept: {' '.join(nfa.accepting)}")
-    lines += [f"trans: {t.origin} {t.letter} {t.target}" for t in nfa.transitions]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture
 def glider_file(tmp_path):
     p = tmp_path / "glider.sys"
@@ -322,7 +299,7 @@ class TestRunNfaCommand:
     def test_enumerate_past_branch_budget_exits_2(self, tmp_path, capsys):
         # Only a report lists every branch, so only a report has the budget.
         p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
+        p.write_text(oracles.DOUBLING_NFA)
         report = tmp_path / "out.txt"
         assert main(["run-nfa", str(p), "--word", "a" * 14, "--report", str(report)]) == 2
         out, err = capsys.readouterr()
@@ -332,7 +309,7 @@ class TestRunNfaCommand:
 
     def test_enumerate_without_report_has_no_budget(self, tmp_path, capsys):
         p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
+        p.write_text(oracles.DOUBLING_NFA)
         assert main(["run-nfa", str(p), "--word", "a" * 14]) == 0
         assert capsys.readouterr().out == "ACCEPT branches=16384 steps=3600\n"
         start = time.perf_counter()
@@ -347,7 +324,7 @@ class TestRunNfaCommand:
         # The branches are counted before the first one is walked, so even
         # 2**1000 of them fail at once.
         p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
+        p.write_text(oracles.DOUBLING_NFA)
         report = tmp_path / "out.txt"
         start = time.perf_counter()
         assert main(["run-nfa", str(p), "--word", "a" * 1000, "--report", str(report)]) == 2
@@ -368,7 +345,7 @@ class TestRunNfaCommand:
         # 11 doubling letters: 2,048 branches and a report of several MB,
         # which is written piece by piece rather than built whole.
         p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
+        p.write_text(oracles.DOUBLING_NFA)
         report = tmp_path / "out.txt"
         tracemalloc.start()
         try:
@@ -382,7 +359,7 @@ class TestRunNfaCommand:
     def test_report_memory_is_flat_in_branches(self, tmp_path, capsys):
         # 512 against 8,192 branches: the peak may not follow the count.
         p = tmp_path / "doubling.nfa"
-        p.write_text(DOUBLING_NFA)
+        p.write_text(oracles.DOUBLING_NFA)
         peaks = []
         for letters in (9, 13):
             tracemalloc.start()
@@ -401,7 +378,7 @@ class TestRunNfaCommand:
         path, report = tmp_path / "m.nfa", tmp_path / "run.txt"
         for _ in range(40):
             nfa = oracles.random_nfa(rng)
-            path.write_text(_nfa_text(nfa))
+            path.write_text(oracles.nfa_text(nfa))
             machine, code = prepare(*parse_nfa_file(str(path)))
             word = [rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 6))]
             seed = rng.randrange(1000)
@@ -431,7 +408,7 @@ class TestCompileCommand:
         path, out = tmp_path / "m.nfa", tmp_path / "seed.sys"
         for k in range(30):
             nfa = oracles.random_nfa(rng)
-            path.write_text(_nfa_text(nfa))
+            path.write_text(oracles.nfa_text(nfa))
             machine, code = prepare(*parse_nfa_file(str(path)))
             word = [rng.choice(nfa.alphabet) for _ in range(0 if k < 3 else rng.randint(1, 5))]
             assert main(["compile", str(path), "--word", " ".join(word), "--out", str(out)]) == 0
