@@ -123,10 +123,10 @@ def module2(row: BrickRow, code: Encoding, nfa: AugmentedNfa, letter: str) -> Br
     """Letter filter: a slot survives only if its transition reads ``letter``
     bit-for-bit. State bits are not propagated through this stage."""
     b_bits = code.letter_bits_of(letter)
-    x = tuple([
+    x = tuple(
         v if v == Y and code.letter_bits_of(t.letter) == b_bits else N
         for v, t in zip(row.x, nfa.transitions)
-    ])
+    )
     return BrickRow(x, (None,) * row.n)
 
 
@@ -141,10 +141,13 @@ def mark_first_valid(row: BrickRow) -> BrickRow | None:
     return BrickRow(x, row.z)
 
 
+def _survivors(row: BrickRow) -> list[int]:
+    """Stage 3's survivors: the slots still flagged Y, in slot order."""
+    return [k for k, v in enumerate(row.x) if v == Y]
+
+
 def _one_hot(n: int, k: int) -> BrickRow:
-    x = [N] * n
-    x[k] = Y
-    return BrickRow(tuple(x), (0,) * n)
+    return BrickRow(tuple(Y if i == k else N for i in range(n)), (0,) * n)
 
 
 def module3(
@@ -156,7 +159,7 @@ def module3(
     in slot order, or (HALT,) when none survived. coin returns a single
     outcome drawn with the brick-level coin semantics.
     """
-    outcomes = tuple(_one_hot(row.n, k) for k, v in enumerate(row.x) if v == Y)
+    outcomes = tuple(_one_hot(row.n, k) for k in _survivors(row))
     if not outcomes:
         return (HALT,)
     if mode == "enumerate":
@@ -180,13 +183,14 @@ def _coin_pick(survivors: Sequence[_T], rng: random.Random) -> _T:
 def module4(row: BrickRow, code: Encoding, nfa: AugmentedNfa) -> BrickRow:
     """Write the chosen transition's target code into the z slots and clear
     the chosen flag, restoring the period-boundary format."""
-    if row.z.count(0) != row.n:
+    if any(v != 0 for v in row.z):
         raise NoChoiceMarked("stage-4 input must carry all-zero z slots")
-    # Exactly one slot is not N, and that one is Y.
-    if row.x.count(N) != row.n - 1 or row.x.count(Y) != 1:
+    chosen = [k for k, v in enumerate(row.x) if v != N]
+    if len(chosen) != 1 or row.x[chosen[0]] != Y:
         raise NoChoiceMarked(f"expected exactly one chosen slot, got {row.x!r}")
-    bits = code.state_code[nfa.transitions[row.x.index(Y)].target]
-    return BrickRow((N,) * row.n, tuple(map(int, bits)))
+    k = chosen[0]
+    bits = code.state_code[nfa.transitions[k].target]
+    return BrickRow((N,) * row.n, tuple(int(ch) for ch in bits))
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,9 @@ def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
     its ``PeriodTrace`` objects. Only stage 2 and stage 3's mark depend on
     the letter, so the other rows are built once per run, also on first
     use: the boundary row and its ``module1`` row once per state, and a
-    slot's one-hot stage-3 row (as ``module3`` builds it) and its
-    ``module4`` row once per slot. Traces share those row objects.
+    slot's one-hot stage-3 row and its ``module4`` row once per slot. An
+    entry's choices are the slots ``_survivors`` lists, as in ``module3``.
+    Traces share those row objects.
     """
 
     @functools.cache
@@ -261,7 +266,7 @@ def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
         return [
             (PeriodTrace(letter, r1, r2, marked, *choice_rows(k), k + 1, False),
              nfa.transitions[k].target)
-            for k, v in enumerate(r2.x) if v == Y
+            for k in _survivors(r2)
         ]
 
     return period

@@ -46,20 +46,12 @@ def _tokenize_word(raw: str, alphabet: tuple[str, ...]) -> list[str]:
 def _split_chunk(chunk: str, alphabet: tuple[str, ...]) -> list[str]:
     """The unique split of ``chunk`` into alphabet letters, by dynamic
     programming over suffixes: linear in the chunk length. Each position
-    looks up one slice per distinct letter length. Letters of a single
-    length are cut at a fixed stride instead."""
+    looks up one slice per distinct letter length."""
     n = len(chunk)
     by_length: dict[int, set[str]] = {}
     for letter in alphabet:
         by_length.setdefault(len(letter), set()).add(letter)
     sizes = tuple(by_length.items())
-    if len(sizes) == 1:
-        # Letters of one length split a chunk in one way at most.
-        ((length, letters),) = sizes
-        parts = [chunk[k : k + length] for k in range(0, n, length)]
-        if letters.issuperset(parts):
-            return parts
-        raise ValueError(f"cannot split {chunk!r} into alphabet letters")
     # ways[k]: splits of chunk[k:], capped at 2; first[k]: a letter starting one.
     ways = [0] * n + [1]
     first: list[str | None] = [None] * n
