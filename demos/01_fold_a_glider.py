@@ -11,9 +11,8 @@ Run:  python demos/01_fold_a_glider.py
 
 from pathlib import Path
 
-from oritatami import energy, stabilize_next
-from oritatami.folding import fold_summary
-from oritatami.render import render_ascii, render_svg
+from oritatami.folding import energy, fold_summary, stabilize_next
+from oritatami.render import render_svg
 from oritatami.sysfile import format_trace, parse_system_file
 
 HERE = Path(__file__).parent
@@ -35,9 +34,6 @@ print(f"terminal conformations: {terminals}")
 conf = outcome.conformation
 print(f"energy: {energy(conf)}  (two seed bonds + seven per period)")
 print(f"deterministic: {terminals == completed == 1}")
-
-print()
-print(render_ascii(conf))
 
 out_svg = HERE / "glider.svg"
 out_svg.write_text(render_svg(conf))

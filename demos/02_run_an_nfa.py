@@ -9,11 +9,11 @@ some branch survives every period — which the direct NFA oracle confirms.
 Run:  python demos/02_run_an_nfa.py
 """
 
+import sys
 from pathlib import Path
 
-from oritatami import oracle_accepts, run_word
-from oritatami.bricks import format_report, step_count
-from oritatami.nfa import parse_nfa_file, prepare
+from oritatami.bricks import branches, run_verdict, step_count, write_report
+from oritatami.nfa import oracle_accepts, parse_nfa_file, prepare
 
 HERE = Path(__file__).parent
 
@@ -23,14 +23,17 @@ print(f"machine: {len(machine.transitions)} transitions, "
       f"{code.state_bits}-bit states, {code.letter_bits}-bit letters")
 
 for word in ([], ["100"], ["100", "100"]):
-    result = run_word(machine, code, word)
+    accepted, _ = run_verdict(machine, code, word)
     oracle = oracle_accepts(nfa, word)
     shown = " ".join(word) or "(empty)"
-    print(f"word {shown:12} brick machine: {str(result.accepted):5}  oracle: {oracle}")
-    assert result.accepted == oracle
+    print(f"word {shown:12} brick machine: {str(accepted):5}  oracle: {oracle}")
+    assert accepted == oracle
 
 print()
 print("full report for the branching word:")
-result = run_word(machine, code, ["100"])
-print(format_report(machine, code, ["100"], result))
+# The report is bytes, as run-nfa --report writes it; the text written so
+# far goes out first.
+sys.stdout.flush()
+write_report(sys.stdout.buffer, machine, code, ["100"], branches(machine, code, ["100"]))
+print()
 print(f"cell count for t=1: {step_count(code, 1)}")

@@ -11,7 +11,8 @@ Run:  python demos/03_compile_a_seed.py
 
 from pathlib import Path
 
-from oritatami import build_seed, path_is_valid
+from oritatami import seed
+from oritatami.grid import path_is_valid
 from oritatami.nfa import parse_nfa_file, prepare
 from oritatami.seed import decode_input_column, decode_state_row
 from oritatami.sysfile import format_seed_stanza
@@ -22,10 +23,14 @@ nfa, state_codes, letter_codes = parse_nfa_file(str(HERE / "branching.nfa"))
 machine, code = prepare(nfa, state_codes, letter_codes)
 
 word = ["100"]
-layout, conformation = build_seed(machine, code, word)
+layout = seed.layout(machine, code, word)
 print(f"horizontal arm: {len(layout.horizontal)} beads (24n + 2 with n = {code.state_bits})")
 print(f"vertical arm:   {len(layout.vertical)} beads")
-print(f"combined path self-avoiding: {path_is_valid(conformation.path)}")
+# The path runs up the column, then east along the row.
+x, ys, _ = layout.column()
+xs, y, _ = layout.row()
+path = [(x, v) for v in ys] + [(v, y) for v in xs]
+print(f"combined path self-avoiding: {path_is_valid(path)}")
 
 q_bits, flags = decode_state_row(layout.horizontal)
 print(f"row decodes to state bits {q_bits} with flags {''.join(flags)}")
@@ -33,5 +38,5 @@ letters = decode_input_column(layout.vertical, code.state_bits, code)
 print(f"column decodes to letters {' '.join(letters)}")
 
 out = HERE / "compiled_seed.sys"
-out.write_text(format_seed_stanza(conformation))
-print(f"wrote the seed stanza to {out.name} ({len(conformation)} beads)")
+out.write_text(format_seed_stanza(layout))
+print(f"wrote the seed stanza to {out.name} ({len(path)} beads)")

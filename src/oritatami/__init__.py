@@ -1,10 +1,7 @@
 """Oritatami: a cotranscriptional-folding simulator with a brick-level
-automaton executor, seed codecs, and a submodule verification harness."""
+automaton executor, seed codecs, and a submodule verification harness.
 
-from .folding import energy, fold_all, stabilize_next
-from .grid import path_is_valid
-from .nfa import oracle_accepts
-from .bricks import run_word
-from .seed import build_seed
+The ``oritatami`` command (``oritatami.cli``) is the interface; each module
+documents its own functions."""
 
 __version__ = "0.1.0"

@@ -24,11 +24,12 @@ only its stage-2 row and stage 3's mark. Enumerate mode's verdict
 (``run_verdict``) is a frontier carried through that table, {state: live
 branch count} letter by letter, so it takes time linear in the word and has
 no branch budget. Listing the branches (``run_word``, ``write_report``) is
-one depth-first walk over the table with a prefix stack of one (trace,
-state) per depth, capped at ``BRANCH_BUDGET`` branches. Sample mode is a
-plain loop over the letters: one table look-up and one coin pick per
-period. The report is written branch by branch from encoded pieces that are
-made once, so its memory does not grow with the number of branches.
+one depth-first walk over the table, with one iterator per depth over that
+depth's entry, capped at ``BRANCH_BUDGET`` branches. The table is the run's
+only cache of rows and traces. Sample mode is a plain loop over the
+letters: one table look-up and one coin pick per period. The report is
+written branch by branch from each trace's block, encoded once, so its
+memory does not grow with the number of branches.
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ _T = TypeVar("_T")
 
 
 def _all_in(values: Iterable, allowed: frozenset) -> bool:
-    """Whether every one of ``values`` is ``in`` the members of ``allowed``.
-    An unhashable value is compared with each member, as ``in`` a tuple is."""
+    """Whether every one of ``values`` is in ``allowed``; an unhashable value
+    is not."""
     try:
         return allowed.issuperset(values)
     except TypeError:
-        return all(v in tuple(allowed) for v in values)
+        return False
 
 
 @dataclass(frozen=True)
@@ -304,40 +305,36 @@ def _walk(
 ) -> Iterator[tuple[list[PeriodTrace], list[str], bool, int]]:
     """Every terminal branch, in depth-first slot order.
 
-    Yields (traces, states, accepted, kept) from the walker's prefix stack:
-    the trace of each period run and the states visited, one per depth, and
-    how many leading traces are unchanged since the previous yield. The
-    lists change once the walk resumes, so read them before that.
+    Yields (traces, states, accepted, kept): the trace of each period run
+    and the states visited, one per depth, and how many leading traces are
+    unchanged since the previous yield. The walk keeps one iterator per
+    depth over that depth's table entry. The lists change once the walk
+    resumes, so read them before that.
     """
     traces: list[PeriodTrace] = []
     states = [initial]
     last = len(letters) - 1
-    # Stack entries are (depth, trace, target); the same entries are pushed
-    # whenever a state recurs at a depth, so they are kept.
-    pushes: dict[tuple[str, int], list[tuple[int, PeriodTrace, str | None]]] = {}
-
-    def options(state: str, depth: int) -> list[tuple[int, PeriodTrace, str | None]]:
-        push = pushes.get((state, depth))
-        if push is None:
-            found = table(state, letters[depth])
-            push = pushes[state, depth] = [(depth, *option) for option in reversed(found)]
-        return push
-
-    stack = list(options(initial, 0))
+    stack = [iter(table(initial, letters[0]))]
     kept = 0
     while stack:
-        depth, trace, target = stack.pop()
+        # The walk enters a depth to take its next option, or to find none
+        # and go up; so the shallowest depth entered since the last yield
+        # is where the next branch leaves the previous one.
+        depth = len(stack) - 1
         if depth < kept:
             kept = depth
-        del traces[depth:], states[depth + 1 :]
-        traces.append(trace)
-        if target is not None:
-            states.append(target)
-            if depth < last:
-                stack += options(target, depth + 1)
-                continue
-        yield traces, states, target is not None, kept
-        kept = depth
+        for trace, target in stack[-1]:
+            del traces[depth:], states[depth + 1 :]
+            traces.append(trace)
+            if target is not None:
+                states.append(target)
+                if depth < last:
+                    stack.append(iter(table(target, letters[depth + 1])))
+                    break
+            yield traces, states, target is not None, kept
+            kept = depth
+        else:
+            stack.pop()
 
 
 def _sample(
@@ -450,29 +447,20 @@ def write_report(
     binary file ``fh`` one branch at a time; return its verdict's
     (accepted, branch count).
 
-    Branches share the period table's ``PeriodTrace`` objects, and traces
-    share the table's rows, so each distinct trace is formatted and encoded
-    once and each distinct row formatted once, both keyed on ``id`` (the
-    table or the caller keeps every trace alive meanwhile), and each
-    ``  period P`` prefix once per depth. A prefix stack holds the encoded
+    Branches share the period table's ``PeriodTrace`` objects, so each
+    distinct trace's block is formatted and encoded once, keyed on ``id``
+    (the table or the caller keeps every trace alive meanwhile), and each
+    ``  period P`` prefix once per depth. The body holds the encoded
     periods of the current branch; only those past its ``kept`` leading
     periods are looked up again, and a branch is copied once, by one join
-    of the stack.
+    of the body.
     """
     fh.write(f"word: {' '.join(word)} {nfa.dollar}".rstrip().encode() + b"\n")
-    rows: dict[int, str] = {}
     blocks: dict[int, bytes] = {}
     prefixes: list[bytes] = []
     # The branch line, then a prefix and a block per period.
     body: list[bytes] = [b""]
     accepted, count = False, 0
-
-    def row_text(row: BrickRow) -> str:
-        text = rows.get(id(row))
-        if text is None:
-            text = rows[id(row)] = format_row(row)
-        return text
-
     for traces, states, ok, kept in runs:
         count += 1
         accepted = accepted or ok
@@ -483,7 +471,7 @@ def write_report(
         for prefix, trace in zip(prefixes[kept:], traces[kept:]):
             block = blocks.get(id(trace))
             if block is None:
-                block = blocks[id(trace)] = _format_period(trace, row_text).encode()
+                block = blocks[id(trace)] = _format_period(trace).encode()
             body += (prefix, block)
         tail = b"accepted" if ok else b"halted at period %d" % len(traces)
         body.append(b"  states: %b (%b)\n" % (" -> ".join(states).encode(), tail))
@@ -493,20 +481,19 @@ def write_report(
     return accepted, count
 
 
-def _format_period(trace: PeriodTrace, row: Callable[[BrickRow], str]) -> str:
-    """A period's report lines after its ``  period P`` prefix, with each
-    row as ``row`` formats it."""
+def _format_period(trace: PeriodTrace) -> str:
+    """A period's report lines after its ``  period P`` prefix."""
     text = (
         f" letter={trace.letter}\n"
-        f"    module1 {row(trace.after_module1)}\n"
-        f"    module2 {row(trace.after_module2)}\n"
+        f"    module1 {format_row(trace.after_module1)}\n"
+        f"    module2 {format_row(trace.after_module2)}\n"
     )
     if trace.halted:
         return text + "    module3 HALT\n"
     return text + (
-        f"    module3 mark {row(trace.marked)}\n"
-        f"    module3 choice f{trace.chosen} {row(trace.after_module3)}\n"
-        f"    module4 {row(trace.after_module4)}\n"
+        f"    module3 mark {format_row(trace.marked)}\n"
+        f"    module3 choice f{trace.chosen} {format_row(trace.after_module3)}\n"
+        f"    module4 {format_row(trace.after_module4)}\n"
     )
 
 

@@ -244,13 +244,15 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     ``trans: <origin> <letter> <target>`` (order = transition index order),
     ``statecode: <state> <bits>``, ``lettercode: <letter> <bits>``.
     Code lines may name the future sink ``qAcc`` and the letter ``$``. A
-    second ``initial:``, or a second code line for one name, is an error, and
-    so is an alphabet letter holding a comma, since words split on commas.
+    second ``initial:``, a second code line for one name, or a second
+    ``trans:`` line for one transition is an error, and so is an alphabet
+    letter holding a comma, since words split on commas.
     """
     lists: dict[str, list[str]] = {"states:": [], "alphabet:": [], "accept:": []}
     codes: dict[str, dict[str, str]] = {"statecode:": {}, "lettercode:": {}}
     initial: str | None = None
-    transitions: list[tuple[str, str, str]] = []
+    # Keys in line order, which is transition index order.
+    transitions: dict[tuple[str, ...], None] = {}
     for lineno, key, args in tokenize(text.splitlines()):
         if key in lists:
             names = check_args(NfaFileError, lineno, key, args, "NAME ...")
@@ -265,8 +267,10 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
             (initial,) = check_args(NfaFileError, lineno, key, args, "STATE")
         elif key == "trans:":
             usage = "ORIGIN LETTER TARGET"
-            origin, letter, target = check_args(NfaFileError, lineno, key, args, usage)
-            transitions.append((origin, letter, target))
+            transition = tuple(check_args(NfaFileError, lineno, key, args, usage))
+            if transition in transitions:
+                raise NfaFileError(f"line {lineno}: a second 'trans: {' '.join(transition)}' line")
+            transitions[transition] = None
         elif key in codes:
             name, bits = check_args(NfaFileError, lineno, key, args, "NAME BITS")
             if name in codes[key]:
@@ -278,7 +282,7 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     if initial is None:
         raise NfaFileError("missing 'initial:' line")
     try:
-        nfa = Nfa(lists["states:"], lists["alphabet:"], initial, lists["accept:"], transitions)
+        nfa = Nfa(lists["states:"], lists["alphabet:"], initial, lists["accept:"], tuple(transitions))
     except ValueError as exc:
         raise NfaFileError(str(exc)) from None
     return nfa, codes["statecode:"], codes["lettercode:"]

@@ -1,5 +1,5 @@
-"""Conformation rendering: SVG (circles, path polyline, dashed bonds) and a
-plain offset-row ASCII sketch. Output is byte-stable for identical inputs."""
+"""Conformation rendering as SVG: circles, the path polyline and dashed
+bonds. Output is byte-stable for identical inputs."""
 
 from __future__ import annotations
 
@@ -72,24 +72,3 @@ def render_svg(c: Conformation) -> str:
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
-
-def render_ascii(c: Conformation) -> str:
-    """Bead names on offset rows (one text row per grid row, half-cell shifts)."""
-    if not c.path:
-        return ""
-    cell = max(len(b) for b in c.beads) + 1
-    xs = [to_cartesian(p)[0] for p in c.path]
-    minx = min(xs)
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for p, bead, x in zip(c.path, c.beads, xs):
-        col = round((x - minx) * cell)
-        rows.setdefault(p.y, []).append((col, bead))
-    lines = []
-    for y in sorted(rows, reverse=True):
-        line: list[str] = []
-        for col, bead in sorted(rows[y]):
-            if len(line) < col:
-                line.extend(" " * (col - len(line)))
-            line.extend(bead)
-        lines.append("".join(line).rstrip())
-    return "\n".join(lines) + "\n"

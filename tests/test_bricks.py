@@ -9,6 +9,7 @@ from oritatami.bricks import (
     NoChoiceMarked,
     PeriodTrace,
     boundary_row,
+    branches,
     format_report,
     format_row,
     mark_first_valid,
@@ -377,6 +378,51 @@ class TestPeriodTable:
                 entries += 1
                 halts += options[0][0].halted
         assert entries > 300 and 0 < halts < entries
+
+
+def replayed_branches(nfa, code, word):
+    """Every terminal branch as (traces, states, accepted), in depth-first
+    slot order, with each period run afresh through the stages."""
+    letters = [*word, nfa.dollar]
+
+    def grow(traces, states):
+        for trace, target in replayed_period(nfa, code, states[-1], letters[len(traces)]):
+            if target is None:
+                yield [*traces, trace], states, False
+            elif len(traces) + 1 == len(letters):
+                yield [*traces, trace], [*states, target], True
+            else:
+                yield from grow([*traces, trace], [*states, target])
+
+    return list(grow([], [nfa.initial]))
+
+
+class TestBranches:
+    def test_walk_order_and_kept_traces(self):
+        # The branches come in depth-first slot order, and each one's first
+        # ``kept`` traces are the previous branch's objects. The walker
+        # reuses the lists it yields, so each is copied at once.
+        rng = random.Random(8128)
+        pairs = 0
+        for _ in range(150):
+            nfa = oracles.random_nfa(rng)
+            aug = augment(nfa)
+            code = assign_codes(aug)
+            word = [rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 8))]
+            walked = []
+            for traces, states, accepted, kept in branches(aug, code, word):
+                traces = list(traces)
+                if not walked:
+                    assert kept == 0
+                else:
+                    previous = walked[-1][0]
+                    assert kept < min(len(previous), len(traces))
+                    assert all(a is b for a, b in zip(previous[:kept], traces[:kept]))
+                    assert traces[kept] is not previous[kept]
+                    pairs += 1
+                walked.append((traces, list(states), accepted))
+            assert walked == replayed_branches(aug, code, word)
+        assert pairs > 500
 
 
 class TestRunVerdict:

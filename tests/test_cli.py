@@ -372,6 +372,19 @@ class TestRunNfaCommand:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
 
+    def test_deep_report_is_reference_report(self, tmp_path, capsys):
+        # 10 doubling letters: 1,024 branches, each sharing a prefix of
+        # up to 9 periods with the branch before it.
+        path, report = tmp_path / "doubling.nfa", tmp_path / "run.txt"
+        path.write_text(oracles.DOUBLING_NFA)
+        machine, code = prepare(*parse_nfa_file(str(path)))
+        word = ["a"] * 10
+        assert main(["run-nfa", str(path), "--word", "a" * 10, "--report", str(report)]) == 0
+        result = bricks.run_word(machine, code, word)
+        assert result.branch_count == 1024
+        expected = oracles.reference_report(machine, code, word, result)
+        assert report.read_bytes() == expected.encode("utf-8")
+
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     def test_report_file_is_reference_report_on_random_machines(self, tmp_path, capsys, mode):
         rng = random.Random(5150)
@@ -603,6 +616,7 @@ MALFORMED = [
     ("nfa", "initial: 1000", None, "a second 'initial:' line"),
     ("nfa", "statecode: 1000 1000", None, "a second 'statecode:' line for 1000"),
     ("nfa", "lettercode: $ 101", None, "a second 'lettercode:' line for $"),
+    ("nfa", "trans: 1011 100 1000", None, "a second 'trans: 1011 100 1000' line"),
     ("cat", "entry B", None, "a second 'entry' line"),
     ("cat", "input 1", None, "a second 'input' line"),
     ("cat", "submodule gspacer", None, "a second 'submodule' line"),

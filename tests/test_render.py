@@ -1,8 +1,8 @@
 from xml.dom import minidom
 
-from oritatami.fixtures import glider_seed, glider_system
+from oritatami.fixtures import glider_system
 from oritatami.folding import Conformation, fold_all
-from oritatami.render import render_ascii, render_svg
+from oritatami.render import render_svg
 
 
 def test_single_bead_svg():
@@ -15,7 +15,6 @@ def test_empty_conformation_is_valid_empty_document():
     svg = render_svg(Conformation((), ()))
     assert svg.startswith("<?xml")
     assert "</svg>" in svg
-    assert render_ascii(Conformation((), ())) == ""
 
 
 def test_bond_segments_match_bond_count():
@@ -36,13 +35,4 @@ def test_bead_names_are_escaped_as_xml_text():
 def test_byte_stability():
     conf = fold_all(glider_system(periods=1), "enumerate")[0].conformation
     assert render_svg(conf) == render_svg(conf)
-    assert render_ascii(conf) == render_ascii(conf)
 
-
-def test_ascii_rows_follow_grid_rows():
-    conf = glider_seed()
-    text = render_ascii(conf)
-    lines = text.splitlines()
-    assert len(lines) == 3  # the hexagon spans three grid rows
-    assert "585" in lines[0] and "590" in lines[0]
-    assert "587" in lines[2] and "588" in lines[2]
