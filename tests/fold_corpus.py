@@ -20,12 +20,22 @@ without and with ``--report`` (both past the branch budget) and in sample
 mode, and 200 machines from ``oracles.random_nfa(Random(26))``, each with a
 word of 0-10 letters, in enumerate and sample mode with ``--report``.
 
+A third line, ``seed <digest>``, covers the paper's pipeline: ``compile``
+in process of the word ``100`` 1,000 times on ``demos/branching.nfa`` and of 50
+machines from ``oracles.random_nfa(Random(28))``, each with a word of 0-40
+letters (each run's exit code, stdout and file bytes), then ``fold_summary``
+of the compiled 1,000-letter word under ``PIPELINE_HEAD`` (4,782
+terminals, 4,706 completed), at the default lookahead budget and before any
+call is counted. The compile, parse and fold times of the 1,000-letter word
+are printed beside it.
+
 Last come the counts of how often each part of the fold corpus called
 ``_Fold.push``, ``_Fold.ways``, ``_Lookahead._search`` and
 ``_Lookahead._spend`` in each run.
 
 Two versions of the engine fold the corpus alike if they print the same
-digest, and run the machines alike if they print the same ``bricks``
+digest, run the machines alike if they print the same ``bricks`` digest,
+and compile and fold the pipeline alike if they print the same ``seed``
 digest. The call counts show where folds differ in work. The script sets no
 gate, and pytest does not collect it.
 """
@@ -38,6 +48,7 @@ import io
 import random
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -47,10 +58,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 import oracles  # noqa: E402
 from oritatami import cli, folding  # noqa: E402
 from oritatami.folding import _Fold, _Lookahead, fold_summary  # noqa: E402
+from oritatami.sysfile import parse_system  # noqa: E402
 from perfbench.inputs import glider, random_system  # noqa: E402
 
 GLIDERS = ((3, 1), (3, 5), (3, 10), (4, 2), (4, 3), (5, 2), (6, 1))
 RUNS = (("enumerate", 10_000), ("enumerate", 50), ("first", None), ("sample", None))
+BRANCHING = ROOT / "demos" / "branching.nfa"
+PIPELINE_HEAD = "delay 3\narity 2\nrule a 625\nrule b 624\nrule a 505\nrule c 623\n" + "transcript a b c\n" * 4
 COUNTED = ((_Fold, "push"), (_Fold, "ways"), (_Lookahead, "_search"), (_Lookahead, "_spend"))
 
 
@@ -125,8 +139,41 @@ def bricks_digest() -> str:
     return digest.hexdigest()[:16]
 
 
+def seed_line() -> str:
+    """The ``seed`` digest line, with the 1,000-letter pipeline's times."""
+    digest = hashlib.sha256()
+    rng = random.Random(28)
+    with tempfile.TemporaryDirectory() as tmp:
+        machine, out = Path(tmp, "m.nfa"), Path(tmp, "seed.sys")
+
+        def compile_bytes(nfa: str, word: str) -> str:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["compile", nfa, "--word", word, "--out", str(out)])
+            text = out.read_text(encoding="utf-8")
+            digest.update(f"{word!r} {code} {stdout.getvalue().replace(str(out), 'OUT')!r} {text!r}\n".encode())
+            return text
+
+        start = time.perf_counter()
+        text = compile_bytes(str(BRANCHING), " ".join(["100"] * 1000))
+        compiled = time.perf_counter()
+        for _ in range(50):
+            nfa = oracles.random_nfa(rng)
+            machine.write_text(oracles.nfa_text(nfa))
+            compile_bytes(str(machine), " ".join(rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 40))))
+    parse_start = time.perf_counter()
+    system = parse_system(PIPELINE_HEAD + text)
+    parsed = time.perf_counter()
+    total, completed, first = fold_summary(system)
+    folded = time.perf_counter()
+    digest.update(f"{total} {completed} {outcome_text(first)}\n".encode())
+    times = f"compile {compiled - start:.3f} s, parse {parsed - parse_start:.3f} s, fold {folded - parsed:.3f} s"
+    return f"seed {digest.hexdigest()[:16]}\t({times})"
+
+
 def main(argv: list[str]) -> int:
     budgets = [int(a) for a in argv] or [folding.LOOKAHEAD_BUDGET]
+    seed = seed_line()
     parts = corpus()
     calls: Counter = Counter()
     count_calls(calls)
@@ -144,6 +191,7 @@ def main(argv: list[str]) -> int:
                 rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
     print(f"digest {digest.hexdigest()[:16]}")
     print(f"bricks {bricks_digest()}")
+    print(seed)
     header = ("lookahead", "run", "part", *(f"{c.__name__}.{n}" for c, n in COUNTED))
     print("\t".join(header))
     for row in rows:
