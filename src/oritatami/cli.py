@@ -121,13 +121,15 @@ def _cmd_compile(args) -> int:
     machine, code = _load_machine(args.nfa)
     word = _tokenize_word(args.word, machine.alphabet)
     arms = seed.layout(machine, code, word)
-    stanza = (
+    header = (
         f"# seed for {len(machine.transitions)}-slot machine, "
         f"word of {len(word)} letters plus end marker\n"
         f"# horizontal arm {len(arms.horizontal)} beads, "
         f"vertical arm {len(arms.vertical)} beads\n"
-    ) + format_seed_stanza(arms)
+    )
+    stanza = format_seed_stanza(arms)
     with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(header)
         fh.write(stanza)
     print(f"wrote {len(arms.vertical) + len(arms.horizontal)} seed beads to {args.out}")
     return 0

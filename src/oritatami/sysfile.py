@@ -22,6 +22,8 @@ x, y, and the bond partner indices joined by ``;``.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .folding import Conformation, OritatamiSystem, RuleSet
@@ -53,8 +55,7 @@ def check_args(
     """``args`` checked against ``usage``, one space-separated name per
     argument (a trailing ``...`` takes any number more), with the first
     ``ints`` converted to int."""
-    more = usage.endswith("...")
-    need = usage.count(" ") + 1 - more
+    need, more = _shape(usage)
     if len(args) != need and (len(args) < need or not more):
         raise error(f"line {lineno}: expected '{key} {usage}'")
     try:
@@ -62,6 +63,14 @@ def check_args(
     except ValueError:
         names = " ".join(usage.split()[:ints])
         raise error(f"line {lineno}: expected '{key} {usage}' with integer {names}") from None
+
+
+@cache
+def _shape(usage: str) -> tuple[int, bool]:
+    """The count of names in ``usage`` and whether a trailing ``...`` takes
+    more, worked out once per usage string."""
+    more = usage.endswith("...")
+    return usage.count(" ") + 1 - more, more
 
 
 def split_stanzas(text: str, head: str, error: type[ValueError]) -> list[tuple[str, list[Line]]]:
@@ -187,16 +196,32 @@ def format_seed_stanza(seed: Conformation | SeedLayout) -> str:
     ``seed.SeedLayout`` is written arm by arm, the column then the row, from
     each arm's fixed coordinate and range."""
     if isinstance(seed, Conformation):
-        lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
-        lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
-    else:
-        x, ys, beads = seed.column()
-        head = f"seed {x} "
-        lines = [f"{head}{y} {bead}" for y, bead in zip(ys, beads)]
-        xs, y, beads = seed.row()
-        tail = f" {y} "
-        lines += [f"seed {x}{tail}{bead}" for x, bead in zip(xs, beads)]
-    return "\n".join(lines) + "\n"
+        text = _seed_lines("seed %d %d ", seed.beads, tuple(chain.from_iterable(seed.path)))
+        bonds = sorted(seed.bonds)
+        text += "seedbond %d %d\n" * len(bonds) % tuple(k + 1 for bond in bonds for k in bond)
+        return text or "\n"
+    x, ys, beads = seed.column()
+    text = _seed_lines(f"seed {x} %d ", beads, tuple(ys))
+    xs, y, beads = seed.row()
+    return text + _seed_lines(f"seed %d {y} ", beads, tuple(xs))
+
+
+def _seed_lines(head: str, beads: Iterable[str], values: tuple[int, ...]) -> str:
+    """One line per bead, ``head`` then the bead, path order, with the
+    ``%d`` fields of all the lines filled from ``values`` by one ``%``."""
+    return "".join(map(_LineTemplates(head).__getitem__, beads)) % values
+
+
+class _LineTemplates(dict):
+    """Each bead type's line, ``head`` then the bead with its ``%`` escaped,
+    formatted the first time the bead is looked up."""
+
+    def __init__(self, head: str):
+        self.head = head
+
+    def __missing__(self, bead: str) -> str:
+        line = self[bead] = f"{self.head}{bead.replace('%', '%%')}\n"
+        return line
 
 
 def format_trace(conformation: Conformation, seed_len: int) -> str:

@@ -248,3 +248,11 @@ def reference_report(nfa, code, word, result) -> str:
         lines.append(f"  states: {' -> '.join(outcome.states)} ({tail})")
     lines.append(format_verdict(code, word, result))
     return "\n".join(lines) + "\n"
+
+
+def reference_stanza(seed: Conformation) -> str:
+    """The ``seed``/``seedbond`` lines of ``seed`` built one f-string per
+    line: the writer ``sysfile.format_seed_stanza`` replaced."""
+    lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
+    lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
+    return "\n".join(lines) + "\n"

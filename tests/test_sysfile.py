@@ -1,8 +1,14 @@
+import itertools
+import random
+
 import pytest
 
 from oritatami import folding
 from oritatami.fixtures import glider_system
-from oritatami.folding import fold_all
+from oritatami.folding import Conformation, fold_all
+from oritatami.grid import Point, are_adjacent
+from oritatami.nfa import prepare
+from oritatami.seed import build_seed
 from oritatami.sysfile import (
     SystemFileError,
     format_seed_stanza,
@@ -10,6 +16,8 @@ from oritatami.sysfile import (
     format_trace,
     parse_system,
 )
+
+import oracles
 
 GLIDER_TEXT = """\
 # glider spacer, one period
@@ -108,6 +116,55 @@ def test_trace_lists_stabilized_beads_one_based():
 def test_seed_stanza_round_trips():
     seed = glider_system(periods=1).seed
     stanza = "delay 3\narity 2\nrule 585 590\nrule 586 590\n" + format_seed_stanza(seed)
+    assert parse_system(stanza).seed == seed
+
+
+# A bead name is any token without whitespace or '#', so it may hold '%'.
+PERCENT_BEADS = ("50%", "%d", "%%s", "a", "505")
+
+
+def random_conformation(rng: random.Random) -> Conformation:
+    """A self-avoiding walk of 1-40 beads from a random start, negative
+    coordinates included, with about half of its possible bonds."""
+    path = [(rng.randint(-50, 50), rng.randint(-50, 50))]
+    for _ in range(rng.randint(0, 39)):
+        x, y = path[-1]
+        free = [(x + dx, y + dy) for dx, dy in oracles.OFFSETS if (x + dx, y + dy) not in path]
+        if not free:
+            break
+        path.append(rng.choice(free))
+    pairs = [(i, j) for i in range(len(path)) for j in range(i + 2, len(path))
+             if are_adjacent(Point(*path[i]), Point(*path[j]))]
+    bonds = [pair for pair in pairs if rng.random() < 0.5]
+    return Conformation.build(path, [rng.choice(PERCENT_BEADS) for _ in path], bonds)
+
+
+def test_seed_stanza_matches_the_reference_writer():
+    rng = random.Random(2828)
+    rules = "".join(f"rule {a} {b}\n" for a, b in itertools.combinations_with_replacement(PERCENT_BEADS, 2))
+    for _ in range(300):
+        seed = random_conformation(rng)
+        stanza = format_seed_stanza(seed)
+        assert stanza == oracles.reference_stanza(seed)
+        assert parse_system(f"delay 1\narity 4\n{rules}{stanza}").seed == seed
+    empty = Conformation.build([], [])
+    assert format_seed_stanza(empty) == oracles.reference_stanza(empty) == "\n"
+
+
+def test_layout_stanza_matches_the_reference_writer():
+    rng = random.Random(2829)
+    for _ in range(60):
+        nfa = oracles.random_nfa(rng)
+        machine, code = prepare(nfa)
+        word = [rng.choice(nfa.alphabet) for _ in range(rng.randint(0, 40))]
+        arms, conformation = build_seed(machine, code, word)
+        assert format_seed_stanza(arms) == oracles.reference_stanza(conformation)
+
+
+def test_seed_of_percent_beads_round_trips():
+    seed = Conformation.build([(0, -1), (1, -1), (1, 0), (0, 0)], ["50%", "%d", "%%s", "50%"], [(0, 3)])
+    stanza = "delay 1\narity 1\nrule 50% 50%\n" + format_seed_stanza(seed)
+    assert "seed 1 -1 %d\nseed 1 0 %%s\n" in stanza
     assert parse_system(stanza).seed == seed
 
 
