@@ -1,22 +1,16 @@
-"""Built-in worked systems.
+"""The built-in worked system.
 
 ``glider_*`` is the 12-bead glider spacer: a delay-3 deterministic system
 whose transcript cycles through bead types 579..590 and translates by a
 fixed vector every period. It doubles as the 1-bit spacer of the brick
 harness (the bead sequence it exposes below depends on whether it enters a
 row at the top or at the bottom).
-
-``branching_machine`` is a 4-state, 4-transition augmented automaton with one
-genuinely nondeterministic step (two transitions leave the initial state on
-the same letter), small enough to trace by hand. Its verbatim codes make the
-slot vectors of the brick machine match the hand-worked module runs.
 """
 
 from __future__ import annotations
 
 from .folding import Conformation, OritatamiSystem, RuleSet
 from .grid import Point, mirror
-from .nfa import AugmentedNfa, Encoding, Nfa
 
 GLIDER_PERIOD: tuple[str, ...] = tuple(str(b) for b in range(579, 591))
 
@@ -60,45 +54,3 @@ def glider_system(periods: int = 4, mirrored: bool = False) -> OritatamiSystem:
         seed=glider_seed(mirrored),
         transcript=GLIDER_PERIOD * periods,
     )
-
-
-def branching_nfa() -> Nfa:
-    """The 3-state machine underneath :func:`branching_machine`, pre-augmentation."""
-    return Nfa(
-        states=("1011", "1000", "1111"),
-        alphabet=("100",),
-        initial="1011",
-        accepting=("1011", "1111"),
-        transitions=(
-            ("1011", "100", "1000"),
-            ("1011", "100", "1111"),
-        ),
-    )
-
-
-def branching_machine() -> tuple[AugmentedNfa, Encoding]:
-    """The worked 4-transition machine with its verbatim codes.
-
-    Transition order is fixed so that slot k carries: ($-move from 1111),
-    (1011 -100-> 1000), ($-move from 1011), (1011 -100-> 1111). State names
-    double as their own 4-bit codes; the letters are coded 100 and 101.
-    """
-    machine = AugmentedNfa(
-        states=("1011", "1000", "1111", "0011"),
-        alphabet=("100",),
-        initial="1011",
-        transitions=(
-            ("1111", "$", "0011"),
-            ("1011", "100", "1000"),
-            ("1011", "$", "0011"),
-            ("1011", "100", "1111"),
-        ),
-        sink="0011",
-    )
-    encoding = Encoding(
-        state_code={s: s for s in machine.states},
-        letter_code={"100": "100", "$": "101"},
-        state_bits=4,
-        letter_bits=3,
-    )
-    return machine, encoding

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .grid import (
     DIRECTIONS,
@@ -436,9 +436,8 @@ class _Lookahead:
     as one push (``_spend``), else it raises LookaheadBudgetExceeded: its
     only limit, at any depth (``_value``). Every search writes its
     window's bound, zeros if no later bead has headroom.
-    ``_walk``'s count below a node reads that node's best score and bound,
-    and spends its budget through ``_spend``: a table hit restores the
-    first two and starts the third, as a search does.
+    ``_walk``'s count below the node it searched last reads that search's
+    best score and bound, and spends its budget through ``_spend``.
 
     With ``first``, a search keeps only the first argmin choice: after the
     first best, a later root is searched only for a strictly better score.
@@ -514,22 +513,10 @@ class _Lookahead:
                 hood.append((d, beads[idx], counts[idx]))
         key = (window, tuple(hood))
         entry = self.table.get(key)
-        stop = min(i + self.delay, len(self.transcript))
         if entry is None:
             found = self._search(fold, i)
-            self.table[key] = (
-                self.best - fold.total_bonds,
-                self.bound[i + 1 : stop + 1],
-                tuple((k - end, tuple(fold.path[q] - end for q in bonds)) for k, bonds in found),
-            )
+            self.table[key] = tuple((k - end, tuple(fold.path[q] - end for q in bonds)) for k, bonds in found)
             return found
-        # The situation fixes the best score above the bonds so far and the
-        # bound, and a hit starts its node's budget: ``_walk``'s count below
-        # this node reads all three as a search leaves them.
-        gain, self.bound[i + 1 : stop + 1], entry = entry
-        self.bound_top = max(self.bound_top, stop + 1)
-        self.best = fold.total_bonds + gain
-        self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         # Partner offsets map back to indices whose order may differ from the
         # stored situation's, so canonical order is rebuilt.
         restored = sorted(
@@ -698,9 +685,9 @@ class _Lookahead:
         self.score = best
 
     def _spend(self) -> None:
-        """Spend one unit of the budget of the node searched, or answered by
-        the table, last: a push below it, or a choice scored in place. Past
-        ``LOOKAHEAD_BUDGET`` units it raises LookaheadBudgetExceeded."""
+        """Spend one unit of the budget of the node searched last: a push
+        below it, or a choice scored in place. Past ``LOOKAHEAD_BUDGET``
+        units it raises LookaheadBudgetExceeded."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise LookaheadBudgetExceeded(
@@ -725,12 +712,12 @@ def stabilize_next(
         raise ValueError(f"bead index {i} is outside a transcript of {len(system.transcript)} beads")
     # This one step searches the system seeded with c_i whose transcript is
     # beads i .. i + delay - 1: all the step reads. No window recurs within
-    # its own length, so the search keeps no table.
+    # its own length, so it is searched with no table.
     step = OritatamiSystem(
         system.rules, system.arity, system.delay, c_i, system.transcript[i : i + system.delay]
     )
     fold = _Fold(system.rules, system.arity, c_i)
-    found = _Lookahead(step, i).minimizers(fold, 0)
+    found = _Lookahead(step, i)._search(fold, 0)
     return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
 
 
@@ -752,8 +739,7 @@ def fold_all(
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
     first -- always take the canonically first choice.
     """
-    budget = branch_budget if mode == "enumerate" else None
-    return tuple(outcome for _, _, outcome in _walk(system, _keeper(mode, rng), budget))
+    return tuple(outcome for _, _, outcome in _walk(system, mode, rng, branch_budget))
 
 
 def fold_summary(
@@ -769,44 +755,26 @@ def fold_summary(
     (see ``_Lookahead``), so it pushes no more beads than ``fold_all``'s,
     and a LookaheadBudgetExceeded can only come later than there. enumerate
     walks and searches as ``fold_all`` does down to the first node of each
-    branch whose window reaches the transcript end, then goes on down on
-    the same stack, counting the terminals below each of that node's argmin
-    choices with no search or outcome built below (see ``_walk``); a
-    mirror-image subtree is not walked, but weighs on its source's count.
-    The results equal ``fold_all``'s, and so does BranchBudgetExceeded's
-    message, raised as soon as the weighted count passes ``branch_budget``:
-    on a symmetric seed, that may be after fewer searches than ``fold_all``
-    makes. A dead end below such a node is counted as a terminal; a
-    LookaheadBudgetExceeded that only a skipped search would have raised
-    does not happen. The count below a node spends that node's budget,
-    whether it was searched or the table answered it.
+    branch whose window reaches the transcript end, which is always
+    searched, then goes on down on the same stack, counting the terminals
+    below each of that node's argmin choices with no search or outcome
+    built below (see ``_walk``); a mirror-image subtree is not walked, but
+    weighs on its source's count. The results equal ``fold_all``'s, and so
+    does BranchBudgetExceeded's message, raised as soon as the weighted
+    count passes ``branch_budget``: on a symmetric seed, that may be after
+    fewer searches than ``fold_all`` makes. A dead end below such a node is
+    counted as a terminal; a LookaheadBudgetExceeded that only a skipped
+    search would have raised does not happen. The count below a node spends
+    the budget of that node's search.
     """
-    every = mode == "enumerate"
-    walk = _walk(system, _keeper(mode, rng), branch_budget if every else None, count=every,
-                 first=mode == "first")
     total = completed = 0
     first = None
-    for n, done, outcome in walk:
+    for n, done, outcome in _walk(system, mode, rng, branch_budget, summary=True):
         total += n
         completed += done
         if first is None:
             first = outcome
     return total, completed, first
-
-
-def _keeper(
-    mode: str, rng: random.Random | int | None
-) -> Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]]:
-    """What a fold in ``mode`` keeps of each step's argmin set, given as
-    (point key, bonds) pairs."""
-    if mode == "enumerate":
-        return lambda options: options
-    if mode == "first":
-        return lambda options: options[:1]
-    if mode == "sample":
-        rng = _as_rng(rng)
-        return lambda options: [rng.choice(options)]
-    raise ValueError(f"unknown fold mode {mode!r}")
 
 
 def _as_rng(rng: random.Random | int | None) -> random.Random:
@@ -818,35 +786,38 @@ def _as_rng(rng: random.Random | int | None) -> random.Random:
 
 def _walk(
     system: OritatamiSystem,
-    keep: Callable[[list[tuple[int, tuple[int, ...]]]], Sequence[tuple[int, tuple[int, ...]]]],
-    budget: int | None = None,
-    count: bool = False,
-    first: bool = False,
+    mode: str,
+    rng: random.Random | int | None,
+    budget: int,
+    summary: bool = False,
 ) -> Iterator[tuple[int, int, FoldOutcome | None]]:
-    """Every terminal of the depth-first walk over the (point key, bonds)
-    choices that ``keep`` retains from each step's argmin set, in order, as
-    (1, 1 if completed else 0, the outcome). A branch ends where the
-    transcript does, or at a dead end. Past ``budget`` terminals it raises
-    BranchBudgetExceeded. Without ``count`` every node is searched. With
-    ``first``, each search gives only its first argmin choice (see
-    ``_Lookahead._search``), for a ``keep`` that retains no more than that.
+    """Every terminal of the depth-first walk of a fold in ``mode``, in
+    order, as (1, 1 if completed else 0, the outcome). From each step's
+    argmin set, given as (point key, bonds) pairs, enumerate keeps every
+    choice, first the first one, and sample one drawn by ``rng``. A branch
+    ends where the transcript does, or at a dead end. In enumerate mode it
+    raises BranchBudgetExceeded past ``budget`` terminals; first and sample
+    follow one branch, with no budget. Without ``summary`` every node is
+    searched. With ``summary`` in first mode, each search gives only its
+    first argmin choice (see ``_Lookahead._search``).
 
-    With ``count`` (``keep`` must retain every choice, and ``budget`` be
-    given), no node below the tail node of a branch is searched; the tail
-    node is the first whose window reaches the transcript end. Every later
-    step looks as far ahead as its search did, so the terminals below it are
-    the ways on that reach its best score: completed, or stuck at a dead end
-    with that many bonds. They are counted on the same stack. A node's
-    children there are its choices whose bound, as in the search, reaches
-    that score, each pushed as an entry of its own with no symmetry group,
-    except the last bead's: its ways are counted by binomials
-    (``_Fold.ways``), with no push. Each push below the tail node spends
-    one unit of the tail node's budget (``_Lookahead._spend``). Each group
-    of ways counted at once yields (ways, completed ones, the first of them
-    if it is the walk's first terminal, else None).
+    With ``summary`` in enumerate mode (a count), no node below the tail
+    node of a branch is searched; the tail node is the first whose window
+    reaches the transcript end, and it is searched, never answered by the
+    table. Every later step looks as far ahead as that search did, so the
+    terminals below it are the ways on that reach its best score:
+    completed, or stuck at a dead end with that many bonds. They are
+    counted on the same stack. A node's children there are its choices
+    whose bound, as in the search, reaches that score, each pushed as an
+    entry of its own with no symmetry group, except the last bead's: its
+    ways are counted by binomials (``_Fold.ways``), with no push. Each push
+    below the tail node spends one unit of the tail node's budget
+    (``_Lookahead._spend``). Each group of ways counted at once yields
+    (ways, completed ones, the first of them if it is the walk's first
+    terminal, else None).
 
-    With ``count``, the grid's symmetries also cut the walk down to the
-    tail node: while a branch's points are all fixed by some symmetries
+    A count also cuts the walk down to the tail node by the grid's
+    symmetries: while a branch's points are all fixed by some symmetries
     about the seed's first point (a single-bead or straight seed and the
     beads placed on its axes), a symmetry ``g`` of that group maps the
     subtree below a kept choice ``c`` onto the subtree below ``g(c)``. So a
@@ -857,7 +828,12 @@ def _walk(
     spent from the budget, multiplied by that product. So the totals equal
     ``fold_all``'s, but the budget may run out after fewer searches.
     """
-    search = _Lookahead(system, first=first)
+    if mode not in ("enumerate", "first", "sample"):
+        raise ValueError(f"unknown fold mode {mode!r}")
+    every = mode == "enumerate"
+    count = summary and every
+    rng = _as_rng(rng)
+    search = _Lookahead(system, first=summary and mode == "first")
     fold = _Fold(system.rules, system.arity, system.seed)
     transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
     stop = len(transcript)
@@ -883,9 +859,11 @@ def _walk(
         if i <= tail:
             if i < stop:
                 try:
-                    kept = keep(search.minimizers(fold, i))
+                    kept = (search._search if i == tail else search.minimizers)(fold, i)
                 except DeadEnd:
                     pass
+                if kept and not every:
+                    kept = kept[:1] if mode == "first" else [rng.choice(kept)]
             if not kept:
                 n, done = 1, int(i == stop)
         else:
@@ -917,7 +895,7 @@ def _walk(
             else:
                 outcome = snapshot(i == stop)
             total += n * weight
-            if budget is not None and total > budget:
+            if every and total > budget:
                 raise BranchBudgetExceeded(f"more than {budget} terminal branches")
             yield n * weight, done * weight, outcome
         if not stack:

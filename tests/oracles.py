@@ -4,6 +4,8 @@ The stabilization oracle here is a plain depth-limited tree search over
 immutable tuples, written from scratch on purpose: it shares no code with
 the engine (its own offset table, its own elongation enumerator, no
 workspace, no ordering tricks), so agreement between the two is meaningful.
+The hand-traceable branching machine that the NFA, brick and seed tests
+share lives here too (``branching_machine``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import Counter
 
 from oritatami.bricks import format_row, step_count
 from oritatami.folding import Conformation, OritatamiSystem, RuleSet
-from oritatami.nfa import Nfa
+from oritatami.nfa import AugmentedNfa, Encoding, Nfa
 
 OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 _OFFSET_SET = frozenset(OFFSETS)
@@ -256,3 +258,49 @@ def reference_stanza(seed: Conformation) -> str:
     lines = [f"seed {x} {y} {bead}" for (x, y), bead in zip(seed.path, seed.beads)]
     lines += [f"seedbond {i + 1} {j + 1}" for i, j in sorted(seed.bonds)]
     return "\n".join(lines) + "\n"
+
+
+def branching_nfa() -> Nfa:
+    """The 3-state machine underneath :func:`branching_machine`, pre-augmentation."""
+    return Nfa(
+        states=("1011", "1000", "1111"),
+        alphabet=("100",),
+        initial="1011",
+        accepting=("1011", "1111"),
+        transitions=(
+            ("1011", "100", "1000"),
+            ("1011", "100", "1111"),
+        ),
+    )
+
+
+def branching_machine() -> tuple[AugmentedNfa, Encoding]:
+    """The worked 4-state, 4-transition augmented machine with its verbatim
+    codes: one genuinely nondeterministic step (two transitions leave the
+    initial state on the same letter), small enough to trace by hand. Its
+    codes make the slot vectors of the brick machine match the hand-worked
+    module runs.
+
+    Transition order is fixed so that slot k carries: ($-move from 1111),
+    (1011 -100-> 1000), ($-move from 1011), (1011 -100-> 1111). State names
+    double as their own 4-bit codes; the letters are coded 100 and 101.
+    """
+    machine = AugmentedNfa(
+        states=("1011", "1000", "1111", "0011"),
+        alphabet=("100",),
+        initial="1011",
+        transitions=(
+            ("1111", "$", "0011"),
+            ("1011", "100", "1000"),
+            ("1011", "$", "0011"),
+            ("1011", "100", "1111"),
+        ),
+        sink="0011",
+    )
+    encoding = Encoding(
+        state_code={s: s for s in machine.states},
+        letter_code={"100": "100", "$": "101"},
+        state_bits=4,
+        letter_bits=3,
+    )
+    return machine, encoding

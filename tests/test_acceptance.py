@@ -24,7 +24,6 @@ from oritatami.bricks import (
 from oritatami.fixtures import (
     GLIDER_PERIOD,
     GLIDER_RULES,
-    branching_machine,
     glider_seed,
     glider_system,
 )
@@ -118,7 +117,7 @@ def test_criterion_3_nfa_language_equivalence():
 
 def test_criterion_4_worked_module_rows():
     with criterion(4, "worked machine reproduces the four hand-traced stage rows"):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         r1 = module1(boundary_row(code, "1011"), code, nfa)
         assert r1.x == ("N", "Y", "Y", "Y")
         r2 = module2(r1, code, nfa, "100")
@@ -133,7 +132,7 @@ def test_criterion_4_worked_module_rows():
 
 def test_criterion_5_halting():
     with criterion(5, "zero valid transitions halt the branch; all-halt runs report REJECT"):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         # Unit level: a survivor-free row halts.
         assert module3(BrickRow(("N",) * 4, (None,) * 4)) == (HALT,)
         # Run level: every branch of the rejecting word halts at period 2.
@@ -174,7 +173,7 @@ def test_criterion_6_step_count_scaling():
 
 def test_criterion_7_two_choice_fairness():
     with criterion(7, "two valid transitions are sampled 50/50 within 0.02 over 10k runs"):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         rng = random.Random(777)
         counts = {2: 0, 4: 0}
         for _ in range(10_000):

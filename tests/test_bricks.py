@@ -23,7 +23,6 @@ from oritatami.bricks import (
 )
 from oritatami.bricks import _period_table
 from oritatami.folding import BRANCH_BUDGET, BranchBudgetExceeded
-from oritatami.fixtures import branching_machine
 from oritatami.nfa import DOLLAR, LetterNotEncoded, Nfa, assign_codes, augment, oracle_accepts
 
 import oracles
@@ -31,7 +30,7 @@ import oracles
 
 @pytest.fixture(scope="module")
 def machine():
-    return branching_machine()
+    return oracles.branching_machine()
 
 
 class TestRow:

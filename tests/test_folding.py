@@ -632,6 +632,19 @@ class TestSymmetricSeeds:
             assert len(calls) == 24
 
 
+def periodic_systems(rng, count):
+    """``count`` random systems of delay 1 to 4 whose transcripts of 6 to 10
+    beads repeat a period of 1 to 3 beads."""
+    systems = []
+    for _ in range(count):
+        sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
+        types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
+        period = [rng.choice(types) for _ in range(rng.randint(1, 3))]
+        transcript = tuple((period * 9)[: rng.randint(6, 10)])
+        systems.append(OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript))
+    return systems
+
+
 def summary_of(system, mode="enumerate", **kwargs):
     """What ``fold_summary`` returns, read off ``fold_all``'s outcomes."""
     outcomes = fold_all(system, mode, **kwargs)
@@ -681,37 +694,52 @@ class TestFoldSummary:
         assert seen["raised"] >= 20 and seen["tail dead end"] >= 4
         assert all(seen[f"delay {d}"] >= 20 for d in range(1, 5))
 
-    def test_periodic_transcripts(self, monkeypatch):
+    def test_periodic_transcripts(self):
         # The last full window recurs, so the first node whose window reaches
-        # the end is often a table hit. Its count then reads the best score
-        # and bound stored with the entry.
-        calls = Counter()
-        search, minimizers = _Lookahead._search, _Lookahead.minimizers
-        monkeypatch.setattr(
-            _Lookahead, "_search",
-            lambda self, fold, i: calls.update([("search", i)]) or search(self, fold, i),
-        )
-        monkeypatch.setattr(
-            _Lookahead, "minimizers",
-            lambda self, fold, i: calls.update([("lookup", i)]) or minimizers(self, fold, i),
-        )
-        rng = random.Random(9090)
-        hits = 0
-        for _ in range(100):
-            sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
-            types = sorted(set(sys_.seed.beads) | set(sys_.transcript))
-            period = [rng.choice(types) for _ in range(rng.randint(1, 3))]
-            transcript = tuple((period * 9)[: rng.randint(6, 10)])
-            sys_ = OritatamiSystem(sys_.rules, sys_.arity, sys_.delay, sys_.seed, transcript)
+        # the end could often be answered by the table; it is searched, and
+        # its count reads that search's best score and bound.
+        for sys_ in periodic_systems(random.Random(9090), 100):
             try:
                 want = summary_of(sys_, branch_budget=300)
             except BranchBudgetExceeded:
                 continue
-            calls.clear()
             assert fold_summary(sys_, branch_budget=300) == want
-            tail = len(transcript) - sys_.delay
-            hits += calls["lookup", tail] - calls["search", tail]
-        assert hits >= 10
+
+    def test_table_is_a_pure_memo(self, monkeypatch):
+        # With minimizers replaced by _search no node reads the table, and
+        # every result, count and budget error comes out as with it.
+        systems = periodic_systems(random.Random(9090), 100)
+        for delay in (3, 4, 5, 6):
+            for mirrored in (False, True):
+                glider = glider_system(periods=2, mirrored=mirrored)
+                # 18 beads: window 12 repeats window 0 at every delay.
+                transcript = glider.transcript[:18]
+                systems.append(OritatamiSystem(glider.rules, glider.arity, delay, glider.seed, transcript))
+
+        def results():
+            out = []
+            for sys_ in systems:
+                for fold, mode in ((fold_summary, "enumerate"), (fold_summary, "first"),
+                                   (fold_summary, "sample"), (fold_all, "enumerate")):
+                    try:
+                        out.append(fold(sys_, mode, rng=5, branch_budget=300))
+                    except BranchBudgetExceeded as exc:
+                        out.append(str(exc))
+            return out
+
+        searched = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: searched.append(i) or search(self, fold, i)
+        )
+        with_table = results()
+        hits = -len(searched)
+        searched.clear()
+        monkeypatch.setattr(_Lookahead, "minimizers", lambda self, fold, i: self._search(fold, i))
+        assert results() == with_table
+        hits += len(searched)
+        # The table answered 755 nodes.
+        assert hits >= 500
 
     def test_budget_is_passed_as_in_fold_all(self):
         rules = RuleSet([("a", "b"), ("a", "c")])
@@ -735,8 +763,13 @@ class TestFoldSummary:
             sys_ = oracles.random_system(rng, max_delay=4, max_arity=3)
             assert fold_summary(sys_, "first") == summary_of(sys_, "first")
             assert fold_summary(sys_, "sample", rng=5) == summary_of(sys_, "sample", rng=5)
+            # One branch spends no branch budget.
+            assert fold_all(sys_, "first", branch_budget=0) == fold_all(sys_, "first")
+            assert fold_summary(sys_, "sample", rng=5, branch_budget=0) == summary_of(sys_, "sample", rng=5)
         with pytest.raises(ValueError, match="unknown fold mode"):
             fold_summary(sys_, "all")
+        with pytest.raises(ValueError, match="unknown fold mode"):
+            fold_all(sys_, "all")
 
     def test_counts_are_not_searched(self, monkeypatch):
         calls = []
@@ -756,13 +789,13 @@ class TestFoldSummary:
             calls.clear()
             assert fold_summary(sys_) == want
             assert calls == searched
-        # Both find the glider's last full window in the table; fold_all
-        # then searches the two nodes below it (24 searches), counting reads
-        # the best score and bound stored with the entry (22).
+        # fold_all searches all 24 of the glider's nodes. Counting searches
+        # the tail node, bead 33 (0-based), though the table holds its
+        # window, and none of the two below it (23).
         want = summary_of(glider_system(periods=3))
         calls.clear()
         assert fold_summary(glider_system(periods=3)) == want
-        assert len(calls) == 22
+        assert len(calls) == 23
 
     @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 198), (5, 4, 283)])
     def test_every_choice_but_the_last_beads_is_pushed(self, monkeypatch, delay, terminals, pushed):
@@ -824,11 +857,10 @@ class TestFoldSummary:
         with pytest.raises(LookaheadBudgetExceeded, match="bead 1 .a. pushes more than 50 nascent"):
             fold_summary(sys_)
 
-    def test_count_below_a_table_hit_spends_that_nodes_budget(self, monkeypatch):
-        # The tail node at bead 4 (0-based) is answered by the table on
-        # later branches. The count below it spends a budget the hit starts,
-        # as a search does; spending what an earlier search left would pass
-        # a budget of 20 at bead 5.
+    def test_count_below_the_tail_node_spends_its_search_budget(self, monkeypatch):
+        # The table holds the window of the tail node at bead 4 (0-based)
+        # on later branches, but the node is searched there too, and the
+        # count below it spends the budget of 20 that this search starts.
         monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 20)
         seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["b2", "b0", "b1"])
         transcript = ("b0", "b1", "b1", "b2", "b1", "b1", "b2")

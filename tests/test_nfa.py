@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from oritatami.fixtures import branching_machine, branching_nfa
 from oritatami.nfa import (
     DOLLAR,
     SINK,
@@ -46,7 +45,7 @@ class TestNfaValidation:
 
 class TestAugment:
     def test_appends_dollar_moves_in_accepting_order(self):
-        aug = augment(branching_nfa())
+        aug = augment(oracles.branching_nfa())
         assert aug.states == ("1011", "1000", "1111", SINK)
         assert aug.transitions[:2] == (
             Transition("1011", "100", "1000"),
@@ -70,7 +69,7 @@ class TestAugment:
         assert sum(t.letter == DOLLAR for t in aug.transitions) == 2
 
     def test_double_augmentation_rejected(self):
-        aug = augment(branching_nfa())
+        aug = augment(oracles.branching_nfa())
         with pytest.raises(ValueError):
             augment(aug)
 
@@ -89,7 +88,7 @@ class TestAugment:
 
 class TestOracle:
     def test_worked_machine_words(self):
-        nfa = branching_nfa()
+        nfa = oracles.branching_nfa()
         assert oracle_accepts(nfa, [])  # initial state accepts
         assert oracle_accepts(nfa, ["100"])  # branch into 1111
         assert not oracle_accepts(nfa, ["100", "100"])  # propagation dies out
@@ -97,7 +96,7 @@ class TestOracle:
 
 class TestAssignCodes:
     def test_default_counters(self):
-        aug = augment(branching_nfa())  # 4 transitions -> 4-bit state codes
+        aug = augment(oracles.branching_nfa())  # 4 transitions -> 4-bit state codes
         code = assign_codes(aug)
         assert code.state_bits == 4
         assert code.state_code["1011"] == "0000"
@@ -106,7 +105,7 @@ class TestAssignCodes:
         assert code.letter_code == {"100": "0", DOLLAR: "1"}
 
     def test_verbatim_overrides(self):
-        machine, code = branching_machine()
+        machine, code = oracles.branching_machine()
         assert code.state_code == {s: s for s in machine.states}
         assert code.letter_code == {"100": "100", DOLLAR: "101"}
         assert code.letter_bits == 3
@@ -119,7 +118,7 @@ class TestAssignCodes:
         assert code.letter_bits == 1
 
     def test_clashing_overrides_rejected(self):
-        aug = augment(branching_nfa())
+        aug = augment(oracles.branching_nfa())
         with pytest.raises(EncodingClash):
             assign_codes(aug, state_overrides={"1011": "0000", "1000": "0000"})
         with pytest.raises(EncodingClash):
@@ -134,7 +133,7 @@ class TestAssignCodes:
             assign_codes(augment(nfa))
 
     def test_default_assignment_is_deterministic(self):
-        aug = augment(branching_nfa())
+        aug = augment(oracles.branching_nfa())
         assert assign_codes(aug) == assign_codes(aug)
 
 
@@ -166,7 +165,7 @@ lettercode: $ 101
 class TestNfaFile:
     def test_parse_and_prepare(self):
         nfa, state_codes, letter_codes = parse_nfa(FILE_TEXT)
-        assert nfa == branching_nfa()
+        assert nfa == oracles.branching_nfa()
         machine, code = prepare(nfa, state_codes, letter_codes)
         assert code.state_code[SINK] == "0011"
         assert code.letter_code[DOLLAR] == "101"

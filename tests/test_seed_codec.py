@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from oritatami.fixtures import branching_machine
 from oritatami.folding import validate_conformation
 from oritatami.grid import E, NE, SW, Point, path_is_valid
 from oritatami.nfa import DOLLAR, Encoding, LetterNotEncoded
@@ -23,6 +22,8 @@ from oritatami.seed import (
     encode_state_row,
     layout,
 )
+
+import oracles
 
 VOCABULARY = {
     "79", "84", "85", "90", "91", "92", "93", "94", "95", "96",
@@ -91,14 +92,14 @@ class TestStateRow:
 
 class TestInputColumn:
     def test_length_formula(self):
-        _, code = branching_machine()
+        _, code = oracles.branching_machine()
         for L in (1, 2, 3):
             word = encode_input_column(["100"] * L, code, 4)
             assert len(word) == L * 6 * (2 * 4 - 1 + 2 * 3 + 2 + 2 * 4)
             assert all(d == SW for d in word.directions)
 
     def test_bit_words_land_where_the_format_says(self):
-        _, code = branching_machine()
+        _, code = oracles.branching_machine()
         n = 4
         word = encode_input_column(["100"], code, n)
         lead = 6 * (2 * n - 1)
@@ -118,7 +119,7 @@ class TestInputColumn:
             assert decode_input_column(col, n, code) == tuple(word_letters)
 
     def test_decode_rejects_corruption(self):
-        _, code = branching_machine()
+        _, code = oracles.branching_machine()
         n = 4
         word = encode_input_column(["100", DOLLAR], code, n)
         block = len(word) // 2
@@ -144,12 +145,12 @@ class TestInputColumn:
                 decode_input_column(column, n, code)
 
     def test_unknown_letter(self):
-        _, code = branching_machine()
+        _, code = oracles.branching_machine()
         with pytest.raises(LetterNotEncoded):
             encode_input_column(["zzz"], code, 4)
 
     def test_vocabulary_is_fixed(self):
-        _, code = branching_machine()
+        _, code = oracles.branching_machine()
         word = encode_input_column(["100", DOLLAR], code, 4)
         assert set(word.beads) <= VOCABULARY
 
@@ -162,38 +163,38 @@ class TestBeadWord:
 
 class TestBuildSeed:
     def test_worked_machine_layout(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         layout, conf = build_seed(nfa, code, ["100"])
         assert len(layout.horizontal) == 24 * 4 + 2
         assert len(layout.vertical) == 2 * 6 * (2 * 4 - 1 + 2 * 3 + 2 + 2 * 4)
         assert len(conf) == len(layout.horizontal) + len(layout.vertical)
 
     def test_row_spells_initial_state_all_flags_n(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         layout, _ = build_seed(nfa, code, [])
         q, flags = decode_state_row(layout.horizontal)
         assert q == code.state_code["1011"]
         assert flags == ("N",) * 4
 
     def test_column_spells_word_plus_dollar(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         layout, _ = build_seed(nfa, code, ["100"])
         assert decode_input_column(layout.vertical, 4, code) == ("100", DOLLAR)
 
     def test_empty_word_column_is_just_the_dollar(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         layout, _ = build_seed(nfa, code, [])
         assert decode_input_column(layout.vertical, 4, code) == (DOLLAR,)
 
     def test_combined_path_is_valid_and_bond_free(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         _, conf = build_seed(nfa, code, ["100", "100"])
         assert path_is_valid(conf.path)
         assert conf.bonds == frozenset()
         validate_conformation(conf)
 
     def test_geometry_convention(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         layout, conf = build_seed(nfa, code, [])
         row_points = [p for p in conf.path if p.y == -1 and p.x >= 1]
         assert len(row_points) == len(layout.horizontal)
@@ -202,7 +203,7 @@ class TestBuildSeed:
         assert all(p.y <= -1 for p in column_points)
 
     def test_build_seed_is_the_column_then_the_row(self):
-        nfa, code = branching_machine()
+        nfa, code = oracles.branching_machine()
         for word in ([], ["100"], ["100", "100"]):
             arms, conf = build_seed(nfa, code, word)
             assert arms == layout(nfa, code, word) and conf.bonds == frozenset()
