@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, BranchBudgetExceeded, LookaheadBudgetExceeded) as exc:
+    except (ValueError, OSError, BranchBudgetExceeded, LookaheadBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,9 +29,6 @@ GLIDER_RULES = RuleSet(
 GLIDER_DELAY = 3
 GLIDER_ARITY = 2
 
-# One glider translates by (2, 0) per six beads, (4, 0) per 12-bead period.
-GLIDER_PERIOD_SHIFT = Point(4, 0)
-
 _SEED_PATH = [(0, 0), (1, -1), (1, -2), (2, -2), (2, -1), (1, 0)]
 _SEED_BEADS = ["585", "586", "587", "588", "589", "590"]
 _SEED_BONDS = [(0, 5), (1, 5)]  # 585-590 and 586-590

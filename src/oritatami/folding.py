@@ -354,6 +354,11 @@ def _canonical(
     lexicographically (the empty subset first)."""
     out: list[tuple[int, tuple[int, ...]]] = []
     for key, eligible in spots:
+        if not eligible:
+            # Most points have no partner: the empty subset, with no sort.
+            if least <= 0:
+                out.append((key, ()))
+            continue
         eligible.sort()
         sizes = range(max(least, 0), min(len(eligible), arity) + 1)
         subsets = sorted(chain.from_iterable(combinations(eligible, r) for r in sizes))
@@ -373,7 +378,6 @@ def elongations(
 
 # A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
 _MAX_NEW_BONDS = 5
-_DIRECTION_RANK = {d: k for k, d in enumerate(_NEIGHBOURS)}
 
 
 def _hex_rings(radius: int) -> tuple[tuple[int, ...], ...]:
@@ -500,12 +504,16 @@ class _Lookahead:
         self.bound_top = 0
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
-        """``_search``'s argmin set for bead ``i``, from the table if it can."""
+        """``_search``'s argmin set for bead ``i``, from the table if it can.
+        A hit keeps the bead's options, in canonical order, whose point and
+        partners, as offsets from the path end, the stored set holds: every
+        point an option names lies within two steps of the path end, inside
+        the keyed disk, so equal keys give equal options."""
         window = self.window_ids[i]
         if window is None:
             return self._search(fold, i)
-        end = fold.path[-1]
-        occupied, beads, counts = fold.occupied, fold.beads, fold.bond_count
+        path, occupied, beads, counts = fold.path, fold.occupied, fold.beads, fold.bond_count
+        end = path[-1]
         hood = []
         for d in self.disk:
             idx = occupied.get(end + d)
@@ -515,15 +523,12 @@ class _Lookahead:
         entry = self.table.get(key)
         if entry is None:
             found = self._search(fold, i)
-            self.table[key] = tuple((k - end, tuple(fold.path[q] - end for q in bonds)) for k, bonds in found)
+            self.table[key] = {(k - end, frozenset([path[q] - end for q in bonds])) for k, bonds in found}
             return found
-        # Partner offsets map back to indices whose order may differ from the
-        # stored situation's, so canonical order is rebuilt.
-        restored = sorted(
-            (_DIRECTION_RANK[d], tuple(sorted(occupied[end + m] for m in mates)), end + d)
-            for d, mates in entry
-        )
-        return [(k, bonds) for _, bonds, k in restored]
+        return [
+            (k, bonds) for k, bonds in fold.options(self.transcript[i])
+            if (k - end, frozenset([path[q] - end for q in bonds])) in entry
+        ]
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical
@@ -814,7 +819,8 @@ def _walk(
     below the tail node spends one unit of the tail node's budget
     (``_Lookahead._spend``). Each group of ways counted at once yields
     (ways, completed ones, the first of them if it is the walk's first
-    terminal, else None).
+    terminal, else None); so does every terminal above the tail node, as
+    ``fold_summary`` reads only the first outcome.
 
     A count also cuts the walk down to the tail node by the grid's
     symmetries: while a branch's points are all fixed by some symmetries
@@ -883,7 +889,7 @@ def _walk(
         if kept:
             stack.extend(reversed(_children(kept, group, fold, i, weight)))
         elif n:
-            if i > tail and total:
+            if count and total:
                 outcome = None
             elif i > tail and done and i < stop:
                 # The last bead's ways: the first, in canonical order, is

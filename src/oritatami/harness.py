@@ -25,7 +25,7 @@ from .folding import (
     fold_all,
     validate_conformation,
 )
-from .sysfile import SEED_KEYS, Directives, check_args, split_stanzas
+from .sysfile import SEED_KEYS, Directives, check_args, once, split_stanzas
 
 
 class UnexpectedFold(Exception):
@@ -64,28 +64,19 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class ExpectedBrick:
-    entry: str
-    input_bit: str
-    exit: str
-    exposed: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SubmoduleDef:
+    """A transcript fragment with the rules, delay and arity it folds by.
+    ``expected`` maps an (entry, input) pair to the brick declared for it,
+    as (exit, exposed bead tuple); a fold in an environment with that entry
+    and input must give exactly that brick."""
+
     name: str
     fragment: tuple[str, ...]
     rules: RuleSet
     delay: int
     arity: int
     deterministic: bool = True
-    expected: tuple[ExpectedBrick, ...] = ()
-
-    def expectation_for(self, entry: str, input_bit: str) -> ExpectedBrick | None:
-        for exp in self.expected:
-            if exp.entry == entry and exp.input_bit == input_bit:
-                return exp
-        return None
+    expected: Mapping[tuple[str, str], tuple[str, tuple[str, ...]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -164,12 +155,12 @@ def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
         exit_height, exposed = _classify(conformation, start)
     except UnexpectedFold as exc:
         raise UnexpectedFold(f"{submodule.name} in {env.name}: {exc}") from None
-    expected = submodule.expectation_for(env.entry, env.input_bit)
-    if expected is not None and (expected.exit, expected.exposed) != (exit_height, exposed):
+    expected = submodule.expected.get((env.entry, env.input_bit))
+    if expected is not None and expected != (exit_height, exposed):
         raise UnexpectedFold(
             f"{submodule.name} in {env.name}: folded to exit={exit_height} "
-            f"exposed={','.join(exposed)}, declared exit={expected.exit} "
-            f"exposed={','.join(expected.exposed)}"
+            f"exposed={','.join(exposed)}, declared exit={expected[0]} "
+            f"exposed={','.join(expected[1])}"
         )
     name = f"{submodule.name}_-{env.entry.lower()}{env.input_bit}"
     return Brick(
@@ -298,8 +289,7 @@ def parse_environments(text: str) -> list[Environment]:
         fields: dict[str, str] = {}
         for lineno, key, args in directives:
             if key in _ENV_FIELDS:
-                if key in fields:
-                    raise CatalogError(f"line {lineno}: a second '{key}' line")
+                once(found.seen, CatalogError, lineno, key, f"'{key}' line")
                 allowed = _ENV_FIELDS[key]
                 (value,) = check_args(CatalogError, lineno, key, args, "|".join(allowed) or "NAME")
                 fields[key] = _one_of(lineno, repr(key), value, allowed)
@@ -324,20 +314,20 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
     """Parse submodule definitions: ``submodule <name>`` stanzas with ``delay``,
     ``arity``, ``rule`` lines, a ``fragment`` (or ``repeat``) transcript, an
     optional ``deterministic yes|no``, and optional declared bricks as
-    ``expect <entry> <input> <exit> <bead> <bead> ...``. A repeated name,
-    a second ``delay``, ``arity`` or ``deterministic`` line in a stanza, or
-    a second ``expect`` line for one entry and input, is a CatalogError."""
+    ``expect <entry> <input> <exit> <bead> <bead> ...``, which fill
+    ``SubmoduleDef.expected``. A repeated name, a second ``delay``,
+    ``arity`` or ``deterministic`` line in a stanza, or a second ``expect``
+    line for one entry and input, is a CatalogError."""
     defs: dict[str, SubmoduleDef] = {}
     for name, directives in split_stanzas(text, "submodule", CatalogError):
         if name in defs:
             raise CatalogError(f"duplicate submodule names: {name}")
         found = Directives(CatalogError, ("delay", "arity", "rule", "fragment", "repeat"))
-        deterministic: bool | None = None
-        expected: dict[tuple[str, str], ExpectedBrick] = {}
+        deterministic = True
+        expected: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
         for lineno, key, args in directives:
             if key == "deterministic":
-                if deterministic is not None:
-                    raise CatalogError(f"line {lineno}: a second 'deterministic' line")
+                once(found.seen, CatalogError, lineno, key, f"'{key}' line")
                 (flag,) = check_args(CatalogError, lineno, key, args, "yes|no")
                 if flag.lower() not in _FLAGS:
                     raise CatalogError(f"line {lineno}: expected 'deterministic yes|no'")
@@ -349,18 +339,15 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
                 _one_of(lineno, "'expect' ENTRY", entry, _HEIGHTS)
                 _one_of(lineno, "'expect' INPUT", input_bit, _INPUTS)
                 _one_of(lineno, "'expect' EXIT", exit_height, _HEIGHTS)
-                if (entry, input_bit) in expected:
-                    raise CatalogError(
-                        f"line {lineno}: a second 'expect' line for {entry} {input_bit}"
-                    )
-                brick = ExpectedBrick(entry, input_bit, exit_height, tuple(beads))
-                expected[entry, input_bit] = brick
+                what = f"'{key}' line for {entry} {input_bit}"
+                once(found.seen, CatalogError, lineno, (key, entry, input_bit), what)
+                expected[entry, input_bit] = (exit_height, tuple(beads))
             elif not found.read(lineno, key, args):
                 raise CatalogError(f"line {lineno}: unknown directive {key!r}")
         if found.delay is None or found.arity is None or not found.transcript:
             raise CatalogError(f"submodule {name}: needs delay, arity and a fragment")
         defs[name] = SubmoduleDef(
             name, tuple(found.transcript), RuleSet(found.rules), found.delay, found.arity,
-            deterministic is not False, tuple(expected.values()),
+            deterministic, expected,
         )
     return defs

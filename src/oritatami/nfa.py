@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
-from .sysfile import check_args, tokenize
+from .sysfile import check_args, once, tokenize
 
 DOLLAR = "$"
 SINK = "qAcc"
@@ -251,8 +251,8 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
     lists: dict[str, list[str]] = {"states:": [], "alphabet:": [], "accept:": []}
     codes: dict[str, dict[str, str]] = {"statecode:": {}, "lettercode:": {}}
     initial: str | None = None
-    # Keys in line order, which is transition index order.
-    transitions: dict[tuple[str, ...], None] = {}
+    transitions: list[tuple[str, ...]] = []
+    seen: set = set()
     for lineno, key, args in tokenize(text.splitlines()):
         if key in lists:
             names = check_args(NfaFileError, lineno, key, args, "NAME ...")
@@ -262,19 +262,16 @@ def parse_nfa(text: str) -> tuple[Nfa, dict[str, str], dict[str, str]]:
                         raise NfaFileError(f"line {lineno}: letter {name!r} holds a comma, which splits words")
             lists[key].extend(names)
         elif key == "initial:":
-            if initial is not None:
-                raise NfaFileError(f"line {lineno}: a second 'initial:' line")
+            once(seen, NfaFileError, lineno, key, f"'{key}' line")
             (initial,) = check_args(NfaFileError, lineno, key, args, "STATE")
         elif key == "trans:":
             usage = "ORIGIN LETTER TARGET"
             transition = tuple(check_args(NfaFileError, lineno, key, args, usage))
-            if transition in transitions:
-                raise NfaFileError(f"line {lineno}: a second 'trans: {' '.join(transition)}' line")
-            transitions[transition] = None
+            once(seen, NfaFileError, lineno, transition, f"'{key} {' '.join(transition)}' line")
+            transitions.append(transition)
         elif key in codes:
             name, bits = check_args(NfaFileError, lineno, key, args, "NAME BITS")
-            if name in codes[key]:
-                raise NfaFileError(f"line {lineno}: a second '{key}' line for {name}")
+            once(seen, NfaFileError, lineno, (key, name), f"'{key}' line for {name}")
             codes[key][name] = bits
         else:
             raise NfaFileError(f"line {lineno}: unknown directive {key!r}")

@@ -1,9 +1,9 @@
 """Line-oriented text formats for folding systems and fold traces, and the
 directive reader that the system, NFA, submodule-def and environment-catalog
-formats share: one tokenizer, one argument check, one stanza splitter and
-one set of handlers for the directives two formats have in common. A
-malformed line raises the format's own ``ValueError`` subclass with a
-``line N:`` message.
+formats share: one tokenizer, one argument check, one at-most-once check,
+one stanza splitter and one set of handlers for the directives two formats
+have in common. A malformed line raises the format's own ``ValueError``
+subclass with a ``line N:`` message.
 
 System file directives (one per line, ``#`` starts a comment):
 
@@ -73,6 +73,15 @@ def _shape(usage: str) -> tuple[int, bool]:
     return usage.count(" ") + 1 - more, more
 
 
+def once(seen: set, error: type[ValueError], lineno: int, item, what: str) -> None:
+    """Record ``item`` in ``seen``, or raise ``error`` if it is there already:
+    the check of every directive a format takes at most once (per stanza, or
+    per argument). ``what`` names the line, as in ``"'delay' line"``."""
+    if item in seen:
+        raise error(f"line {lineno}: a second {what}")
+    seen.add(item)
+
+
 def split_stanzas(text: str, head: str, error: type[ValueError]) -> list[tuple[str, list[Line]]]:
     """The ``<head> NAME`` stanzas of ``text`` as (NAME, its tokenized lines)."""
     stanzas: list[tuple[str, list[Line]]] = []
@@ -95,7 +104,9 @@ class Directives:
     ``transcript`` (``fragment`` in submodule defs) and ``repeat`` lines.
     ``read`` takes only the ``keys`` a format accepts and raises ``error``
     on a malformed line, a second ``delay`` or ``arity`` line, or a second
-    ``rule`` or ``seedbond`` line for one pair in either order, included."""
+    ``rule`` or ``seedbond`` line for one pair in either order, included.
+    ``seen`` holds what ``once`` has recorded for the stanza; a format's own
+    at-most-once directives record theirs there too."""
 
     def __init__(self, error: type[ValueError], keys: Iterable[str]):
         self.error, self.keys = error, frozenset(keys)
@@ -106,22 +117,21 @@ class Directives:
         self.beads: list[str] = []
         self.bonds: list[tuple[int, int]] = []
         self.transcript: list[str] = []
-        self.pairs: set[tuple[str, frozenset]] = set()
+        self.seen: set = set()
 
     def read(self, lineno: int, key: str, args: list[str]) -> bool:
         """Apply one directive line; False when ``key`` is not one of ``keys``."""
         if key not in self.keys:
             return False
         if key in ("delay", "arity"):
-            if getattr(self, key) is not None:
-                raise self.error(f"line {lineno}: a second '{key}' line")
+            once(self.seen, self.error, lineno, key, f"'{key}' line")
             (value,) = check_args(self.error, lineno, key, args, "N", ints=1)
             if value < 1:
                 raise self.error(f"line {lineno}: '{key}' must be >= 1, got {value}")
             setattr(self, key, value)
         elif key == "rule":
             a, b = check_args(self.error, lineno, key, args, "BEAD BEAD")
-            self._once(lineno, key, a, b)
+            once(self.seen, self.error, lineno, (key, frozenset((a, b))), f"'{key} {a} {b}' line")
             self.rules.append((a, b))
         elif key == "seed":
             x, y, bead = check_args(self.error, lineno, key, args, "X Y BEAD", ints=2)
@@ -129,7 +139,7 @@ class Directives:
             self.beads.append(bead)
         elif key == "seedbond":
             i, j = check_args(self.error, lineno, key, args, "I J", ints=2)
-            self._once(lineno, key, i, j)
+            once(self.seen, self.error, lineno, (key, frozenset((i, j))), f"'{key} {i} {j}' line")
             self.bonds.append((i - 1, j - 1))
         elif key == "repeat":
             count, *beads = check_args(self.error, lineno, key, args, "COUNT BEAD ...", ints=1)
@@ -142,13 +152,6 @@ class Directives:
         else:  # "transcript" or "fragment"
             self.transcript.extend(check_args(self.error, lineno, key, args, "BEAD ..."))
         return True
-
-    def _once(self, lineno: int, key: str, a, b) -> None:
-        """Record a ``rule`` or ``seedbond`` line's pair, unordered, once."""
-        pair = (key, frozenset((a, b)))
-        if pair in self.pairs:
-            raise self.error(f"line {lineno}: a second '{key} {a} {b}' line")
-        self.pairs.add(pair)
 
     def seed(self) -> Conformation:
         """The conformation of the ``seed``/``seedbond`` lines read, not yet

@@ -5,7 +5,8 @@ immutable tuples, written from scratch on purpose: it shares no code with
 the engine (its own offset table, its own elongation enumerator, no
 workspace, no ordering tricks), so agreement between the two is meaningful.
 The hand-traceable branching machine that the NFA, brick and seed tests
-share lives here too (``branching_machine``).
+share lives here too (``branching_machine``), and so does the glider's
+period shift.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from oritatami.nfa import AugmentedNfa, Encoding, Nfa
 
 OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 _OFFSET_SET = frozenset(OFFSETS)
+
+# One glider translates by (2, 0) per six beads, (4, 0) per 12-bead period.
+GLIDER_PERIOD_SHIFT = (4, 0)
 
 # One immutable state: (path, beads, bonds) with plain int-pair points and
 # bonds as a frozenset of (i, j), i < j.

@@ -28,7 +28,7 @@ from oritatami.fixtures import (
     glider_system,
 )
 from oritatami.folding import Conformation, DeadEnd, fold_all, fold_summary, stabilize_next
-from oritatami.harness import Environment, ExpectedBrick, SubmoduleDef, explore_closure
+from oritatami.harness import Environment, SubmoduleDef, explore_closure
 from oritatami.nfa import DOLLAR, Encoding, Nfa, assign_codes, augment, oracle_accepts
 from oritatami.seed import (
     decode_input_column,
@@ -211,10 +211,10 @@ def test_criterion_9_glider_brick_closure():
             rules=GLIDER_RULES,
             delay=3,
             arity=2,
-            expected=(
-                ExpectedBrick("T", "1", "T", ("588", "587", "582", "581")),
-                ExpectedBrick("B", "1", "B", ("590", "585", "584", "579")),
-            ),
+            expected={
+                ("T", "1"): ("T", ("588", "587", "582", "581")),
+                ("B", "1"): ("B", ("590", "585", "584", "579")),
+            },
         )
         envs = [
             Environment("band_top", glider_seed(), "T", "1"),

@@ -612,6 +612,7 @@ MALFORMED = [
     ("sys", "delay 1", None, "a second 'delay' line"),
     ("sys", "arity 1", None, "a second 'arity' line"),
     ("defs", "delay 3", None, "a second 'delay' line"),
+    ("defs", "arity 2", None, "a second 'arity' line"),
     ("defs", "deterministic no", None, "a second 'deterministic' line"),
     ("nfa", "initial: 1000", None, "a second 'initial:' line"),
     ("nfa", "statecode: 1000 1000", None, "a second 'statecode:' line for 1000"),

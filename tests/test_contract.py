@@ -69,7 +69,9 @@ def _mutate(lines, rng):
         elif op == "duplicate":
             tokens.insert(t, tokens[t])
         elif op == "cut":
-            tokens[t] = tokens[t][: rng.randrange(len(tokens[t]))]
+            # An earlier cut may have left the token empty: it stays so.
+            if tokens[t]:
+                tokens[t] = tokens[t][: rng.randrange(len(tokens[t]))]
         else:
             pool = [tok for line in lines for tok in line] + list(JUNK)
             tokens[t] = rng.choice(pool)

@@ -3,12 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oritatami.fixtures import (
-    GLIDER_PERIOD_SHIFT,
-    GLIDER_RULES,
-    glider_seed,
-    glider_system,
-)
+from oritatami.fixtures import GLIDER_RULES, glider_seed, glider_system
 from oritatami import folding
 from oritatami.folding import (
     BranchBudgetExceeded,
@@ -396,7 +391,7 @@ class TestGlider:
             for i in range(12):
                 a = conf.path[seed_len + 12 * p + i]
                 b = conf.path[seed_len + 12 * (p + 1) + i]
-                assert (b.x - a.x, b.y - a.y) == tuple(GLIDER_PERIOD_SHIFT)
+                assert (b.x - a.x, b.y - a.y) == oracles.GLIDER_PERIOD_SHIFT
 
     def test_mirrored_fold_is_the_mirror_image(self):
         from oritatami.grid import mirror

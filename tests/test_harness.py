@@ -11,7 +11,6 @@ from oritatami.harness import (
     CatalogError,
     ClosureViolation,
     Environment,
-    ExpectedBrick,
     NondeterministicBrick,
     SubmoduleDef,
     UnexpectedFold,
@@ -28,14 +27,7 @@ TOP_EXPOSURE = ("588", "587", "582", "581")
 
 
 def gspacer(expected=True):
-    declared = (
-        (
-            ExpectedBrick("T", "1", "T", TOP_EXPOSURE),
-            ExpectedBrick("B", "1", "B", BOTTOM_EXPOSURE),
-        )
-        if expected
-        else ()
-    )
+    declared = {("T", "1"): ("T", TOP_EXPOSURE), ("B", "1"): ("B", BOTTOM_EXPOSURE)} if expected else {}
     return SubmoduleDef(
         name="gspacer",
         fragment=GLIDER_PERIOD,
@@ -111,7 +103,7 @@ class TestFoldInEnvironment:
             GLIDER_RULES,
             3,
             2,
-            expected=(ExpectedBrick("T", "1", "B", BOTTOM_EXPOSURE),),
+            expected={("T", "1"): ("B", BOTTOM_EXPOSURE)},
         )
         with pytest.raises(UnexpectedFold):
             fold_in_environment(wrong, top_env())
@@ -300,7 +292,7 @@ class TestCatalogFiles:
         sub = defs["gspacer"]
         assert sub.fragment == GLIDER_PERIOD
         assert sub.rules == GLIDER_RULES
-        assert sub.expectation_for("B", "1").exposed == BOTTOM_EXPOSURE
+        assert sub.expected["B", "1"] == ("B", BOTTOM_EXPOSURE)
 
     def test_files_drive_the_closure(self):
         auto = explore_closure(parse_submodules(DEFS_TEXT), parse_environments(CATALOG_TEXT))
