@@ -351,7 +351,9 @@ def _canonical(
     """Each (point key, bond subset) of the placements ``spots`` whose subset
     takes at least ``least`` and at most ``arity`` partners, in canonical
     order: direction order around the path end, then bond subsets sorted
-    lexicographically (the empty subset first)."""
+    lexicographically (the empty subset first). A table hit
+    (``_Lookahead.minimizers``) restores the same order over the choices
+    it stores."""
     out: list[tuple[int, tuple[int, ...]]] = []
     for key, eligible in spots:
         if not eligible:
@@ -450,7 +452,10 @@ class _Lookahead:
     transcript window and every occupied point within ``delay + 1`` steps,
     and never more than one step past the transcript's length (with bead
     type and bond count): that is everything the search can touch, so a
-    translated repeat of a situation is answered without searching. Only a
+    translated repeat of a situation is answered without searching. An
+    entry holds each argmin point's offset from the path end, in the
+    direction order of the search that stored it, with the partner offsets
+    of each of that point's bond subsets (see ``minimizers``). Only a
     window with an id in ``window_ids`` keys the table: one that occurs more
     than once in the transcript, since no other window can hit, and has
     headroom after its first bead, since the search of any other is a scan
@@ -505,10 +510,14 @@ class _Lookahead:
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """``_search``'s argmin set for bead ``i``, from the table if it can.
-        A hit keeps the bead's options, in canonical order, whose point and
-        partners, as offsets from the path end, the stored set holds: every
-        point an option names lies within two steps of the path end, inside
-        the keyed disk, so equal keys give equal options."""
+        A hit rebuilds only the stored choices, scanning no placement: each
+        point is the path end plus its stored offset, and each bond subset
+        the indices of the beads at its partner offsets, read through
+        ``occupied``. Every partner lies within two steps of the path end,
+        inside the keyed disk, so it is occupied alike. Direction order
+        follows from the offsets, but the partners' indices may be ordered
+        unlike the stored situation's, so each point's subsets are sorted
+        again into canonical order (see ``_canonical``)."""
         window = self.window_ids[i]
         if window is None:
             return self._search(fold, i)
@@ -523,12 +532,17 @@ class _Lookahead:
         entry = self.table.get(key)
         if entry is None:
             found = self._search(fold, i)
-            self.table[key] = {(k - end, frozenset([path[q] - end for q in bonds])) for k, bonds in found}
+            spots: dict[int, list[list[int]]] = {}
+            for k, bonds in found:
+                spots.setdefault(k - end, []).append([path[q] - end for q in bonds])
+            self.table[key] = tuple(spots.items())
             return found
-        return [
-            (k, bonds) for k, bonds in fold.options(self.transcript[i])
-            if (k - end, frozenset([path[q] - end for q in bonds])) in entry
-        ]
+        out = []
+        for d, subsets in entry:
+            k = end + d
+            bonds = sorted(tuple(sorted([occupied[end + m] for m in mates])) for mates in subsets)
+            out.extend((k, s) for s in bonds)
+        return out
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical

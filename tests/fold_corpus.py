@@ -30,6 +30,7 @@ call is counted. The compile, parse and fold times of the 1,000-letter word
 are printed beside it.
 
 Last come the counts of how often each part of the fold corpus called
+``_Fold.placements`` (the neighbour scans that list partners),
 ``_Fold.push``, ``_Fold.ways``, ``_Lookahead.minimizers`` (the table
 lookups), ``_Lookahead._search`` and ``_Lookahead._spend`` in each run.
 
@@ -65,8 +66,8 @@ GLIDERS = ((3, 1), (3, 5), (3, 10), (4, 2), (4, 3), (5, 2), (6, 1))
 RUNS = (("enumerate", 10_000), ("enumerate", 50), ("first", None), ("sample", None))
 BRANCHING = ROOT / "demos" / "branching.nfa"
 PIPELINE_HEAD = "delay 3\narity 2\nrule a 625\nrule b 624\nrule a 505\nrule c 623\n" + "transcript a b c\n" * 4
-COUNTED = ((_Fold, "push"), (_Fold, "ways"), (_Lookahead, "minimizers"), (_Lookahead, "_search"),
-           (_Lookahead, "_spend"))
+COUNTED = ((_Fold, "placements"), (_Fold, "push"), (_Fold, "ways"), (_Lookahead, "minimizers"),
+           (_Lookahead, "_search"), (_Lookahead, "_spend"))
 
 
 def corpus() -> dict[str, list]:

@@ -1,0 +1,126 @@
+"""Time the fold engine of two source trees side by side, in one process.
+
+    python3 tests/inprocess_ab.py PARENT_TREE [CHANGE_TREE] [--case NAME ...]
+        [--rounds N] [--folds N]
+
+A tree is a directory holding ``src/oritatami``, such as a checkout or
+``git archive REV | tar -x -C DIR``. ``CHANGE_TREE`` defaults to the tree
+holding this script. The modules of ``src/oritatami`` import each other
+relatively, so each tree loads as a package of its own, ``ori_parent`` and
+``ori_change``, and the two are timed call by call in the same interpreter.
+Separate processes drift further apart than the gaps this has to show.
+
+Each case is ``fold_summary`` of the glider at one delay, number of periods
+and mode, plain or mirrored, built from each tree's own fixtures. Before
+anything is timed, both trees fold every case and the results must be
+equal. Then each of ``--rounds`` rounds times every case on both sides,
+with the side that goes first alternating from round to round; a side's
+time for a case in a round is the least of ``--folds`` folds. The script
+prints, per case, each side's least time over all rounds, the median of
+its per-round times, and the ratio of the change's least time to the
+parent's. It sets no gate, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("ori_parent", "ori_change")
+# (delay, periods, mode): delays 3 and 4 in enumerate mode and 5 in first
+# mode, as the bench folds them, at lengths where the lookahead table
+# answers most steps (d3 p10, p40) and where it answers few (d4, d5).
+GLIDERS = ((3, 1, "enumerate"), (3, 10, "enumerate"), (3, 40, "enumerate"), (4, 3, "enumerate"),
+           (5, 3, "first"))
+CASES = {
+    f"d{delay}p{periods}{'-mirrored' if mirrored else ''}{'-first' if mode == 'first' else ''}":
+        (delay, periods, mirrored, mode)
+    for delay, periods, mode in GLIDERS
+    for mirrored in (False, True)
+}
+
+
+def load(name: str, tree: Path):
+    """The package ``src/oritatami`` of ``tree``, imported as ``name``,
+    with its ``folding`` and ``fixtures`` modules loaded."""
+    package = tree / "src" / "oritatami"
+    for loaded in [key for key in sys.modules if key.partition(".")[0] == name]:
+        del sys.modules[loaded]
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.folding")
+    importlib.import_module(f"{name}.fixtures")
+    return module
+
+
+def fold(package, case: tuple):
+    """A call that folds ``case`` with ``package``."""
+    delay, periods, mirrored, mode = case
+    folding = package.folding
+    base = package.fixtures.glider_system(periods, mirrored=mirrored)
+    system = folding.OritatamiSystem(base.rules, base.arity, delay, base.seed, base.transcript)
+    return lambda: folding.fold_summary(system, mode)
+
+
+def result_text(result) -> str:
+    """A fold_summary result as text, equal across the two packages."""
+    total, completed, first = result
+    c = first.conformation
+    return repr((total, completed, c.path, c.beads, sorted(c.bonds), first.completed))
+
+
+def least_time(call, folds: int) -> float:
+    gc.collect()
+    best = float("inf")
+    for _ in range(folds):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path, nargs="?", default=ROOT)
+    parser.add_argument("--case", action="append", choices=sorted(CASES),
+                        help="a case to time; repeat for more (default: every case)")
+    parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--folds", type=int, default=20)
+    args = parser.parse_args(argv)
+    names = args.case or list(CASES)
+    packages = [load(side, tree.resolve()) for side, tree in zip(SIDES, (args.parent, args.change))]
+    calls = {name: [fold(package, CASES[name]) for package in packages] for name in names}
+    for name, pair in calls.items():
+        texts = [result_text(call()) for call in pair]
+        if texts[0] != texts[1]:
+            print(f"{name}: the trees fold differently\n  parent {texts[0]}\n  change {texts[1]}")
+            return 1
+    times = {name: ([], []) for name in names}
+    for round_ in range(args.rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        for name, pair in calls.items():
+            for side in order:
+                times[name][side].append(least_time(pair[side], args.folds))
+    print(f"{args.rounds} rounds, least of {args.folds} folds each; times in ms")
+    print("case\tparent\tparent median\tchange\tchange median\tratio")
+    for name, (parent, change) in times.items():
+        ratio = min(change) / min(parent)
+        cells = [min(parent), statistics.median(parent), min(change), statistics.median(change)]
+        print("\t".join([name, *(f"{1000 * t:.2f}" for t in cells), f"{ratio:.3f}"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -89,7 +89,9 @@ def _argv(command, paths, rng):
     }[command]
 
 
-def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
+def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
+    # A mutated argv can name a relative --out path: it lands in tmp_path.
+    monkeypatch.chdir(tmp_path)
     rng = random.Random(11)
     paths = {kind: str(tmp_path / name) for kind, name in INPUTS.items()}
     paths["out"] = str(tmp_path / "seed.sys")

@@ -736,6 +736,30 @@ class TestFoldSummary:
         # The table answered 755 nodes.
         assert hits >= 500
 
+    def test_table_hit_scans_no_placement(self, monkeypatch):
+        # A hit rebuilds its stored choices from the occupied points; only a
+        # search lists a bead's placements. The count of the 10-period
+        # glider looks up beads 0-116 (0-based), and the table answers 95.
+        calls, lookups = [], []
+        search, placements, minimizers = _Lookahead._search, _Fold.placements, _Lookahead.minimizers
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append("search") or search(self, fold, i)
+        )
+        monkeypatch.setattr(
+            _Fold, "placements", lambda self, bead: calls.append("placements") or placements(self, bead)
+        )
+
+        def lookup(self, fold, i):
+            start = len(calls)
+            found = minimizers(self, fold, i)
+            lookups.append(calls[start:])
+            return found
+
+        monkeypatch.setattr(_Lookahead, "minimizers", lookup)
+        fold_summary(glider_system(periods=10))
+        hits = [made for made in lookups if "search" not in made]
+        assert len(lookups) == 117 and hits == [[]] * 95
+
     def test_budget_is_passed_as_in_fold_all(self):
         rules = RuleSet([("a", "b"), ("a", "c")])
         seed = Conformation.build([(0, 0), (1, 0), (2, 0)], ["a", "a", "b"])
