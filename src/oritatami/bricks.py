@@ -273,14 +273,6 @@ def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
     return period
 
 
-def _periods(nfa: AugmentedNfa, word: Sequence[str]) -> list[str]:
-    """The letter of each period: ``word`` plus the end marker."""
-    for letter in word:
-        if letter not in nfa.alphabet:
-            raise ValueError(f"letter {letter!r} is not in the input alphabet")
-    return list(word) + [nfa.dollar]
-
-
 def _frontier(table: _PeriodTable, initial: str, letters: Sequence[str]) -> tuple[bool, int]:
     """Enumerate mode's (accepted, branch count) without walking a branch:
     {state: live branch count} carried through the table letter by letter,
@@ -368,7 +360,7 @@ def branches(
     BranchBudgetExceeded past ``BRANCH_BUDGET`` branches (counted by the
     frontier) before the first branch is walked.
     """
-    letters = _periods(nfa, word)
+    letters = nfa.periods(word)
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown run mode {mode!r}")
     table = _period_table(nfa, code)
@@ -413,7 +405,7 @@ def run_verdict(
     no branch budget; sample walks its one branch.
     """
     if mode == "enumerate":
-        return _frontier(_period_table(nfa, code), nfa.initial, _periods(nfa, word))
+        return _frontier(_period_table(nfa, code), nfa.initial, nfa.periods(word))
     ((_, _, accepted, _),) = branches(nfa, code, word, mode, rng)
     return accepted, 1
 

@@ -81,15 +81,14 @@ class SubmoduleDef:
 
 @dataclass(frozen=True)
 class Brick:
-    """A classified fold, named ``<submodule>_-<h><y>`` after its entry height
-    and input bit."""
+    """What a fragment's fold in one environment decided: the brick's name,
+    ``<submodule>_-<h><y>`` after the environment's entry height and input
+    bit; the whole fold, seed included; and its exit height and exposed
+    bottom-row beads, as ``_classify`` reads them. The environment's name is
+    the key the brick is stored under in ``BrickAutomaton.bricks``."""
 
     name: str
-    submodule: str
-    entry: str
-    input_bit: str
     conformation: Conformation
-    fragment_start: int
     exit: str
     exposed: tuple[str, ...]
 
@@ -116,63 +115,49 @@ def _classify(conformation: Conformation, fragment_start: int) -> tuple[str, tup
 def fold_in_environment(submodule: SubmoduleDef, env: Environment) -> Brick:
     """Fold the fragment after the environment's conformation and classify it.
 
-    Raises UnexpectedFold when the fold dead-ends, cannot be classified, ties
-    beyond the branch budget, or contradicts the submodule's declared brick
-    for this (entry, input); NondeterministicBrick when a declared-
-    deterministic fragment resolves to several distinct folds; CatalogError
-    when the environment's seed breaks the submodule's rules or arity;
-    LookaheadBudgetExceeded, naming the submodule and environment, when one
-    lookahead search exceeds its node budget.
+    Raises UnexpectedFold when the fold dead-ends, cannot be classified, has
+    more than 512 terminal folds (unresolved ties past the branch budget),
+    or contradicts the submodule's declared brick for this (entry, input);
+    NondeterministicBrick when a declared-deterministic fragment resolves to
+    several distinct folds; LookaheadBudgetExceeded when one lookahead
+    search exceeds its node budget. Each of these messages begins
+    ``<submodule> in <env>: ``. Raises CatalogError (``env <env>: ``) when
+    the environment's seed breaks the submodule's rules or arity.
     """
     try:
+        return _fold_brick(submodule, env)
+    except (UnexpectedFold, NondeterministicBrick, LookaheadBudgetExceeded) as exc:
+        raise type(exc)(f"{submodule.name} in {env.name}: {exc}") from None
+
+
+def _fold_brick(submodule: SubmoduleDef, env: Environment) -> Brick:
+    """``fold_in_environment``, its fold errors not yet naming the submodule
+    and environment."""
+    try:
         system = OritatamiSystem(
-            rules=submodule.rules,
-            arity=submodule.arity,
-            delay=submodule.delay,
-            seed=env.conformation,
-            transcript=submodule.fragment,
+            submodule.rules, submodule.arity, submodule.delay, env.conformation, submodule.fragment
         )
     except ValueError as exc:
         raise CatalogError(f"env {env.name}: {exc}") from None
     try:
         outcomes = fold_all(system, "enumerate", branch_budget=512)
     except BranchBudgetExceeded:
-        raise UnexpectedFold(
-            f"{submodule.name} in {env.name}: unresolved ties exceed the branch budget"
-        ) from None
-    except LookaheadBudgetExceeded as exc:
-        raise LookaheadBudgetExceeded(f"{submodule.name} in {env.name}: {exc}") from None
+        raise UnexpectedFold("unresolved ties exceed the branch budget") from None
     completed = [o.conformation for o in outcomes if o.completed]
     if not completed:
-        raise UnexpectedFold(f"{submodule.name} in {env.name}: every branch dead-ends")
-    start = len(env.conformation)
+        raise UnexpectedFold("every branch dead-ends")
     if len(completed) > 1 and submodule.deterministic:
-        raise NondeterministicBrick(
-            f"{submodule.name} in {env.name}: {len(completed)} distinct folds"
-        )
+        raise NondeterministicBrick(f"{len(completed)} distinct folds")
     conformation = completed[0]
-    try:
-        exit_height, exposed = _classify(conformation, start)
-    except UnexpectedFold as exc:
-        raise UnexpectedFold(f"{submodule.name} in {env.name}: {exc}") from None
+    exit_height, exposed = _classify(conformation, len(env.conformation))
     expected = submodule.expected.get((env.entry, env.input_bit))
     if expected is not None and expected != (exit_height, exposed):
         raise UnexpectedFold(
-            f"{submodule.name} in {env.name}: folded to exit={exit_height} "
-            f"exposed={','.join(exposed)}, declared exit={expected[0]} "
-            f"exposed={','.join(expected[1])}"
+            f"folded to exit={exit_height} exposed={','.join(exposed)}, "
+            f"declared exit={expected[0]} exposed={','.join(expected[1])}"
         )
     name = f"{submodule.name}_-{env.entry.lower()}{env.input_bit}"
-    return Brick(
-        name=name,
-        submodule=submodule.name,
-        entry=env.entry,
-        input_bit=env.input_bit,
-        conformation=conformation,
-        fragment_start=start,
-        exit=exit_height,
-        exposed=exposed,
-    )
+    return Brick(name, conformation, exit_height, exposed)
 
 
 @dataclass
@@ -293,8 +278,8 @@ def parse_environments(text: str) -> list[Environment]:
                 allowed = _ENV_FIELDS[key]
                 (value,) = check_args(CatalogError, lineno, key, args, "|".join(allowed) or "NAME")
                 fields[key] = _one_of(lineno, repr(key), value, allowed)
-            elif not found.read(lineno, key, args):
-                raise CatalogError(f"line {lineno}: unknown directive {key!r}")
+            else:
+                found.read(lineno, key, args)
         if "entry" not in fields or "input" not in fields:
             raise CatalogError(f"env {name}: needs both 'entry' and 'input'")
         try:
@@ -342,8 +327,8 @@ def parse_submodules(text: str) -> dict[str, SubmoduleDef]:
                 what = f"'{key}' line for {entry} {input_bit}"
                 once(found.seen, CatalogError, lineno, (key, entry, input_bit), what)
                 expected[entry, input_bit] = (exit_height, tuple(beads))
-            elif not found.read(lineno, key, args):
-                raise CatalogError(f"line {lineno}: unknown directive {key!r}")
+            else:
+                found.read(lineno, key, args)
         if found.delay is None or found.arity is None or not found.transcript:
             raise CatalogError(f"submodule {name}: needs delay, arity and a fragment")
         defs[name] = SubmoduleDef(

@@ -123,6 +123,14 @@ class AugmentedNfa:
     def accepting(self) -> tuple[str, ...]:
         return (self.sink,)
 
+    def periods(self, word: Sequence[str]) -> list[str]:
+        """The letter of each period of a run on ``word``: ``word``, every
+        letter of it in ``alphabet``, then the end marker."""
+        for letter in word:
+            if letter not in self.alphabet:
+                raise ValueError(f"letter {letter!r} is not in the input alphabet")
+        return [*word, self.dollar]
+
 
 def augment(a: Nfa) -> AugmentedNfa:
     """The $-sink construction: original transitions keep their indices and one

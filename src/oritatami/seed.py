@@ -148,10 +148,11 @@ class SeedLayout:
 
 def layout(nfa: AugmentedNfa, code: Encoding, word: Sequence[str]) -> SeedLayout:
     """The Gamma seed for running ``nfa`` on ``word``: the horizontal arm spells
-    the initial state with all flags N, the vertical arm spells word + $."""
+    the initial state with all flags N, the vertical arm spells word + $
+    (``AugmentedNfa.periods``, which rejects a letter outside the alphabet)."""
     n = code.state_bits
     row = encode_state_row(code.state_code[nfa.initial], ("N",) * n)
-    column = encode_input_column(list(word) + [nfa.dollar], code, n)
+    column = encode_input_column(nfa.periods(word), code, n)
     return SeedLayout(row, column)
 
 

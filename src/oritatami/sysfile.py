@@ -103,8 +103,9 @@ class Directives:
     ``arity``, ``rule``, ``seed``, ``seedbond``, and the transcript from
     ``transcript`` (``fragment`` in submodule defs) and ``repeat`` lines.
     ``read`` takes only the ``keys`` a format accepts and raises ``error``
-    on a malformed line, a second ``delay`` or ``arity`` line, or a second
-    ``rule`` or ``seedbond`` line for one pair in either order, included.
+    on any other key, on a malformed line, a second ``delay`` or ``arity``
+    line, or a second ``rule`` or ``seedbond`` line for one pair in either
+    order, included.
     ``seen`` holds what ``once`` has recorded for the stanza; a format's own
     at-most-once directives record theirs there too."""
 
@@ -119,10 +120,11 @@ class Directives:
         self.transcript: list[str] = []
         self.seen: set = set()
 
-    def read(self, lineno: int, key: str, args: list[str]) -> bool:
-        """Apply one directive line; False when ``key`` is not one of ``keys``."""
+    def read(self, lineno: int, key: str, args: list[str]) -> None:
+        """Apply one directive line: the one place that rejects a ``key``
+        outside ``keys``, as ``line N: unknown directive 'KEY'``."""
         if key not in self.keys:
-            return False
+            raise self.error(f"line {lineno}: unknown directive {key!r}")
         if key in ("delay", "arity"):
             once(self.seen, self.error, lineno, key, f"'{key}' line")
             (value,) = check_args(self.error, lineno, key, args, "N", ints=1)
@@ -151,7 +153,6 @@ class Directives:
                 raise self.error(f"line {lineno}: 'repeat' COUNT {count} is too large") from None
         else:  # "transcript" or "fragment"
             self.transcript.extend(check_args(self.error, lineno, key, args, "BEAD ..."))
-        return True
 
     def seed(self) -> Conformation:
         """The conformation of the ``seed``/``seedbond`` lines read, not yet
@@ -167,8 +168,7 @@ def parse_system(text: str) -> OritatamiSystem:
         SystemFileError, ("delay", "arity", "rule", "transcript", "repeat", *SEED_KEYS)
     )
     for lineno, key, args in tokenize(text.splitlines()):
-        if not found.read(lineno, key, args):
-            raise SystemFileError(f"line {lineno}: unknown directive {key!r}")
+        found.read(lineno, key, args)
     if found.delay is None or found.arity is None:
         raise SystemFileError("system file must set both 'delay' and 'arity'")
     try:

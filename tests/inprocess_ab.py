@@ -1,4 +1,5 @@
-"""Time the fold engine of two source trees side by side, in one process.
+"""Time the fold engine and the brick check of two source trees side by
+side, in one process.
 
     python3 tests/inprocess_ab.py PARENT_TREE [CHANGE_TREE] [--case NAME ...]
         [--rounds N] [--folds N]
@@ -10,12 +11,16 @@ relatively, so each tree loads as a package of its own, ``ori_parent`` and
 ``ori_change``, and the two are timed call by call in the same interpreter.
 Separate processes drift further apart than the gaps this has to show.
 
-Each case is ``fold_summary`` of the glider at one delay, number of periods
-and mode, plain or mirrored, built from each tree's own fixtures. Before
-anything is timed, both trees fold every case and the results must be
-equal. Then each of ``--rounds`` rounds times every case on both sides,
-with the side that goes first alternating from round to round; a side's
-time for a case in a round is the least of ``--folds`` folds. The script
+A glider case is ``fold_summary`` of the glider at one delay, number of
+periods and mode, plain or mirrored, built from each tree's own fixtures.
+A ``bricks`` case is ``check-bricks`` without the file reading:
+``explore_closure`` plus ``format_automaton``, on the demo ``gspacer``
+files (``bricks-demo``) or on a built catalog of 1,002 environments over
+501 two-bead submodules (``bricks-1002``). Before anything is timed, both
+trees run every case and the results must be equal. Then each of
+``--rounds`` rounds times every case on both sides, with the side that
+goes first alternating from round to round; a side's time for a case in a
+round is the least of ``--folds`` calls. The script
 prints, per case, each side's least time over all rounds, the median of
 its per-round times, and the ratio of the change's least time to the
 parent's. It sets no gate, and pytest does not collect it.
@@ -39,17 +44,72 @@ SIDES = ("ori_parent", "ori_change")
 # answers most steps (d3 p10, p40) and where it answers few (d4, d5).
 GLIDERS = ((3, 1, "enumerate"), (3, 10, "enumerate"), (3, 40, "enumerate"), (4, 3, "enumerate"),
            (5, 3, "first"))
+
+
+def result_text(result) -> str:
+    """A fold_summary result as text, equal across the two packages."""
+    total, completed, first = result
+    c = first.conformation
+    return repr((total, completed, c.path, c.beads, sorted(c.bonds), first.completed))
+
+
+def glider_case(delay: int, periods: int, mirrored: bool, mode: str):
+    """A case folding the glider: for a package, a call and its result as text."""
+
+    def build(package):
+        folding = package.folding
+        base = package.fixtures.glider_system(periods, mirrored=mirrored)
+        system = folding.OritatamiSystem(base.rules, base.arity, delay, base.seed, base.transcript)
+        return lambda: folding.fold_summary(system, mode), result_text
+
+    return build
+
+
+def demo_catalog(package):
+    """The demo ``gspacer`` submodule and its two band environments."""
+    harness = package.harness
+    demos = ROOT / "demos"
+    return (harness.parse_submodules((demos / "gspacer.defs").read_text()),
+            harness.parse_environments((demos / "gspacer_bands.cat").read_text()))
+
+
+def wide_catalog(package):
+    """501 two-bead submodules whose b bonds back to the seed, each in a T
+    and a B environment: 1,002 environments, every one exiting at T."""
+    harness, folding = package.harness, package.folding
+    seed = folding.Conformation.build([(0, 0), (1, 0)], ["s", "s"])
+    rules = folding.RuleSet([("b", "s")])
+    defs = {f"m{k}": harness.SubmoduleDef(f"m{k}", ("a", "b"), rules, 1, 1, deterministic=False)
+            for k in range(501)}
+    envs = [harness.Environment(f"m{k}{h}", seed, h, "0", f"m{k}") for k in range(501) for h in "TB"]
+    return defs, envs
+
+
+def bricks_case(catalog):
+    """A case checking the bricks of ``catalog(package)``: for a package, a
+    call giving the ``check-bricks`` report, which is its own text."""
+
+    def build(package):
+        defs, envs = catalog(package)
+        harness = package.harness
+        return lambda: harness.format_automaton(harness.explore_closure(defs, envs)), str
+
+    return build
+
+
 CASES = {
     f"d{delay}p{periods}{'-mirrored' if mirrored else ''}{'-first' if mode == 'first' else ''}":
-        (delay, periods, mirrored, mode)
+        glider_case(delay, periods, mirrored, mode)
     for delay, periods, mode in GLIDERS
     for mirrored in (False, True)
 }
+CASES["bricks-demo"] = bricks_case(demo_catalog)
+CASES["bricks-1002"] = bricks_case(wide_catalog)
 
 
 def load(name: str, tree: Path):
     """The package ``src/oritatami`` of ``tree``, imported as ``name``,
-    with its ``folding`` and ``fixtures`` modules loaded."""
+    with its ``folding``, ``fixtures`` and ``harness`` modules loaded."""
     package = tree / "src" / "oritatami"
     for loaded in [key for key in sys.modules if key.partition(".")[0] == name]:
         del sys.modules[loaded]
@@ -61,23 +121,8 @@ def load(name: str, tree: Path):
     spec.loader.exec_module(module)
     importlib.import_module(f"{name}.folding")
     importlib.import_module(f"{name}.fixtures")
+    importlib.import_module(f"{name}.harness")
     return module
-
-
-def fold(package, case: tuple):
-    """A call that folds ``case`` with ``package``."""
-    delay, periods, mirrored, mode = case
-    folding = package.folding
-    base = package.fixtures.glider_system(periods, mirrored=mirrored)
-    system = folding.OritatamiSystem(base.rules, base.arity, delay, base.seed, base.transcript)
-    return lambda: folding.fold_summary(system, mode)
-
-
-def result_text(result) -> str:
-    """A fold_summary result as text, equal across the two packages."""
-    total, completed, first = result
-    c = first.conformation
-    return repr((total, completed, c.path, c.beads, sorted(c.bonds), first.completed))
 
 
 def least_time(call, folds: int) -> float:
@@ -101,19 +146,20 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     names = args.case or list(CASES)
     packages = [load(side, tree.resolve()) for side, tree in zip(SIDES, (args.parent, args.change))]
-    calls = {name: [fold(package, CASES[name]) for package in packages] for name in names}
-    for name, pair in calls.items():
-        texts = [result_text(call()) for call in pair]
+    built = {name: [CASES[name](package) for package in packages] for name in names}
+    for name, pair in built.items():
+        texts = [text(call()) for call, text in pair]
         if texts[0] != texts[1]:
-            print(f"{name}: the trees fold differently\n  parent {texts[0]}\n  change {texts[1]}")
+            print(f"{name}: the trees differ\n  parent {texts[0]}\n  change {texts[1]}")
             return 1
+    calls = {name: [call for call, _ in pair] for name, pair in built.items()}
     times = {name: ([], []) for name in names}
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
         for name, pair in calls.items():
             for side in order:
                 times[name][side].append(least_time(pair[side], args.folds))
-    print(f"{args.rounds} rounds, least of {args.folds} folds each; times in ms")
+    print(f"{args.rounds} rounds, least of {args.folds} calls each; times in ms")
     print("case\tparent\tparent median\tchange\tchange median\tratio")
     for name, (parent, change) in times.items():
         ratio = min(change) / min(parent)

@@ -517,21 +517,30 @@ class TestCheckBricksCommand:
         assert out == ""
         assert err == "closure violation: no declared environment with entry B follows band_bottom\n"
 
-    @pytest.mark.parametrize("seed, message", [
+    @pytest.mark.parametrize("fragment, deterministic, seed, message", [
         # With no rules, the first fold runs east from a single bead.
-        ([(0, 0)], "fragment folded flat; no row band to classify"),
+        ("a a", "no", [(0, 0)],
+         "UnexpectedFold: loose in here: fragment folded flat; no row band to classify"),
         # The seed ends at the centre of its own ring.
-        ([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)], "every branch dead-ends"),
-    ], ids=["flat", "dead-end"])
-    def test_unclassified_fold_exits_1(self, tmp_path, capsys, seed, message):
+        ("a a", "no", [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)],
+         "UnexpectedFold: loose in here: every branch dead-ends"),
+        # With no rules every placement ties: five beads fold more than 512 ways.
+        ("a a a a a", "no", [(0, 0)],
+         "UnexpectedFold: loose in here: unresolved ties exceed the branch budget"),
+        # The same two beads, declared deterministic, tie in 30 ways.
+        ("a a", "yes", [(0, 0)], "NondeterministicBrick: loose in here: 30 distinct folds"),
+    ], ids=["flat", "dead-end", "branch-budget", "nondeterministic"])
+    def test_unclassified_fold_exits_1(self, tmp_path, capsys, fragment, deterministic, seed, message):
         defs = tmp_path / "loose.defs"
-        defs.write_text("submodule loose\ndelay 1\narity 1\nfragment a a\ndeterministic no\n")
+        defs.write_text(
+            f"submodule loose\ndelay 1\narity 1\nfragment {fragment}\ndeterministic {deterministic}\n"
+        )
         catalog = tmp_path / "loose.cat"
         lines = "".join(f"seed {x} {y} z\n" for x, y in seed)
         catalog.write_text(f"env here\n{lines}entry T\ninput 1\n")
         assert main(["check-bricks", str(defs), str(catalog)]) == 1
         out, err = capsys.readouterr()
-        assert out == f"here !! UnexpectedFold: loose in here: {message}\n\ndigraph bricks {{\n}}\n"
+        assert out == f"here !! {message}\n\ndigraph bricks {{\n}}\n"
         assert err == ""
 
     @pytest.mark.parametrize("empty, message", [
@@ -634,6 +643,12 @@ MALFORMED = [
     ("nfa", "states:", None, "expected 'states: NAME ...'"),
     ("nfa", "alphabet:", None, "expected 'alphabet: NAME ...'"),
     ("nfa", "accept:", None, "expected 'accept: NAME ...'"),
+    # A key the format does not take.
+    ("sys", "bogus 1", None, "unknown directive 'bogus'"),
+    ("cat", "bogus 1", None, "unknown directive 'bogus'"),
+    ("defs", "bogus 1", None, "unknown directive 'bogus'"),
+    ("defs", "seed 0 0 579", None, "unknown directive 'seed'"),
+    ("nfa", "bogus: 1", None, "unknown directive 'bogus:'"),
 ]
 
 

@@ -78,7 +78,7 @@ class TestFoldInEnvironment:
             gspacer(), Environment("moved", shifted_seed, "T", "1")
         )
         assert (moved.exit, moved.exposed) == (top.exit, top.exposed)
-        start = top.fragment_start
+        start = len(glider_seed())
         assert moved.conformation.path[start:] == tuple(
             Point(p.x + 7, p.y) for p in top.conformation.path[start:]
         )
@@ -105,7 +105,11 @@ class TestFoldInEnvironment:
             2,
             expected={("T", "1"): ("B", BOTTOM_EXPOSURE)},
         )
-        with pytest.raises(UnexpectedFold):
+        message = (
+            "gspacer in band_top: folded to exit=T exposed=588,587,582,581, "
+            "declared exit=B exposed=590,585,584,579"
+        )
+        with pytest.raises(UnexpectedFold, match=f"^{message}$"):
             fold_in_environment(wrong, top_env())
 
     def test_mutated_rules_fail_verification(self):

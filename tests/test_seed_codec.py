@@ -169,6 +169,12 @@ class TestBuildSeed:
         assert len(layout.vertical) == 2 * 6 * (2 * 4 - 1 + 2 * 3 + 2 + 2 * 4)
         assert len(conf) == len(layout.horizontal) + len(layout.vertical)
 
+    def test_letter_outside_the_alphabet_is_rejected(self):
+        # The same check and message as a run on that word.
+        nfa, code = oracles.branching_machine()
+        with pytest.raises(ValueError, match=r"^letter 'zzz' is not in the input alphabet$"):
+            layout(nfa, code, ["zzz"])
+
     def test_row_spells_initial_state_all_flags_n(self):
         nfa, code = oracles.branching_machine()
         layout, _ = build_seed(nfa, code, [])
