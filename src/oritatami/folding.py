@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -201,34 +202,79 @@ class FoldOutcome(NamedTuple):
     completed: bool
 
 
-# The workspace keys a point by one int, (x - x0) * _STRIDE + (y - y0), taken
-# relative to the start conformation's first point (x0, y0). A path is
-# connected, and the search looks at most one step past the transcript's
-# length beyond the path end, so every offset it meets is below the seed
-# length plus twice the transcript length plus 2: far below _STRIDE / 2 for
-# any system that fits in memory, which keeps the key injective.
-_STRIDE = 1 << 32
-_HALF_STRIDE = _STRIDE // 2
-_NEIGHBOURS = tuple(dx * _STRIDE + dy for dx, dy in DIRECTIONS)
-# Each step from the path end, with the five steps on from there that do not
-# lead back to the path end.
-_STEPS = tuple((d, tuple(e for e in _NEIGHBOURS if e != -d)) for d in _NEIGHBOURS)
+# The farthest a later bead's partners are counted from the path end (see
+# _Lookahead): it covers every bead of a window up to delay 6.
+_REACH = 7
+
+# The workspace keys a point by one int, (x - x0) * stride + (y - y0), taken
+# relative to the start conformation's first point (x0, y0). Two points share
+# a key only if their y differ by a nonzero multiple of the stride, and
+# ``_Fold.point`` decodes a key whose y lies in [-stride / 2, stride / 2). A
+# workspace holds at most ``beads`` beads on a connected path, so every point
+# it places a bead on lies within ``beads - 1`` steps of (x0, y0), as does the
+# difference ``key - end`` of two path points (``_reach_gains``); a key offset
+# of the geometry lies within _REACH steps of 0; and a probe lies within _REACH
+# steps of the path end, so within ``beads - 2 + _REACH`` steps of any path
+# point. A step moves y by at most 1, so while half the stride exceeds both
+# ``beads - 1`` and _REACH, each of these keys decodes and none shares its int
+# with another. ``_stride`` takes the smallest power of two whose half does: a
+# fold of up to 16,384 beads keys every point by a single-digit int (below
+# 2**30), and a larger one, such as a compiled seed of 138,236 beads, by two.
+def _stride(beads: int) -> int:
+    """The key stride of a workspace holding at most ``beads`` beads."""
+    return 2 << max(beads - 1, _REACH).bit_length()
+
+
+class _Geometry(NamedTuple):
+    """The key offsets a workspace of one stride reads."""
+
+    stride: int
+    # Each step from the path end, with the five steps on from there that do
+    # not lead back to the path end.
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    # The points at each grid distance 0 .. _REACH from a point, one ring per
+    # distance, and the points within each distance (``disks``, keyed windows'
+    # neighbourhoods), with their sizes and each point's distance.
+    rings: tuple[tuple[int, ...], ...]
+    disks: tuple[tuple[int, ...], ...]
+    disk_sizes: tuple[int, ...]
+    distance: dict[int, int]
+
+
+@lru_cache(maxsize=None)
+def _geometry(stride: int) -> _Geometry:
+    """The geometry of ``stride``, built once per stride (a power of two)."""
+    neighbours = tuple(dx * stride + dy for dx, dy in DIRECTIONS)
+    steps = tuple((d, tuple(e for e in neighbours if e != -d)) for d in neighbours)
+    points: list[list[int]] = [[] for _ in range(_REACH + 1)]
+    span = range(-_REACH, _REACH + 1)
+    for dx in span:
+        for dy in span:
+            r = max(abs(dx), abs(dy), abs(dx + dy))
+            if r <= _REACH:
+                points[r].append(dx * stride + dy)
+    rings = tuple(map(tuple, points))
+    disks = tuple(accumulate(rings))
+    distance = {d: r for r, ring in enumerate(rings) for d in ring}
+    return _Geometry(stride, steps, rings, disks, tuple(map(len, disks)), distance)
 
 
 class _Fold:
     """Mutable folding workspace: push/pop beads without copying the conformation.
 
-    ``path`` holds int point keys (see ``_STRIDE``); ``point`` and ``key``
-    convert between a key and its ``Point``.
+    It holds ``start`` and at most ``beads - len(start)`` beads pushed on it.
+    ``path`` holds int point keys, in the stride ``_stride(beads)`` of its
+    ``geometry``; ``point`` and ``key`` convert between a key and its ``Point``.
     """
 
-    __slots__ = ("rules", "arity", "origin", "path", "beads", "occupied", "bond_count", "bond_log",
-                 "total_bonds")
+    __slots__ = ("rules", "arity", "origin", "geometry", "path", "beads", "occupied", "bond_count",
+                 "bond_log", "total_bonds")
 
-    def __init__(self, rules: RuleSet, arity: int, start: Conformation):
+    def __init__(self, rules: RuleSet, arity: int, start: Conformation, beads: int):
         self.rules = rules
         self.arity = arity
         self.origin = start.path[0]
+        self.geometry = _geometry(_stride(beads))
         self.path: list[int] = [self.key(p) for p in start.path]
         self.beads: list[str] = list(start.beads)
         self.occupied: dict[int, int] = {k: i for i, k in enumerate(self.path)}
@@ -240,11 +286,13 @@ class _Fold:
         self.total_bonds = len(start.bonds)
 
     def key(self, p: tuple[int, int]) -> int:
-        return (p[0] - self.origin[0]) * _STRIDE + (p[1] - self.origin[1])
+        return (p[0] - self.origin[0]) * self.geometry.stride + (p[1] - self.origin[1])
 
     def point(self, key: int) -> Point:
-        dx, dy = divmod(key + _HALF_STRIDE, _STRIDE)
-        return Point(self.origin[0] + dx, self.origin[1] + dy - _HALF_STRIDE)
+        stride = self.geometry.stride
+        half = stride >> 1
+        dx, dy = divmod(key + half, stride)
+        return Point(self.origin[0] + dx, self.origin[1] + dy - half)
 
     def placements(self, bead: str) -> list[tuple[int, list[int]]]:
         """Each free point next to the path end, in direction order, as its
@@ -254,7 +302,7 @@ class _Fold:
         mates = self.rules.partners(bead)
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
         out = []
-        for d, around in _STEPS:
+        for d, around in self.geometry.steps:
             key = end + d
             if key in occupied:
                 continue
@@ -278,7 +326,7 @@ class _Fold:
         mates = self.rules.partners(bead)
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
         best = 0
-        for d, around in _STEPS:
+        for d, around in self.geometry.steps:
             key = end + d
             if key in occupied:
                 continue
@@ -302,7 +350,7 @@ class _Fold:
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
         end = self.path[-1]
         total = 0
-        for d, around in _STEPS:
+        for d, around in self.geometry.steps:
             key = end + d
             if key in occupied:
                 continue
@@ -374,35 +422,12 @@ def elongations(
     """All one-bead elongations of ``c`` by ``bead``: every free placement next to
     the path end, combined with every subset of its eligible bond partners
     (the empty subset included), filtered by the arity cap."""
-    fold = _Fold(rules, arity_cap, c)
+    fold = _Fold(rules, arity_cap, c, len(c) + 1)
     return [StabilizationChoice(fold.point(k), s) for k, s in fold.options(bead)]
 
 
 # A new bead bonds with at most five beads: of its six neighbors, one is its predecessor.
 _MAX_NEW_BONDS = 5
-
-
-def _hex_rings(radius: int) -> tuple[tuple[int, ...], ...]:
-    """The key offsets of the points at each grid distance 0 .. ``radius``
-    from the origin, one ring per distance, in a fixed order."""
-    rings: list[list[int]] = [[] for _ in range(radius + 1)]
-    span = range(-radius, radius + 1)
-    for dx in span:
-        for dy in span:
-            r = max(abs(dx), abs(dy), abs(dx + dy))
-            if r <= radius:
-                rings[r].append(dx * _STRIDE + dy)
-    return tuple(map(tuple, rings))
-
-
-# The farthest a later bead's partners are counted from the path end (see
-# _Lookahead): it covers every bead of a window up to delay 6.
-_REACH = 7
-_RINGS = _hex_rings(_REACH)
-# The points within each distance 0 .. _REACH of a point, and the distance
-# of each point of the widest disk from its centre, by key offset.
-_DISK_SIZES = tuple(accumulate(map(len, _RINGS)))
-_DISTANCE = {d: r for r, ring in enumerate(_RINGS) for d in ring}
 
 
 class _Lookahead:
@@ -459,19 +484,20 @@ class _Lookahead:
     window with an id in ``window_ids`` keys the table: one that occurs more
     than once in the transcript, since no other window can hit, and has
     headroom after its first bead, since the search of any other is a scan
-    of at most six placements. And windows are keyed only while that disk
-    fits in ``_RINGS`` (``min(delay, len(transcript)) + 1 <= _REACH``, so
-    up to delay 6 on a long transcript). Past it neither the window list,
-    ``len(transcript)`` tuples of ``delay`` beads, nor the disk, about
-    ``3 * delay ** 2`` keys probed at every keyed step, is built, and every
-    window is searched directly. A hit only answers a situation that was
-    searched before, so keying changes no result. Every search of a keyed
-    window is stored, since enumeration meets a bead again on each sibling
-    branch, and the table lives as long as this object.
+    of at most six placements. And windows are keyed only while that disk,
+    of radius ``disk_radius``, is one of the fold geometry's ``disks``
+    (``min(delay, len(transcript)) + 1 <= _REACH``, so up to delay 6 on a
+    long transcript). Past it the window list, ``len(transcript)`` tuples
+    of ``delay`` beads, is not built, no step probes a disk of about
+    ``3 * delay ** 2`` keys, and every window is searched directly. A hit
+    only answers a situation that was searched before, so keying changes
+    no result. Every search of a keyed window is stored, since enumeration
+    meets a bead again on each sibling branch, and the table lives as long
+    as this object.
     """
 
     __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
-                 "window_ids", "disk", "bound", "bound_top", "best", "nodes_left", "root",
+                 "window_ids", "disk_radius", "bound", "bound_top", "best", "nodes_left", "root",
                  "score")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
@@ -489,11 +515,11 @@ class _Lookahead:
         # headroom[k] bounds the bonds beads 0..k-1 can add: a prefix sum.
         self.headroom = headroom = list(accumulate(gains, initial=0))
         self.table: dict = {}
-        width = min(delay, len(t))
+        self.disk_radius = min(delay, len(t)) + 1
         ids: dict[tuple[str, ...], int] = {}
         # None for a window that is searched directly (see the class).
         self.window_ids: list[int | None] = [None] * len(t)
-        if width + 1 <= _REACH:
+        if self.disk_radius <= _REACH:
             windows = [t[i : i + delay] for i in range(len(t))]
             count = Counter(windows)
             self.window_ids = [
@@ -501,8 +527,6 @@ class _Lookahead:
                 if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
                 for i, w in enumerate(windows)
             ]
-        # Only keyed windows read the disk around the chain end.
-        self.disk = tuple(chain.from_iterable(_RINGS[: width + 2])) if ids else ()
         # Written by each search over its own window (see _reach_gains).
         # Every entry from bound_top on reads zero.
         self.bound = [0] * (len(t) + 1)
@@ -524,7 +548,7 @@ class _Lookahead:
         path, occupied, beads, counts = fold.path, fold.occupied, fold.beads, fold.bond_count
         end = path[-1]
         hood = []
-        for d in self.disk:
+        for d in fold.geometry.disks[self.disk_radius]:
             idx = occupied.get(end + d)
             if idx is not None:
                 hood.append((d, beads[idx], counts[idx]))
@@ -592,15 +616,15 @@ class _Lookahead:
                 if end == top:
                     self.bound_top = i + 1
             return
-        partners, arity = fold.rules.partners, fold.arity
+        partners, arity, geometry = fold.rules.partners, fold.arity, fold.geometry
         path, beads, counts = fold.path, fold.beads, fold.bond_count
         end = path[-1]
         radius = min(stop - i + 1, _REACH)
         # The type of each placed bead with spare arity, ring by ring: read
         # from the placed beads when they are fewer than the disk's points.
         near = []
-        if len(path) < _DISK_SIZES[radius]:
-            distance = _DISTANCE.get
+        if len(path) < geometry.disk_sizes[radius]:
+            distance = geometry.distance.get
             for idx, key in enumerate(path):
                 if counts[idx] < arity:
                     r = distance(key - end, _REACH + 1)
@@ -609,7 +633,7 @@ class _Lookahead:
             near.sort()
         else:
             get = fold.occupied.get
-            for r, ring in enumerate(_RINGS[: radius + 1]):
+            for r, ring in enumerate(geometry.rings[: radius + 1]):
                 for d in ring:
                     idx = get(end + d)
                     if idx is not None and counts[idx] < arity:
@@ -735,7 +759,7 @@ def stabilize_next(
     step = OritatamiSystem(
         system.rules, system.arity, system.delay, c_i, system.transcript[i : i + system.delay]
     )
-    fold = _Fold(system.rules, system.arity, c_i)
+    fold = _Fold(system.rules, system.arity, c_i, len(c_i) + len(step.transcript))
     found = _Lookahead(step, i)._search(fold, 0)
     return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
 
@@ -854,7 +878,7 @@ def _walk(
     count = summary and every
     rng = _as_rng(rng)
     search = _Lookahead(system, first=summary and mode == "first")
-    fold = _Fold(system.rules, system.arity, system.seed)
+    fold = _Fold(system.rules, system.arity, system.seed, len(system.seed) + len(system.transcript))
     transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
     stop = len(transcript)
     # The bead of the tail node; without count no node is past it.

@@ -16,7 +16,10 @@ periods and mode, plain or mirrored, built from each tree's own fixtures.
 A ``bricks`` case is ``check-bricks`` without the file reading:
 ``explore_closure`` plus ``format_automaton``, on the demo ``gspacer``
 files (``bricks-demo``) or on a built catalog of 1,002 environments over
-501 two-bead submodules (``bricks-1002``). Before anything is timed, both
+501 two-bead submodules (``bricks-1002``). The ``pool`` case is
+``fold_summary`` in enumerate mode over every 10th member of the
+benchmark's random-fold pool (``POOL``, from ``perfbench.inputs``), each
+system rebuilt from the tree's own classes. Before anything is timed, both
 trees run every case and the results must be equal. Then each of
 ``--rounds`` rounds times every case on both sides, with the side that
 goes first alternating from round to round; a side's time for a case in a
@@ -35,9 +38,14 @@ import importlib.util
 import statistics
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench import inputs  # noqa: E402
+
 SIDES = ("ori_parent", "ori_change")
 # (delay, periods, mode): delays 3 and 4 in enumerate mode and 5 in first
 # mode, as the bench folds them, at lengths where the lookahead table
@@ -63,6 +71,26 @@ def glider_case(delay: int, periods: int, mirrored: bool, mode: str):
         return lambda: folding.fold_summary(system, mode), result_text
 
     return build
+
+
+# Every 10th member of the benchmark's random-fold pool, in index order.
+POOL = sorted(chain.from_iterable(inputs.load_reference()["strata"]["random-fold"]))[::10]
+
+
+def pool_case(package):
+    """A case folding ``POOL``: for a package, a call and its results as text."""
+    folding = package.folding
+    systems = []
+    for index in POOL:
+        base = inputs.random_system(index)
+        seed = folding.Conformation.build(base.seed.path, base.seed.beads, base.seed.bonds)
+        rules = folding.RuleSet(base.rules.pairs)
+        systems.append(folding.OritatamiSystem(rules, base.arity, base.delay, seed, base.transcript))
+    return lambda: [folding.fold_summary(system, "enumerate") for system in systems], results_text
+
+
+def results_text(results) -> str:
+    return "\n".join(map(result_text, results))
 
 
 def demo_catalog(package):
@@ -103,6 +131,7 @@ CASES = {
     for delay, periods, mode in GLIDERS
     for mirrored in (False, True)
 }
+CASES["pool"] = pool_case
 CASES["bricks-demo"] = bricks_case(demo_catalog)
 CASES["bricks-1002"] = bricks_case(wide_catalog)
 

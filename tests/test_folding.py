@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -465,7 +466,7 @@ class TestTableFreeReplay:
 
         def minimizers(conf):
             # minimizers gives (point key, bonds) pairs; read them as choices.
-            fold = _Fold(rules, 1, conf)
+            fold = _Fold(rules, 1, conf, len(conf) + 3)
             return [StabilizationChoice(fold.point(k), s) for k, s in search.minimizers(fold, 0)]
 
         got_first = minimizers(first)
@@ -500,19 +501,23 @@ class TestTableFreeReplay:
         assert outcomes == replay(sys_, "enumerate")
 
     def test_windows_are_keyed_only_while_the_disk_fits_the_rings(self):
-        # From delay 7 on the key disk would pass _RINGS, so no window is
-        # keyed and neither the windows nor the disk are built, though every
-        # full window of (a, ..., a) recurs and has headroom.
+        # From delay 7 on the key disk would pass the widest disk of the
+        # fold's geometry, so no window is keyed and the windows are not
+        # built, though every full window of (a, ..., a) recurs and has
+        # headroom. No geometry holds a disk past that cap.
         seed = Conformation.build([(0, 0)], ["a"])
         for delay in (7, 50):
             sys_ = OritatamiSystem(RuleSet([("a", "a")]), 1, delay, seed, ("a",) * (2 * delay))
             search = _Lookahead(sys_)
-            assert search.window_ids == [None] * (2 * delay) and search.disk == ()
+            geometry = _Fold(sys_.rules, 1, seed, 1 + 2 * delay).geometry
+            assert search.window_ids == [None] * (2 * delay)
+            assert search.disk_radius > len(geometry.disks) - 1 == folding._REACH
         # At delay 6 the glider's repeated windows still key the table.
         glider = glider_system(periods=2)
         search = _Lookahead(OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript))
         assert any(w is not None for w in search.window_ids)
-        assert len(search.disk) == 169  # the points within 7 steps
+        fold = _Fold(glider.rules, glider.arity, glider.seed, len(glider.seed) + len(glider.transcript))
+        assert len(fold.geometry.disks[search.disk_radius]) == 169  # the points within 7 steps
 
 
 def moved(conf, g, center=Point(0, 0)):
@@ -1084,15 +1089,17 @@ class TestLookaheadBounds:
         ]
         seed = Conformation.build(path, beads)
         rules = RuleSet([("x", "p"), ("z", "p"), ("z", "s")])
-        disk_sizes = folding._DISK_SIZES
         for arity in (1, 5):
             sys_ = OritatamiSystem(rules, arity, 3, seed, ("r", "x", "z"))
             bounds = []
-            # Forced onto the disk, forced onto the placed beads, then as chosen.
-            for sizes in ((0,) * 8, (size + 1,) * 8, disk_sizes):
-                monkeypatch.setattr(folding, "_DISK_SIZES", sizes)
+            # Forced onto the disk, forced onto the placed beads, then as
+            # chosen: the fold's geometry with its disk sizes replaced.
+            for sizes in ((0,) * 8, (size + 1,) * 8, None):
+                fold = _Fold(rules, arity, seed, size + 3)
+                if sizes:
+                    fold.geometry = fold.geometry._replace(disk_sizes=sizes)
                 search = _Lookahead(sys_)
-                search._reach_gains(_Fold(rules, arity, seed), 0, 3)
+                search._reach_gains(fold, 0, 3)
                 bounds.append(search.bound)
             assert bounds[0] == bounds[1] == bounds[2]
             assert bounds[0][3] > bounds[0][2] > 0
@@ -1247,3 +1254,83 @@ class TestLookaheadBounds:
         assert len(pushes) == 10  # the ten stabilized beads, nothing in the lookahead
         assert outcome.completed
         assert outcome.conformation.path == tuple(Point(x, 0) for x in range(11))
+
+
+def straight(d, n):
+    """An n-bead seed of s beads, straight along the direction ``d``."""
+    return Conformation.build([(3 + j * d.x, -2 + j * d.y) for j in range(n)], ["s"] * n)
+
+
+class TestPointKeys:
+    """The workspace keys points by ints in a stride sized to each fold
+    (``folding._stride``): folds come out as under the widest stride, and
+    the keys stay single-digit ints."""
+
+    RULES = RuleSet([("a", "s"), ("b", "s")])
+
+    @classmethod
+    def folds(cls, seed, transcript, delay):
+        """Every fold of ``transcript`` on ``seed`` in each mode, the count
+        and the first step's argmin set."""
+        sys_ = OritatamiSystem(cls.RULES, 2, delay, seed, transcript)
+        runs = [fold_all(sys_, mode, rng=3) for mode in ("enumerate", "first", "sample")]
+        return runs, fold_summary(sys_), stabilize_next(sys_, seed, 0)
+
+    @classmethod
+    def straight_folds(cls, spans):
+        """For each direction and span: two bond-free beads on a straight
+        seed, which may go on straight out to the span, three beads that
+        bond back onto the seed's end, and the elongations of a seed that
+        reach the span."""
+        out = []
+        for d in DIRECTIONS:
+            for span in spans:
+                out.append(cls.folds(straight(d, span - 1), ("f", "f"), 2))
+                out.append(cls.folds(straight(d, span - 2), ("a", "b", "a"), 3))
+                out.append(elongations(straight(d, span), "a", cls.RULES, 2))
+        return out
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_folds_alike_across_the_stride_switch(self, monkeypatch, k):
+        # A fold of n beads reaches at most n - 1 steps from its first
+        # point: the span the stride's half must exceed, reached only by a
+        # straight fold. The stride doubles between spans 2**k - 1 and 2**k.
+        spans = (2**k - 1, 2**k, 2**k + 1)
+        assert len({folding._stride(span + 1) for span in spans}) == 2
+        sized = self.straight_folds(spans)
+        monkeypatch.setattr(folding, "_stride", lambda beads: 1 << 32)
+        assert self.straight_folds(spans) == sized
+
+    def test_small_folds_keep_the_rings_apart(self, monkeypatch):
+        # Below a span of 7 the rings set the stride: they reach 7 steps
+        # from the path end, and no two of their 169 offsets share an int.
+        spans = (3, 4, 5, 6)
+        for span in spans:
+            geometry = folding._geometry(folding._stride(span + 1))
+            assert len(geometry.distance) == len(geometry.disks[-1]) == 169
+        sized = self.straight_folds(spans)
+        monkeypatch.setattr(folding, "_stride", lambda beads: 1 << 32)
+        assert self.straight_folds(spans) == sized
+
+    def test_keys_stay_single_digit_ints(self, monkeypatch):
+        # Every point a fold pushes a bead on keys below 2**30 in magnitude,
+        # and so does every point probed within _REACH steps of it: each is
+        # a single-digit int. Checked on 40-period gliders and on members of
+        # the benchmark's random-fold pool.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.inputs import random_system
+
+        widest = []
+        push = _Fold.push
+
+        def pushed(self, key, *args):
+            widest.append(abs(key) + folding._REACH * (self.geometry.stride + 1))
+            push(self, key, *args)
+
+        monkeypatch.setattr(_Fold, "push", pushed)
+        systems = [glider_system(periods=40), glider_system(periods=40, mirrored=True)]
+        systems += [random_system(k) for k in (0, 1, 3, 4, 5)]
+        for sys_ in systems:
+            widest.clear()
+            fold_summary(sys_, "enumerate")
+            assert widest and max(widest) < 1 << 30

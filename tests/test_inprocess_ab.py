@@ -17,3 +17,8 @@ def test_one_case_folds_alike_and_is_timed(capsys):
 
 def test_brick_check_runs_alike_and_is_timed(capsys):
     run_one_case(capsys, "bricks-demo")
+
+
+def test_pool_folds_alike_and_is_timed(capsys, monkeypatch):
+    monkeypatch.setattr(inprocess_ab, "POOL", inprocess_ab.POOL[:3])
+    run_one_case(capsys, "pool")
