@@ -267,8 +267,7 @@ class _Fold:
     ``geometry``; ``point`` and ``key`` convert between a key and its ``Point``.
     """
 
-    __slots__ = ("rules", "arity", "origin", "geometry", "path", "beads", "occupied", "bond_count",
-                 "bond_log", "total_bonds")
+    __slots__ = ("rules", "arity", "origin", "geometry", "path", "beads", "occupied", "bond_count", "bond_log")
 
     def __init__(self, rules: RuleSet, arity: int, start: Conformation, beads: int):
         self.rules = rules
@@ -283,7 +282,6 @@ class _Fold:
             self.bond_count[i] += 1
             self.bond_count[j] += 1
         self.bond_log: list[tuple[int, int]] = sorted(start.bonds)
-        self.total_bonds = len(start.bonds)
 
     def key(self, p: tuple[int, int]) -> int:
         return (p[0] - self.origin[0]) * self.geometry.stride + (p[1] - self.origin[1])
@@ -380,17 +378,14 @@ class _Fold:
         for partner in partners:
             self.bond_count[partner] += 1
             self.bond_log.append((partner, idx))
-        self.total_bonds += len(partners)
 
     def pop(self) -> None:
         key = self.path.pop()
         self.beads.pop()
         del self.occupied[key]
-        n_bonds = self.bond_count.pop()
-        for _ in range(n_bonds):
+        for _ in range(self.bond_count.pop()):
             partner, _ = self.bond_log.pop()
             self.bond_count[partner] -= 1
-        self.total_bonds -= n_bonds
 
 
 def _canonical(
@@ -438,9 +433,9 @@ class _Lookahead:
 
     Scores are bond totals, maximised, so the argmin over energy is the argmax
     here. The search is a branch-and-bound over the nascent beads. A bond is
-    counted at its later bead, so a bead adds at most ``min(arity, 5)``
-    bonds, and none unless one of its partner types occurs in the seed or
-    earlier in the transcript (``headroom``). A search at bead ``i`` whose
+    counted at its later bead, so a bead adds at most ``cap`` bonds, that is
+    ``min(arity, 5)``, and none unless one of its partner types occurs in the
+    seed or earlier in the transcript (``headroom``). A search at bead ``i`` whose
     window has headroom bounds it more tightly, by the partners within reach
     of the path end ``e`` (``_reach_gains``): a later bead ``k`` lies at most
     ``k - i + 1`` steps from ``e``, so it adds no more bonds than there are
@@ -465,8 +460,10 @@ class _Lookahead:
     lists and stops at the bead's reach gain, which bounds it. One search
     pushes at most ``LOOKAHEAD_BUDGET`` beads, an in-place score counting
     as one push (``_spend``), else it raises LookaheadBudgetExceeded: its
-    only limit, at any depth (``_value``). Every search writes its
-    window's bound, zeros if no later bead has headroom.
+    only limit, at any depth (``_value``). A search whose window has
+    headroom writes its window's bound into ``reach`` and points ``bound``
+    there; any other points ``bound`` at ``zeros`` and writes nothing.
+    ``bound`` is read only inside the window of the search that set it.
     ``_walk``'s count below the node it searched last reads that search's
     best score and bound, and spends its budget through ``_spend``.
 
@@ -496,17 +493,15 @@ class _Lookahead:
     as this object.
     """
 
-    __slots__ = ("transcript", "start", "delay", "arity", "first", "headroom", "table",
-                 "window_ids", "disk_radius", "bound", "bound_top", "best", "nodes_left", "root",
-                 "score")
+    __slots__ = ("transcript", "start", "delay", "cap", "first", "headroom", "table", "window_ids",
+                 "disk_radius", "bound", "zeros", "reach", "best", "nodes_left", "root", "score")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
         self.start = start
         self.delay = delay = system.delay
-        self.arity = system.arity
         self.first = first
-        cap = min(system.arity, _MAX_NEW_BONDS)
+        self.cap = cap = min(system.arity, _MAX_NEW_BONDS)
         present = set(system.seed.beads)
         gains = []
         for b in t:
@@ -527,10 +522,9 @@ class _Lookahead:
                 if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
                 for i, w in enumerate(windows)
             ]
-        # Written by each search over its own window (see _reach_gains).
-        # Every entry from bound_top on reads zero.
-        self.bound = [0] * (len(t) + 1)
-        self.bound_top = 0
+        # Each search points bound at one of these (see _reach_gains).
+        self.bound = self.zeros = [0] * (len(t) + 1)
+        self.reach = [0] * (len(t) + 1)
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """``_search``'s argmin set for bead ``i``, from the table if it can.
@@ -572,19 +566,22 @@ class _Lookahead:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical
         order; with ``first``, only its first choice. That search looks for a
         strictly better root only after the first best, so it scores a later
-        root only if its bound beats the best (with ``alpha`` one above it)."""
+        root only if its bound beats the best (with ``alpha`` one above it).
+        At a dead end, where the bead has no placement, the set is empty.
+        The set is collected as the roots are scored: a score below
+        ``alpha`` lies below the final best, so an inexact one never ties."""
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
-            raise DeadEnd(f"no placement for transcript bead {self.start + i + 1} ({bead})")
+            return []
         stop = min(i + self.delay, len(self.transcript))
         self._reach_gains(fold, i, stop)
         room = self.bound[stop] - self.bound[i + 1]
-        base = fold.total_bonds
+        base = len(fold.bond_log)
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         best = -1
         strict = self.first
-        scores = []
+        kept = []
         for option in options:
             key, bonds = option
             score = base + len(bonds) + room
@@ -593,29 +590,25 @@ class _Lookahead:
                 fold.push(key, bonds, bead)
                 score = self._value(fold, i + 1, stop, alpha)
                 fold.pop()
-            scores.append(score)
             if score > best:
-                best, top = score, option
+                best, kept = score, [option]
+            elif score == best and not strict:
+                kept.append(option)
         self.best = best
-        if strict:
-            return [top]
-        return [option for option, score in zip(options, scores) if score == best]
+        return kept
 
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
-        """Write ``bound[i + 1 .. stop]`` for a search at bead ``i``: the
+        """Set ``bound[i + 1 .. stop]`` for a search at bead ``i``: the
         prefix sums of the most bonds each bead of ``i + 1 .. stop - 1`` can
-        add, counted from the partners within its reach (see the class), or
-        zeros with no scan when none of them has headroom. Zeros are written
-        only below ``bound_top``, so a bond-free fold writes none."""
-        t, headroom, bound = self.transcript, self.headroom, self.bound
+        add, counted from the partners within its reach (see the class), and
+        written into ``reach``. When none of them has headroom, ``bound`` is
+        ``zeros``, with no scan and nothing written, so a bond-free fold
+        stays linear."""
+        t, headroom = self.transcript, self.headroom
         if headroom[stop] == headroom[i + 1]:
-            top = self.bound_top
-            if top > i + 1:
-                end = min(stop + 1, top)
-                bound[i + 1 : end] = [0] * (end - i - 1)
-                if end == top:
-                    self.bound_top = i + 1
+            self.bound = self.zeros
             return
+        bound = self.bound = self.reach
         partners, arity, geometry = fold.rules.partners, fold.arity, fold.geometry
         path, beads, counts = fold.path, fold.beads, fold.bond_count
         end = path[-1]
@@ -638,7 +631,7 @@ class _Lookahead:
                     idx = get(end + d)
                     if idx is not None and counts[idx] < arity:
                         near.append((r, beads[idx]))
-        cap = min(arity, _MAX_NEW_BONDS)
+        cap = self.cap
         total = bound[i + 1] = 0
         for k in range(i + 1, stop):
             reach = k - i + 2
@@ -657,8 +650,6 @@ class _Lookahead:
                         n += 1
                 total += min(cap, n)
             bound[k + 1] = total
-        if total:
-            self.bound_top = max(self.bound_top, stop + 1)
 
     def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
@@ -684,7 +675,7 @@ class _Lookahead:
         returns, as closing a suspended frame would raise GeneratorExit in it.
         Each frame, and each choice scored in place, spends one push."""
         self._spend()
-        base = fold.total_bonds
+        base = len(fold.bond_log)
         t, bounds = self.transcript, self.bound
         bead = t[j]
         room = bounds[stop] - bounds[j + 1]
@@ -693,7 +684,7 @@ class _Lookahead:
             return
         bound = base + bounds[stop] - bounds[j]
         best = base
-        arity = self.arity
+        arity = fold.arity
         # When bead j + 1 is the last that can add bonds, each choice of bead
         # j is scored in place: its partners' bond counts go up by one while
         # bead j + 1 is scanned from its point.
@@ -747,9 +738,10 @@ def stabilize_next(
     Each candidate placement is scored by the minimum energy reachable through
     further elongation by up to ``delay - 1`` transcript beads (truncated at
     the transcript end); every choice attaining the global minimum is
-    returned, in canonical order. Raises DeadEnd when no placement exists,
-    and ValueError when ``i`` is not a bead of the transcript or ``c_i`` is
-    not a valid seed of ``system``.
+    returned, in canonical order. Raises DeadEnd when no placement exists
+    (the one place it is raised: inside the engine a dead end is an empty
+    argmin set), and ValueError when ``i`` is not a bead of the transcript
+    or ``c_i`` is not a valid seed of ``system``.
     """
     if not 0 <= i < len(system.transcript):
         raise ValueError(f"bead index {i} is outside a transcript of {len(system.transcript)} beads")
@@ -761,6 +753,8 @@ def stabilize_next(
     )
     fold = _Fold(system.rules, system.arity, c_i, len(c_i) + len(step.transcript))
     found = _Lookahead(step, i)._search(fold, 0)
+    if not found:
+        raise DeadEnd(f"no placement for transcript bead {i + 1} ({system.transcript[i]})")
     return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
 
 
@@ -838,11 +832,11 @@ def _walk(
     order, as (1, 1 if completed else 0, the outcome). From each step's
     argmin set, given as (point key, bonds) pairs, enumerate keeps every
     choice, first the first one, and sample one drawn by ``rng``. A branch
-    ends where the transcript does, or at a dead end. In enumerate mode it
-    raises BranchBudgetExceeded past ``budget`` terminals; first and sample
-    follow one branch, with no budget. Without ``summary`` every node is
-    searched. With ``summary`` in first mode, each search gives only its
-    first argmin choice (see ``_Lookahead._search``).
+    ends where the transcript does, or at a dead end, whose argmin set is
+    empty. In enumerate mode it raises BranchBudgetExceeded past ``budget``
+    terminals; first and sample follow one branch, with no budget. Without
+    ``summary`` every node is searched. With ``summary`` in first mode, each
+    search gives only its first argmin choice (see ``_Lookahead._search``).
 
     With ``summary`` in enumerate mode (a count), no node below the tail
     node of a branch is searched; the tail node is the first whose window
@@ -902,17 +896,14 @@ def _walk(
         kept, n = (), 0
         if i <= tail:
             if i < stop:
-                try:
-                    kept = (search._search if i == tail else search.minimizers)(fold, i)
-                except DeadEnd:
-                    pass
+                kept = (search._search if i == tail else search.minimizers)(fold, i)
                 if kept and not every:
                     kept = kept[:1] if mode == "first" else [rng.choice(kept)]
             if not kept:
                 n, done = 1, int(i == stop)
         else:
             # The ways here need r more bonds.
-            r = search.best - fold.total_bonds
+            r = search.best - len(fold.bond_log)
             if i == stop:
                 n = 1
             elif i + 1 == stop:

@@ -19,7 +19,14 @@ files (``bricks-demo``) or on a built catalog of 1,002 environments over
 501 two-bead submodules (``bricks-1002``). The ``pool`` case is
 ``fold_summary`` in enumerate mode over every 10th member of the
 benchmark's random-fold pool (``POOL``, from ``perfbench.inputs``), each
-system rebuilt from the tree's own classes. Before anything is timed, both
+system rebuilt from the tree's own classes. The ``free`` case is
+``fold_summary`` in first mode of ``FREE``, a bond-free transcript of
+20,000 beads at delay 10,000 from one seed bead, where no search has
+headroom. The ``pipeline`` case is the paper's compile-then-fold pipeline
+as ``tests/fold_corpus.py`` builds it: each tree's ``compile`` of
+``PIPELINE_LETTERS`` (1,000) letters ``100`` on ``demos/branching.nfa``,
+untimed, then ``parse_system`` of ``PIPELINE_HEAD`` over the compiled seed
+and ``fold_summary`` of that system. Before anything is timed, both
 trees run every case and the results must be equal. Then each of
 ``--rounds`` rounds times every case on both sides, with the side that
 goes first alternating from round to round; a side's time for a case in a
@@ -32,11 +39,14 @@ parent's. It sets no gate, and pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
+import tempfile
 import time
 from itertools import chain
 from pathlib import Path
@@ -44,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from fold_corpus import BRANCHING, PIPELINE_HEAD  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 SIDES = ("ori_parent", "ori_change")
@@ -93,6 +104,40 @@ def results_text(results) -> str:
     return "\n".join(map(result_text, results))
 
 
+# The bond-free fold: its delay and its number of transcript beads.
+FREE = (10_000, 20_000)
+
+
+def free_case(package):
+    """A case folding ``FREE`` in first mode: for a package, a call and its
+    result as text."""
+    folding = package.folding
+    delay, beads = FREE
+    seed = folding.Conformation.build([(0, 0)], ["s"])
+    system = folding.OritatamiSystem(folding.RuleSet(), 1, delay, seed, ("a",) * beads)
+    return lambda: folding.fold_summary(system, "first"), result_text
+
+
+# The number of letters ``100`` in the pipeline's compiled word.
+PIPELINE_LETTERS = 1000
+
+
+def pipeline_case(package):
+    """A case parsing and folding the compiled seed: for a package, a call
+    and its result as text. The seed is compiled once, by the package's
+    own ``compile``, and is not timed."""
+    word = " ".join(["100"] * PIPELINE_LETTERS)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "seed.sys")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = package.cli.main(["compile", str(BRANCHING), "--word", word, "--out", str(out)])
+        if code:
+            raise RuntimeError(f"compile exited with {code}")
+        text = PIPELINE_HEAD + out.read_text(encoding="utf-8")
+    folding, sysfile = package.folding, package.sysfile
+    return lambda: folding.fold_summary(sysfile.parse_system(text)), result_text
+
+
 def demo_catalog(package):
     """The demo ``gspacer`` submodule and its two band environments."""
     harness = package.harness
@@ -132,13 +177,16 @@ CASES = {
     for mirrored in (False, True)
 }
 CASES["pool"] = pool_case
+CASES["free"] = free_case
+CASES["pipeline"] = pipeline_case
 CASES["bricks-demo"] = bricks_case(demo_catalog)
 CASES["bricks-1002"] = bricks_case(wide_catalog)
 
 
 def load(name: str, tree: Path):
     """The package ``src/oritatami`` of ``tree``, imported as ``name``,
-    with its ``folding``, ``fixtures`` and ``harness`` modules loaded."""
+    with its ``folding``, ``fixtures``, ``harness``, ``sysfile`` and ``cli``
+    modules loaded."""
     package = tree / "src" / "oritatami"
     for loaded in [key for key in sys.modules if key.partition(".")[0] == name]:
         del sys.modules[loaded]
@@ -148,9 +196,8 @@ def load(name: str, tree: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    importlib.import_module(f"{name}.folding")
-    importlib.import_module(f"{name}.fixtures")
-    importlib.import_module(f"{name}.harness")
+    for part in ("folding", "fixtures", "harness", "sysfile", "cli"):
+        importlib.import_module(f"{name}.{part}")
     return module
 
 

@@ -483,6 +483,25 @@ class TestTableFreeReplay:
             StabilizationChoice(Point(1, 0), (5,)),
         ]
 
+    def test_repeated_dead_end_is_answered_from_the_table(self, monkeypatch):
+        # A dead end is an empty argmin set, stored like any other: with the
+        # path end boxed in at the center of a hexagon, at a keyed window,
+        # the second lookup of the same situation searches nothing.
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        path = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)]
+        seed = Conformation.build(path, ["a"] + ["s"] * 6)
+        sys_ = OritatamiSystem(RuleSet([("a", "b")]), 1, 2, seed, ("b", "b", "b"))
+        lookahead = _Lookahead(sys_)
+        assert lookahead.window_ids[0] is not None
+        for _ in range(2):
+            fold = _Fold(sys_.rules, 1, seed, len(seed) + 3)
+            assert lookahead.minimizers(fold, 0) == []
+        assert calls == [0] and len(lookahead.table) == 1
+
     def test_last_occurrence_of_a_window_is_stored(self, monkeypatch):
         # Enumeration meets a bead again on each sibling branch, so the
         # search at the last occurrence of the window (b0, b0, b0), bead 3,
@@ -1045,22 +1064,27 @@ class TestLookaheadBounds:
         assert set(scanned) == {"z"}
 
     def test_bond_free_searches_write_no_bound(self, monkeypatch):
-        # A search whose window cannot bond zeros ``bound`` only where an
-        # earlier search may have left a nonzero entry. So a bond-free fold
-        # writes nothing, and a bond-free tail writes only next to the
-        # bonding prefix before it, however long the tail.
-        written = []
+        # A search whose window cannot bond points ``bound`` at the zero
+        # list and writes nothing. So a bond-free fold writes nothing, a
+        # bond-free tail writes only next to the bonding prefix before it,
+        # however long the tail, and the zero list is never written.
+        written, zeroed = [], []
 
         class Counted(list):
+            def __init__(self, items, log):
+                super().__init__(items)
+                self.log = log
+
             def __setitem__(self, key, value):
-                written.append(key.stop if isinstance(key, slice) else key + 1)
+                self.log.append(key.stop if isinstance(key, slice) else key + 1)
                 super().__setitem__(key, value)
 
         init = _Lookahead.__init__
 
         def counted_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            self.bound = Counted(self.bound)
+            self.bound = self.zeros = Counted(self.zeros, zeroed)
+            self.reach = Counted(self.reach, written)
 
         monkeypatch.setattr(_Lookahead, "__init__", counted_init)
         seed = Conformation.build([(0, 0)], ["s"])
@@ -1073,6 +1097,7 @@ class TestLookaheadBounds:
             written.clear()
             fold_summary(tail, mode, rng=5)
             assert written and max(written) <= 4 + 3
+        assert zeroed == []
 
     @pytest.mark.parametrize("size", [61, 60])
     def test_reach_from_the_disk_or_the_placed_beads(self, monkeypatch, size):

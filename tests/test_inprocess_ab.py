@@ -22,3 +22,13 @@ def test_brick_check_runs_alike_and_is_timed(capsys):
 def test_pool_folds_alike_and_is_timed(capsys, monkeypatch):
     monkeypatch.setattr(inprocess_ab, "POOL", inprocess_ab.POOL[:3])
     run_one_case(capsys, "pool")
+
+
+def test_bond_free_fold_runs_alike_and_is_timed(capsys, monkeypatch):
+    monkeypatch.setattr(inprocess_ab, "FREE", (300, 600))
+    run_one_case(capsys, "free")
+
+
+def test_pipeline_runs_alike_and_is_timed(capsys, monkeypatch):
+    monkeypatch.setattr(inprocess_ab, "PIPELINE_LETTERS", 20)
+    run_one_case(capsys, "pipeline")
