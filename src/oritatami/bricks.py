@@ -189,9 +189,7 @@ def module4(row: BrickRow, code: Encoding, nfa: AugmentedNfa) -> BrickRow:
     chosen = [k for k, v in enumerate(row.x) if v != N]
     if len(chosen) != 1 or row.x[chosen[0]] != Y:
         raise NoChoiceMarked(f"expected exactly one chosen slot, got {row.x!r}")
-    k = chosen[0]
-    bits = code.state_code[nfa.transitions[k].target]
-    return BrickRow((N,) * row.n, tuple(int(ch) for ch in bits))
+    return boundary_row(code, nfa.transitions[chosen[0]].target)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def path_is_valid(points: Sequence[Point] | Iterable[Point]) -> bool:
 
 def mirror(p: Point) -> Point:
     """Reflection across the horizontal axis; a graph automorphism of the grid."""
-    return Point(p[0] + p[1], -p[1])
+    return transform(_MIRROR, p)
 
 
 # A linear map of the grid as an integer matrix (a, b, c, d): it sends the

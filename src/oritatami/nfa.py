@@ -10,7 +10,6 @@ letter codes default to the narrowest width that also fits ``$``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
@@ -65,9 +64,9 @@ class Nfa:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        object.__setattr__(self, "alphabet", tuple(str(a) for a in self.alphabet))
-        object.__setattr__(self, "accepting", tuple(str(s) for s in self.accepting))
+        for name in ("states", "alphabet", "accepting"):
+            object.__setattr__(self, name, tuple(map(str, getattr(self, name))))
+        object.__setattr__(self, "initial", str(self.initial))
         object.__setattr__(self, "transitions", _as_transitions(self.transitions))
         states = set(self.states)
         letters = set(self.alphabet)
@@ -137,13 +136,12 @@ def augment(a: Nfa) -> AugmentedNfa:
     (q, $, sink) transition is appended per accepting state, in declaration order."""
     if isinstance(a, AugmentedNfa):
         raise ValueError("machine is already augmented; the $ letter is reserved")
-    transitions = list(a.transitions)
-    transitions += [Transition(q, DOLLAR, SINK) for q in a.accepting]
+    dollar_moves = tuple(Transition(q, DOLLAR, SINK) for q in a.accepting)
     return AugmentedNfa(
         states=a.states + (SINK,),
         alphabet=a.alphabet,
         initial=a.initial,
-        transitions=tuple(transitions),
+        transitions=a.transitions + dollar_moves,
     )
 
 
@@ -198,21 +196,14 @@ def _fill_codes(
         out[name] = str(code)
     _check_codes(out, width, what)
     used = set(out.values())
-    counter = 0
+    codes = (format(k, f"0{width}b") for k in range(1 << width))
+    free = (code for code in codes if code not in used)
     for name in names:
-        if name in out:
-            continue
-        while True:
-            if counter >= (1 << width):
-                raise EncodingClash(
-                    f"cannot encode {len(names)} {what}s injectively in {width} bits"
-                )
-            code = format(counter, f"0{width}b")
-            counter += 1
-            if code not in used:
-                break
-        used.add(code)
-        out[name] = code
+        if name not in out:
+            code = next(free, None)
+            if code is None:
+                raise EncodingClash(f"cannot encode {len(names)} {what}s injectively in {width} bits")
+            out[name] = code
     return out
 
 
@@ -229,19 +220,16 @@ def assign_codes(
     overrides when they are wider.
     """
     n = len(a.transitions)
-    state_overrides = dict(state_overrides or {})
-    letter_overrides = dict(letter_overrides or {})
-
     letters = a.alphabet + (a.dollar,)
-    m = max(1, math.ceil(math.log2(len(letters)))) if len(letters) > 1 else 1
+    m = max(1, (len(letters) - 1).bit_length())
     if letter_overrides:
         widths = {len(v) for v in letter_overrides.values()}
         if len(widths) != 1:
             raise EncodingClash("letter overrides disagree on width")
         m = max(m, widths.pop())
 
-    state_code = _fill_codes(a.states, n, state_overrides, "state")
-    letter_code = _fill_codes(letters, m, letter_overrides, "letter")
+    state_code = _fill_codes(a.states, n, state_overrides or {}, "state")
+    letter_code = _fill_codes(letters, m, letter_overrides or {}, "letter")
     return Encoding(state_code, letter_code, n, m)
 
 

@@ -1,5 +1,5 @@
-"""Time the fold engine and the brick check of two source trees side by
-side, in one process.
+"""Time the fold engine, the brick check, the parser and the ``run-nfa``
+and ``compile`` commands of two source trees side by side, in one process.
 
     python3 tests/inprocess_ab.py PARENT_TREE [CHANGE_TREE] [--case NAME ...]
         [--rounds N] [--folds N]
@@ -22,11 +22,18 @@ benchmark's random-fold pool (``POOL``, from ``perfbench.inputs``), each
 system rebuilt from the tree's own classes. The ``free`` case is
 ``fold_summary`` in first mode of ``FREE``, a bond-free transcript of
 20,000 beads at delay 10,000 from one seed bead, where no search has
-headroom. The ``pipeline`` case is the paper's compile-then-fold pipeline
-as ``tests/fold_corpus.py`` builds it: each tree's ``compile`` of
-``PIPELINE_LETTERS`` (1,000) letters ``100`` on ``demos/branching.nfa``,
-untimed, then ``parse_system`` of ``PIPELINE_HEAD`` over the compiled seed
-and ``fold_summary`` of that system. Before anything is timed, both
+headroom. The ``parse`` and ``pipeline`` cases take the paper's
+compile-then-fold pipeline as ``tests/fold_corpus.py`` builds it: each
+tree's ``compile`` of ``PIPELINE_LETTERS`` (1,000) letters ``100`` on
+``demos/branching.nfa``, untimed, under ``PIPELINE_HEAD``. ``parse`` times
+``parse_system`` of that text; ``pipeline`` times ``fold_summary`` of the
+system, parsed once and untimed. The ``run-nfa`` and ``compile`` cases run
+the benchmark's own commands through each tree's ``cli.main``:
+``RUN_NFA_OPS``, every 10th member of the ``nfa-enum`` and ``nfa-sample``
+pools with ``--report``, and ``COMPILE_OPS``, every 10th member of the
+``compile`` pool, each op in a temporary directory holding its input
+files; their exit codes, stdout, stderr and written files must match byte
+for byte. Before anything is timed, both
 trees run every case and the results must be equal. Then each of
 ``--rounds`` rounds times every case on both sides, with the side that
 goes first alternating from round to round; a side's time for a case in a
@@ -48,7 +55,7 @@ import statistics
 import sys
 import tempfile
 import time
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,8 +91,15 @@ def glider_case(delay: int, periods: int, mirrored: bool, mode: str):
     return build
 
 
-# Every 10th member of the benchmark's random-fold pool, in index order.
-POOL = sorted(chain.from_iterable(inputs.load_reference()["strata"]["random-fold"]))[::10]
+STRATA = inputs.load_reference()["strata"]
+
+
+def every_10th(pool: str) -> list[int]:
+    """Every 10th member of a benchmark pool, in index order."""
+    return sorted(chain.from_iterable(STRATA[pool]))[::10]
+
+
+POOL = every_10th("random-fold")
 
 
 def pool_case(package):
@@ -122,10 +136,9 @@ def free_case(package):
 PIPELINE_LETTERS = 1000
 
 
-def pipeline_case(package):
-    """A case parsing and folding the compiled seed: for a package, a call
-    and its result as text. The seed is compiled once, by the package's
-    own ``compile``, and is not timed."""
+def pipeline_text(package) -> str:
+    """``PIPELINE_HEAD`` over the package's own ``compile`` of
+    ``PIPELINE_LETTERS`` letters ``100`` on ``demos/branching.nfa``."""
     word = " ".join(["100"] * PIPELINE_LETTERS)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "seed.sys")
@@ -133,9 +146,68 @@ def pipeline_case(package):
             code = package.cli.main(["compile", str(BRANCHING), "--word", word, "--out", str(out)])
         if code:
             raise RuntimeError(f"compile exited with {code}")
-        text = PIPELINE_HEAD + out.read_text(encoding="utf-8")
-    folding, sysfile = package.folding, package.sysfile
-    return lambda: folding.fold_summary(sysfile.parse_system(text)), result_text
+        return PIPELINE_HEAD + out.read_text(encoding="utf-8")
+
+
+def parse_case(package):
+    """A case parsing the compiled seed: for a package, a call and its
+    result as text."""
+    text, sysfile = pipeline_text(package), package.sysfile
+    return lambda: sysfile.parse_system(text), sysfile.format_system
+
+
+def pipeline_case(package):
+    """A case folding the compiled seed, parsed once and untimed: for a
+    package, a call and its result as text."""
+    system = package.sysfile.parse_system(pipeline_text(package))
+    return lambda: package.folding.fold_summary(system), result_text
+
+
+# The benchmark's ops that the command cases run: every 10th member of the
+# ``nfa-enum`` and ``nfa-sample`` pools as ``run-nfa`` with ``--report``, and
+# of the ``compile`` pool.
+RUN_NFA_OPS = [inputs.run_nfa_op(pool, index) for pool in ("nfa-enum", "nfa-sample")
+               for index in every_10th(pool)]
+COMPILE_OPS = [inputs.compile_op(index) for index in every_10th("compile")]
+
+
+def command_case(package, ops):
+    """A case running ``ops`` through the package's ``cli.main``, each in a
+    directory of its own that holds the op's input files, so that its paths
+    and stdout read the same on both sides: for a package, a call giving each
+    op's exit code, stdout and stderr, and a text adding the bytes of every
+    file the op wrote."""
+    work = tempfile.TemporaryDirectory()  # removed once the call is dropped
+    for op in ops:
+        for name in (*op.inputs, *op.outputs):
+            Path(work.name, op.key, name).parent.mkdir(parents=True, exist_ok=True)
+        for name, text in op.inputs.items():
+            Path(work.name, op.key, name).write_text(text, encoding="utf-8")
+
+    def call():
+        results = []
+        for op in ops:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.chdir(Path(work.name, op.key)), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = package.cli.main(op.argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    def text(results) -> str:
+        return "\n".join(
+            repr((op.key, *result, [Path(work.name, op.key, name).read_bytes() for name in op.outputs]))
+            for op, result in zip(ops, results))
+
+    return call, text
+
+
+def run_nfa_case(package):
+    return command_case(package, RUN_NFA_OPS)
+
+
+def compile_case(package):
+    return command_case(package, COMPILE_OPS)
 
 
 def demo_catalog(package):
@@ -178,7 +250,10 @@ CASES = {
 }
 CASES["pool"] = pool_case
 CASES["free"] = free_case
+CASES["parse"] = parse_case
 CASES["pipeline"] = pipeline_case
+CASES["run-nfa"] = run_nfa_case
+CASES["compile"] = compile_case
 CASES["bricks-demo"] = bricks_case(demo_catalog)
 CASES["bricks-1002"] = bricks_case(wide_catalog)
 
@@ -226,7 +301,9 @@ def main(argv: list[str]) -> int:
     for name, pair in built.items():
         texts = [text(call()) for call, text in pair]
         if texts[0] != texts[1]:
-            print(f"{name}: the trees differ\n  parent {texts[0]}\n  change {texts[1]}")
+            lines = zip_longest(*(text.splitlines() for text in texts), fillvalue="")
+            parent, change = next(((a, b) for a, b in lines if a != b), texts)
+            print(f"{name}: the trees differ\n  parent {parent[:300]}\n  change {change[:300]}")
             return 1
     calls = {name: [call for call, _ in pair] for name, pair in built.items()}
     times = {name: ([], []) for name in names}

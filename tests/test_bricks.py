@@ -194,6 +194,13 @@ class TestModule4:
         assert out.z == (0,)
         assert out.x == ("N",)
 
+    def test_every_slot_restores_its_targets_boundary_row(self, machine):
+        nfa, code = machine
+        n = len(nfa.transitions)
+        for k, t in enumerate(nfa.transitions):
+            row = BrickRow(tuple("Y" if j == k else "N" for j in range(n)), (0,) * n)
+            assert module4(row, code, nfa) == boundary_row(code, t.target)
+
     def test_rejects_zero_or_two_choices(self, machine):
         nfa, code = machine
         with pytest.raises(NoChoiceMarked):

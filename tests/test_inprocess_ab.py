@@ -32,3 +32,20 @@ def test_bond_free_fold_runs_alike_and_is_timed(capsys, monkeypatch):
 def test_pipeline_runs_alike_and_is_timed(capsys, monkeypatch):
     monkeypatch.setattr(inprocess_ab, "PIPELINE_LETTERS", 20)
     run_one_case(capsys, "pipeline")
+
+
+def test_parse_runs_alike_and_is_timed(capsys, monkeypatch):
+    monkeypatch.setattr(inprocess_ab, "PIPELINE_LETTERS", 20)
+    run_one_case(capsys, "parse")
+
+
+def test_run_nfa_runs_alike_and_is_timed(capsys, monkeypatch):
+    # Two enumerate ops and one sample op.
+    ops = inprocess_ab.RUN_NFA_OPS
+    monkeypatch.setattr(inprocess_ab, "RUN_NFA_OPS", ops[:2] + ops[-1:])
+    run_one_case(capsys, "run-nfa")
+
+
+def test_compile_runs_alike_and_is_timed(capsys, monkeypatch):
+    monkeypatch.setattr(inprocess_ab, "COMPILE_OPS", inprocess_ab.COMPILE_OPS[:3])
+    run_one_case(capsys, "compile")

@@ -42,6 +42,12 @@ class TestNfaValidation:
         with pytest.raises(ValueError):
             Nfa(("q0",), ("a",), "q0", ("q9",), ())
 
+    def test_every_name_is_coerced_to_text(self):
+        nfa = Nfa(states=(0, 1), alphabet=("a",), initial=0, accepting=(1,), transitions=((0, "a", 1),))
+        assert nfa.initial == "0"
+        assert nfa.states == ("0", "1") and nfa.accepting == ("1",)
+        assert nfa.transitions == (Transition("0", "a", "1"),)
+
 
 class TestAugment:
     def test_appends_dollar_moves_in_accepting_order(self):
@@ -129,8 +135,17 @@ class TestAssignCodes:
     def test_width_overflow_rejected(self):
         # 3 states + sink cannot fit injectively in 1 bit.
         nfa = Nfa(("q0", "q1", "q2"), ("a",), "q0", (), (("q0", "a", "q1"),))
-        with pytest.raises(EncodingClash):
+        with pytest.raises(EncodingClash, match="cannot encode"):
             assign_codes(augment(nfa))
+
+    def test_default_letter_width_fits_the_end_marker(self):
+        # The narrowest width that holds every letter plus $: ceil(log2(|alphabet| + 1)).
+        widths = []
+        for size in range(1, 10):
+            letters = tuple(f"a{i}" for i in range(size))
+            nfa = Nfa(("q0",), letters, "q0", ("q0",), tuple(("q0", a, "q0") for a in letters))
+            widths.append(assign_codes(augment(nfa)).letter_bits)
+        assert widths == [1, 2, 2, 3, 3, 3, 3, 4, 4]
 
     def test_default_assignment_is_deterministic(self):
         aug = augment(oracles.branching_nfa())
