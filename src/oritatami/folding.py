@@ -51,8 +51,8 @@ class LookaheadBudgetExceeded(Exception):
 
 # Default cap on the terminals an enumeration may produce.
 BRANCH_BUDGET = 10_000
-# Cap on the nascent beads one lookahead search may push: about 85 times the
-# most any test, demo or benchmark input needs (1,182, at a delay-6 glider step).
+# Cap on the nascent beads one lookahead search may push: 22 times the most any
+# test, demo or benchmark input within it needs (4,497, at a delay-1,500 rail).
 LOOKAHEAD_BUDGET = 100_000
 
 
@@ -557,9 +557,8 @@ class _Lookahead:
             return found
         out = []
         for d, subsets in entry:
-            k = end + d
             bonds = sorted(tuple(sorted([occupied[end + m] for m in mates])) for mates in subsets)
-            out.extend((k, s) for s in bonds)
+            out.extend((end + d, s) for s in bonds)
         return out
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -774,7 +773,8 @@ def fold_all(
     searched, so this is the reference that ``fold_summary``, which counts
     these outcomes without building them, is checked against.
     sample -- pick uniformly among the argmin set at each step (seeded RNG).
-    first -- always take the canonically first choice.
+    first -- always take the canonically first choice, which each search
+    finds alone (see ``_Lookahead``).
     """
     return tuple(outcome for _, _, outcome in _walk(system, mode, rng, branch_budget))
 
@@ -787,26 +787,23 @@ def fold_summary(
 ) -> tuple[int, int, FoldOutcome]:
     """``fold_all``'s terminal count, completed count and first outcome.
 
-    first and sample follow one branch, as ``fold_all`` does. In first mode
-    each search looks for a strictly better root only after the first best
-    (see ``_Lookahead``), so it pushes no more beads than ``fold_all``'s,
-    and a LookaheadBudgetExceeded can only come later than there. enumerate
-    walks and searches as ``fold_all`` does down to the first node of each
-    branch whose window reaches the transcript end, which is always
+    first and sample follow one branch, searched as ``fold_all`` does.
+    enumerate walks and searches as ``fold_all`` does down to the first node
+    of each branch whose window reaches the transcript end, which is always
     searched, then goes on down on the same stack, counting the terminals
-    below each of that node's argmin choices with no search or outcome
-    built below (see ``_walk``); a mirror-image subtree is not walked, but
-    weighs on its source's count. The results equal ``fold_all``'s, and so
-    does BranchBudgetExceeded's message, raised as soon as the weighted
-    count passes ``branch_budget``: on a symmetric seed, that may be after
-    fewer searches than ``fold_all`` makes. A dead end below such a node is
+    below each of that node's argmin choices with no search or outcome built
+    below (see ``_walk``); a mirror-image subtree is not walked, but weighs
+    on its source's count. The results equal ``fold_all``'s, and so does
+    BranchBudgetExceeded's message, raised as soon as the weighted count
+    passes ``branch_budget``: on a symmetric seed, that may be after fewer
+    searches than ``fold_all`` makes. A dead end below such a node is
     counted as a terminal; a LookaheadBudgetExceeded that only a skipped
     search would have raised does not happen. The count below a node spends
     the budget of that node's search.
     """
     total = completed = 0
     first = None
-    for n, done, outcome in _walk(system, mode, rng, branch_budget, summary=True):
+    for n, done, outcome in _walk(system, mode, rng, branch_budget, count=True):
         total += n
         completed += done
         if first is None:
@@ -826,33 +823,32 @@ def _walk(
     mode: str,
     rng: random.Random | int | None,
     budget: int,
-    summary: bool = False,
+    count: bool = False,
 ) -> Iterator[tuple[int, int, FoldOutcome | None]]:
     """Every terminal of the depth-first walk of a fold in ``mode``, in
     order, as (1, 1 if completed else 0, the outcome). From each step's
     argmin set, given as (point key, bonds) pairs, enumerate keeps every
-    choice, first the first one, and sample one drawn by ``rng``. A branch
-    ends where the transcript does, or at a dead end, whose argmin set is
-    empty. In enumerate mode it raises BranchBudgetExceeded past ``budget``
-    terminals; first and sample follow one branch, with no budget. Without
-    ``summary`` every node is searched. With ``summary`` in first mode, each
-    search gives only its first argmin choice (see ``_Lookahead._search``).
+    choice, first the first one, which its search gives alone (see
+    ``_Lookahead._search``), and sample one drawn by ``rng``. A branch ends
+    where the transcript does, or at a dead end, whose argmin set is empty.
+    In enumerate mode it raises BranchBudgetExceeded past ``budget``
+    terminals; first and sample follow one branch, with no budget.
 
-    With ``summary`` in enumerate mode (a count), no node below the tail
-    node of a branch is searched; the tail node is the first whose window
-    reaches the transcript end, and it is searched, never answered by the
-    table. Every later step looks as far ahead as that search did, so the
-    terminals below it are the ways on that reach its best score:
-    completed, or stuck at a dead end with that many bonds. They are
-    counted on the same stack. A node's children there are its choices
-    whose bound, as in the search, reaches that score, each pushed as an
-    entry of its own with no symmetry group, except the last bead's: its
-    ways are counted by binomials (``_Fold.ways``), with no push. Each push
-    below the tail node spends one unit of the tail node's budget
-    (``_Lookahead._spend``). Each group of ways counted at once yields
-    (ways, completed ones, the first of them if it is the walk's first
-    terminal, else None); so does every terminal above the tail node, as
-    ``fold_summary`` reads only the first outcome.
+    ``count`` is read only in enumerate mode; without it every node is
+    searched. With it, no node below the tail node of a branch is searched;
+    the tail node is the first whose window reaches the transcript end, and
+    it is searched, never answered by the table. Every later step looks as
+    far ahead as that search did, so the terminals below it are the ways on
+    that reach its best score: completed, or stuck at a dead end with that
+    many bonds. They are counted on the same stack. A node's children there
+    are its choices whose bound, as in the search, reaches that score, each
+    pushed as an entry of its own with no symmetry group, except the last
+    bead's: its ways are counted by binomials (``_Fold.ways``), with no
+    push. Each push below the tail node spends one unit of the tail node's
+    budget (``_Lookahead._spend``). Each group of ways counted at once
+    yields (ways, completed ones, the first of them if it is the walk's
+    first terminal, else None); so does every terminal above the tail node,
+    as ``fold_summary`` reads only the first outcome.
 
     A count also cuts the walk down to the tail node by the grid's
     symmetries: while a branch's points are all fixed by some symmetries
@@ -869,9 +865,9 @@ def _walk(
     if mode not in ("enumerate", "first", "sample"):
         raise ValueError(f"unknown fold mode {mode!r}")
     every = mode == "enumerate"
-    count = summary and every
+    count = count and every
     rng = _as_rng(rng)
-    search = _Lookahead(system, first=summary and mode == "first")
+    search = _Lookahead(system, first=mode == "first")
     fold = _Fold(system.rules, system.arity, system.seed, len(system.seed) + len(system.transcript))
     transcript, seed, base = system.transcript, system.seed.path, len(system.seed)
     stop = len(transcript)
@@ -897,8 +893,8 @@ def _walk(
         if i <= tail:
             if i < stop:
                 kept = (search._search if i == tail else search.minimizers)(fold, i)
-                if kept and not every:
-                    kept = kept[:1] if mode == "first" else [rng.choice(kept)]
+                if kept and mode == "sample":
+                    kept = [rng.choice(kept)]
             if not kept:
                 n, done = 1, int(i == stop)
         else:
@@ -920,7 +916,7 @@ def _walk(
         elif n:
             if count and total:
                 outcome = None
-            elif i > tail and done and i < stop:
+            elif done and i < stop:
                 # The last bead's ways: the first, in canonical order, is
                 # its first choice that reaches the score.
                 key, bonds = _canonical(fold.placements(transcript[i]), system.arity, r)[0]

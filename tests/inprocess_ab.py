@@ -40,7 +40,10 @@ goes first alternating from round to round; a side's time for a case in a
 round is the least of ``--folds`` calls. The script
 prints, per case, each side's least time over all rounds, the median of
 its per-round times, and the ratio of the change's least time to the
-parent's. It sets no gate, and pytest does not collect it.
+parent's. Beside them it prints each side's work: the lookahead searches
+(``_Lookahead._search``) and bead pushes (``_Fold.push``) of one more
+call, made with both counted after the results are compared and outside
+the timing. It sets no gate, and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -286,6 +289,29 @@ def least_time(call, folds: int) -> float:
     return best
 
 
+def work(package, call) -> tuple[int, int]:
+    """The searches and pushes of one call of ``call``, counted on the
+    classes of ``package``'s ``folding``."""
+    made = [0, 0]
+    lookahead, fold = package.folding._Lookahead, package.folding._Fold
+    search, push = lookahead._search, fold.push
+
+    def searched(self, *args):
+        made[0] += 1
+        return search(self, *args)
+
+    def pushed(self, *args):
+        made[1] += 1
+        return push(self, *args)
+
+    lookahead._search, fold.push = searched, pushed
+    try:
+        call()
+    finally:
+        lookahead._search, fold.push = search, push
+    return made[0], made[1]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -306,6 +332,8 @@ def main(argv: list[str]) -> int:
             print(f"{name}: the trees differ\n  parent {parent[:300]}\n  change {change[:300]}")
             return 1
     calls = {name: [call for call, _ in pair] for name, pair in built.items()}
+    made = {name: [work(package, call) for package, call in zip(packages, pair)]
+            for name, pair in calls.items()}
     times = {name: ([], []) for name in names}
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
@@ -313,11 +341,13 @@ def main(argv: list[str]) -> int:
             for side in order:
                 times[name][side].append(least_time(pair[side], args.folds))
     print(f"{args.rounds} rounds, least of {args.folds} calls each; times in ms")
-    print("case\tparent\tparent median\tchange\tchange median\tratio")
+    print("case\tparent\tparent median\tchange\tchange median\tratio"
+          "\tparent searches\tparent pushes\tchange searches\tchange pushes")
     for name, (parent, change) in times.items():
         ratio = min(change) / min(parent)
         cells = [min(parent), statistics.median(parent), min(change), statistics.median(change)]
-        print("\t".join([name, *(f"{1000 * t:.2f}" for t in cells), f"{ratio:.3f}"]))
+        counts = [str(n) for side in made[name] for n in side]
+        print("\t".join([name, *(f"{1000 * t:.2f}" for t in cells), f"{ratio:.3f}", *counts]))
     return 0
 
 

@@ -664,6 +664,20 @@ def periodic_systems(rng, count):
     return systems
 
 
+def prefix(conf, n):
+    """The first ``n`` beads of ``conf``, with the bonds among them."""
+    return Conformation(conf.path[:n], conf.beads[:n], frozenset(b for b in conf.bonds if b[1] < n))
+
+
+def step_search(system, conf, i, first):
+    """The argmin set, as (point key, bonds), of ``stabilize_next``'s search
+    at bead ``i`` on ``conf``, or with ``first`` of first mode's search."""
+    window = system.transcript[i : i + system.delay]
+    step = OritatamiSystem(system.rules, system.arity, system.delay, conf, window)
+    fold = _Fold(system.rules, system.arity, conf, len(conf) + len(step.transcript))
+    return _Lookahead(step, i, first=first)._search(fold, 0)
+
+
 def summary_of(system, mode="enumerate", **kwargs):
     """What ``fold_summary`` returns, read off ``fold_all``'s outcomes."""
     outcomes = fold_all(system, mode, **kwargs)
@@ -860,9 +874,10 @@ class TestFoldSummary:
         assert len(pushes) == pushed
 
     def test_first_mode_takes_the_first_enumerate_terminal(self, monkeypatch):
-        # fold_summary's first mode searches each root after the first best
-        # only for a strictly better score; it keeps enumeration's first
-        # terminal, with fewer pushes than fold_all's first mode.
+        # First mode keeps enumeration's first terminal. At each step of
+        # that branch, the first-mode search looks for a strictly better
+        # root only after the first best: it finds the full search's first
+        # choice with no more pushes, and with fewer on some systems.
         pushes = []
         push = _Fold.push
         monkeypatch.setattr(
@@ -881,14 +896,20 @@ class TestFoldSummary:
                 outcomes = fold_all(sys_, "enumerate", branch_budget=1_000)
             except BranchBudgetExceeded:
                 continue
-            pushes.clear()
             (reference,) = fold_all(sys_, "first")
-            before = len(pushes)
-            pushes.clear()
-            assert fold_summary(sys_, "first") == (1, int(reference.completed), reference)
-            assert len(pushes) <= before
-            fewer += len(pushes) < before
             assert reference == outcomes[0]
+            assert fold_summary(sys_, "first") == (1, int(reference.completed), reference)
+            conf, seed = reference.conformation, len(sys_.seed)
+            saved = False
+            for i in range(len(conf) - seed):
+                made = []
+                for first in (False, True):
+                    pushes.clear()
+                    made.append((step_search(sys_, prefix(conf, seed + i), i, first), len(pushes)))
+                (full, before), (strict, after) = made
+                assert strict == full[:1] and after <= before
+                saved |= after < before
+            fewer += saved
             compared += 1
         assert compared >= 50 and fewer >= 20
 
@@ -910,6 +931,64 @@ class TestFoldSummary:
         sys_ = OritatamiSystem(RuleSet([("b1", "b1")]), 1, 3, seed, transcript)
         want = summary_of(sys_)
         assert fold_summary(sys_) == want and want[:2] == (4688, 4684)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """A function calling ``call(*args)`` and giving its result with the
+    numbers of searches (``_Lookahead._search``) and pushes (``_Fold.push``)
+    it made."""
+    made = Counter()
+    search, push = _Lookahead._search, _Fold.push
+    monkeypatch.setattr(
+        _Lookahead, "_search", lambda self, fold, i: made.update(["searches"]) or search(self, fold, i)
+    )
+    monkeypatch.setattr(_Fold, "push", lambda self, *args: made.update(["pushes"]) or push(self, *args))
+
+    def measure(call, *args):
+        made.clear()
+        return call(*args), made["searches"], made["pushes"]
+
+    return measure
+
+
+def glider_at(delay, periods, mirrored=False):
+    """The glider of ``periods`` periods, folded at ``delay``."""
+    glider = glider_system(periods=periods, mirrored=mirrored)
+    return OritatamiSystem(glider.rules, glider.arity, delay, glider.seed, glider.transcript)
+
+
+class TestEngineWork:
+    """The work of a fold, pinned: a change that keeps every result but
+    searches or pushes more or less moves one of these counts."""
+
+    @pytest.mark.parametrize("delay, periods, searches, pushes", [(3, 10, 23, 218), (4, 3, 26, 569)])
+    def test_glider_count(self, work, delay, periods, searches, pushes):
+        assert work(fold_summary, glider_at(delay, periods))[1:] == (searches, pushes)
+
+    def test_glider_first_mode(self, work):
+        # Both first modes make the same search: 36 searches, 2,050 pushes.
+        sys_ = glider_at(5, 3)
+        (outcome,), *spent = work(fold_all, sys_, "first")
+        assert spent == [36, 2050]
+        assert work(fold_summary, sys_, "first") == ((1, 1, outcome), 36, 2050)
+
+    def test_pool_slice_count(self, work, monkeypatch):
+        # Members 380-389 of the benchmark's random-fold pool.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.inputs import random_system
+
+        made = [work(fold_summary, random_system(k))[1:] for k in range(380, 390)]
+        assert [sum(column) for column in zip(*made)] == [335, 8058]
+
+    def test_first_modes_push_alike(self, work):
+        rng = random.Random(3636)
+        systems = [glider_at(delay, 2, mirrored) for delay in (3, 4, 5) for mirrored in (False, True)]
+        systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(20)]
+        for sys_ in systems:
+            (outcome,), searches, pushes = work(fold_all, sys_, "first")
+            summary = (1, int(outcome.completed), outcome)
+            assert work(fold_summary, sys_, "first") == (summary, searches, pushes)
 
 
 class TestGridSymmetry:
@@ -1189,27 +1268,42 @@ class TestLookaheadBounds:
         assert seen["below"] >= 1_000 and seen["above the result"] >= 500
 
     def test_delay_six_glider_within_a_small_budget(self, monkeypatch):
-        # The costliest step pushes 1,150 beads (1,182 mirrored); counting a
-        # partner type seen anywhere before as in reach, it pushed 2,350.
+        # The costliest step, at transcript bead 12, pushes 961 beads (977
+        # mirrored) in first mode and 1,150 (1,182) in a full search;
+        # counting a partner type seen anywhere before as in reach, the full
+        # search pushed 2,350.
         monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", 1500)
         for mirrored in (False, True):
-            glider = glider_system(periods=2, mirrored=mirrored)
-            sys_ = OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript)
-            (outcome,) = fold_all(sys_, "first")
+            (outcome,) = fold_all(glider_at(6, 2, mirrored), "first")
             assert outcome.completed
 
     @pytest.mark.parametrize("mirrored, needed", [(False, 1150), (True, 1182)])
     def test_delay_six_glider_budget_is_exact(self, monkeypatch, mirrored, needed):
-        # The costliest step spends exactly ``needed`` of the budget, each
-        # choice scored in place counted as a push.
-        glider = glider_system(periods=2, mirrored=mirrored)
-        sys_ = OritatamiSystem(glider.rules, glider.arity, 6, glider.seed, glider.transcript)
+        # The full search at transcript bead 12 of the first fold, its
+        # costliest, spends exactly ``needed`` of the budget, each choice
+        # scored in place counted as a push.
+        sys_ = glider_at(6, 2, mirrored)
+        (outcome,) = fold_all(sys_, "first")
+        conf = prefix(outcome.conformation, len(sys_.seed) + 11)
         monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed - 1)
-        with pytest.raises(LookaheadBudgetExceeded, match=f"pushes more than {needed - 1} nascent"):
-            fold_all(sys_, "first")
+        with pytest.raises(LookaheadBudgetExceeded, match=f"bead 12 .* more than {needed - 1} nascent"):
+            stabilize_next(sys_, conf, 11)
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed)
+        assert stabilize_next(sys_, conf, 11)
+
+    @pytest.mark.parametrize("mirrored, needed", [(False, 961), (True, 977)])
+    def test_delay_six_glider_first_fold_budget_is_exact(self, monkeypatch, mirrored, needed):
+        # First mode searches bead 12 for a strictly better root only after
+        # the first best, so both of its folds spend exactly ``needed``
+        # there, less than the full search.
+        sys_ = glider_at(6, 2, mirrored)
+        monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed - 1)
+        for fold in (fold_all, fold_summary):
+            with pytest.raises(LookaheadBudgetExceeded, match=f"bead 12 .* more than {needed - 1} nascent"):
+                fold(sys_, "first")
         monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed)
         (outcome,) = fold_all(sys_, "first")
-        assert outcome.completed
+        assert outcome.completed and fold_summary(sys_, "first") == (1, 1, outcome)
 
     def test_late_partners_match_brute_force(self):
         rng = random.Random(4711)

@@ -4,15 +4,20 @@ import inprocess_ab
 
 
 def run_one_case(capsys, case):
+    """The cells of ``case``'s row, after checking the table's shape."""
     argv = [str(inprocess_ab.ROOT), "--case", case, "--rounds", "1", "--folds", "1"]
     assert inprocess_ab.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split("\t") == ["case", "parent", "parent median", "change", "change median", "ratio"]
+    assert lines[1].split("\t") == ["case", "parent", "parent median", "change", "change median", "ratio",
+                                    "parent searches", "parent pushes", "change searches", "change pushes"]
     assert len(lines) == 3 and lines[2].split("\t")[0] == case
+    return lines[2].split("\t")
 
 
 def test_one_case_folds_alike_and_is_timed(capsys):
-    run_one_case(capsys, "d3p1")
+    # The one-period glider at delay 3 makes 10 searches and 55 pushes on
+    # each side, the same tree.
+    assert run_one_case(capsys, "d3p1")[6:] == ["10", "55", "10", "55"]
 
 
 def test_brick_check_runs_alike_and_is_timed(capsys):
