@@ -16,20 +16,20 @@ reproduces the brick-level choice distribution (a fair coin per pending
 survivor, scanned right to left, with the lowest-index survivor as the
 forced fallback).
 
-A run fills a (state, letter) period table: each period goes through the
-four stages once, and every branch that reaches it shares its traces. The
-table builds each row once per state or slot (the stage-1 row once per
-state, a slot's stage-3 and stage-4 rows once per slot), so an entry builds
-only its stage-2 row and stage 3's mark. Enumerate mode's verdict
-(``run_verdict``) is a frontier carried through that table, {state: live
-branch count} letter by letter, so it takes time linear in the word and has
-no branch budget. Listing the branches (``run_word``, ``write_report``) is
-one depth-first walk over the table, with one iterator per depth over that
-depth's entry, capped at ``BRANCH_BUDGET`` branches. The table is the run's
-only cache of rows and traces. Sample mode is a plain loop over the
-letters: one table look-up and one coin pick per period. The report is
-written branch by branch from each trace's block, encoded once, so its
-memory does not grow with the number of branches.
+A run fills a (state, letter) period table: each entry runs the four stages
+once, and every branch that reaches it shares its traces. Codes are
+injective, so a slot survives stages 1 and 2 only in the entry of its own
+origin and letter, and its stage-3 and stage-4 rows belong to that entry
+alone. Enumerate mode's verdict (``run_verdict``) is a frontier carried
+through that table, {state: live branch count} letter by letter, so it
+takes time linear in the word and has no branch budget. Listing the
+branches (``branches``, read by ``write_report``) is one depth-first walk
+over the table, with one iterator per depth over that depth's entry, capped
+at ``BRANCH_BUDGET`` branches. The table is the run's only cache of rows
+and traces. Sample mode is a plain loop over the letters: one table look-up
+and one coin pick per period. The report is written branch by branch from
+each trace's block, encoded once, so its memory does not grow with the
+number of branches.
 """
 
 from __future__ import annotations
@@ -142,25 +142,21 @@ def mark_first_valid(row: BrickRow) -> BrickRow | None:
     return BrickRow(x, row.z)
 
 
-def _survivors(row: BrickRow) -> list[int]:
-    """Stage 3's survivors: the slots still flagged Y, in slot order."""
-    return [k for k, v in enumerate(row.x) if v == Y]
-
-
-def _one_hot(n: int, k: int) -> BrickRow:
-    return BrickRow(tuple(Y if i == k else N for i in range(n)), (0,) * n)
-
-
 def module3(
     row: BrickRow, mode: str = "enumerate", rng: random.Random | int | None = None
 ) -> tuple[BrickRow | _Halt, ...]:
     """Nondeterministic choice among surviving slots.
 
-    enumerate returns one outcome per survivor (exactly one Y, z reset to 0),
-    in slot order, or (HALT,) when none survived. coin returns a single
-    outcome drawn with the brick-level coin semantics.
+    enumerate returns one outcome per survivor, the slots still flagged Y
+    (exactly one Y, z reset to 0), in slot order, or (HALT,) when none
+    survived. coin returns a single outcome drawn with the brick-level coin
+    semantics.
     """
-    outcomes = tuple(_one_hot(row.n, k) for k in _survivors(row))
+    n = row.n
+    outcomes = tuple(
+        BrickRow(tuple(Y if i == k else N for i in range(n)), (0,) * n)
+        for k, v in enumerate(row.x) if v == Y
+    )
     if not outcomes:
         return (HALT,)
     if mode == "enumerate":
@@ -237,36 +233,25 @@ def _period_table(nfa: AugmentedNfa, code: Encoding) -> _PeriodTable:
     """A run's period table: (state, letter) -> every (trace, next state)
     pair of that period, in slot order; next state None on halt.
 
-    An entry is built on first use, and every branch that reaches it shares
-    its ``PeriodTrace`` objects. Only stage 2 and stage 3's mark depend on
-    the letter, so the other rows are built once per run, also on first
-    use: the boundary row and its ``module1`` row once per state, and a
-    slot's one-hot stage-3 row and its ``module4`` row once per slot. An
-    entry's choices are the slots ``_survivors`` lists, as in ``module3``.
-    Traces share those row objects.
+    An entry runs the four stages once, on first use, and every branch that
+    reaches it shares its ``PeriodTrace`` objects. Its choices are
+    ``module3``'s outcomes. Codes are injective, so a slot survives stage 2
+    in one entry only, the one of its transition's origin and letter.
     """
 
     @functools.cache
-    def origin_row(state: str) -> BrickRow:
-        return module1(boundary_row(code, state), code, nfa)
-
-    @functools.cache
-    def choice_rows(k: int) -> tuple[BrickRow, BrickRow]:
-        r3 = _one_hot(len(nfa.transitions), k)
-        return r3, module4(r3, code, nfa)
-
-    @functools.cache
     def period(state: str, letter: str) -> list[tuple[PeriodTrace, str | None]]:
-        r1 = origin_row(state)
+        r1 = module1(boundary_row(code, state), code, nfa)
         r2 = module2(r1, code, nfa, letter)
         marked = mark_first_valid(r2)
         if marked is None:
             return [(PeriodTrace(letter, r1, r2, None, None, None, None, True), None)]
-        return [
-            (PeriodTrace(letter, r1, r2, marked, *choice_rows(k), k + 1, False),
-             nfa.transitions[k].target)
-            for k in _survivors(r2)
-        ]
+        options = []
+        for r3 in module3(r2):
+            k = r3.x.index(Y)
+            trace = PeriodTrace(letter, r1, r2, marked, r3, module4(r3, code, nfa), k + 1, False)
+            options.append((trace, nfa.transitions[k].target))
+        return options
 
     return period
 

@@ -7,8 +7,8 @@ fragment enters the row band (T for top, B for bottom) and the 1-bit input
 it exposes. A brick is the classified fold: where it exits the band and
 which bead sequence it leaves exposed along the band's bottom row (read in
 reverse path order, matching how the next row scans it). The environment
-catalog is user-declared; the glider spacer ships as the worked example via
-:mod:`oritatami.fixtures`.
+catalog is user-declared; the glider spacer ships as the worked example in
+``demos/gspacer.defs`` and ``demos/gspacer_bands.cat``.
 """
 
 from __future__ import annotations

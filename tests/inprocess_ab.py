@@ -1,5 +1,6 @@
-"""Time the fold engine, the brick check, the parser and the ``run-nfa``
-and ``compile`` commands of two source trees side by side, in one process.
+"""Time the fold engine, the brick check, the parser and the ``fold``,
+``run-nfa`` and ``compile`` commands of two source trees side by side, in
+one process.
 
     python3 tests/inprocess_ab.py PARENT_TREE [CHANGE_TREE] [--case NAME ...]
         [--rounds N] [--folds N]
@@ -27,23 +28,25 @@ compile-then-fold pipeline as ``tests/fold_corpus.py`` builds it: each
 tree's ``compile`` of ``PIPELINE_LETTERS`` (1,000) letters ``100`` on
 ``demos/branching.nfa``, untimed, under ``PIPELINE_HEAD``. ``parse`` times
 ``parse_system`` of that text; ``pipeline`` times ``fold_summary`` of the
-system, parsed once and untimed. The ``run-nfa`` and ``compile`` cases run
-the benchmark's own commands through each tree's ``cli.main``:
-``RUN_NFA_OPS``, every 10th member of the ``nfa-enum`` and ``nfa-sample``
-pools with ``--report``, and ``COMPILE_OPS``, every 10th member of the
-``compile`` pool, each op in a temporary directory holding its input
-files; their exit codes, stdout, stderr and written files must match byte
-for byte. Before anything is timed, both
-trees run every case and the results must be equal. Then each of
-``--rounds`` rounds times every case on both sides, with the side that
+system, parsed once and untimed. The ``run-nfa``, ``compile``,
+``fold-glider`` and ``fold-pool`` cases run the benchmark's own commands
+through each tree's ``cli.main``: ``RUN_NFA_OPS``, every 10th member of the
+``nfa-enum`` and ``nfa-sample`` pools with ``--report``; ``COMPILE_OPS``,
+every 10th member of the ``compile`` pool; and ``GLIDER_FOLD_OPS`` and
+``POOL_FOLD_OPS``, ``fold`` with ``--trace`` and ``--svg`` on seven gliders
+and on every 20th member of the random-fold pool. Each op runs in a
+temporary directory holding its input files; their exit codes, stdout,
+stderr and written files must match byte for byte. Before anything is
+timed, both trees run every case and the results must be equal. Then each
+of ``--rounds`` rounds times every case on both sides, with the side that
 goes first alternating from round to round; a side's time for a case in a
-round is the least of ``--folds`` calls. The script
-prints, per case, each side's least time over all rounds, the median of
-its per-round times, and the ratio of the change's least time to the
-parent's. Beside them it prints each side's work: the lookahead searches
-(``_Lookahead._search``) and bead pushes (``_Fold.push``) of one more
-call, made with both counted after the results are compared and outside
-the timing. It sets no gate, and pytest does not collect it.
+round is the least of ``--folds`` calls. The script prints, per case, each
+side's least time over all rounds, the median of its per-round times, and
+the ratio of the change's least time to the parent's. Beside them it prints
+each side's work: the lookahead searches (``_Lookahead._search``) and bead
+pushes (``_Fold.push``) of one more call, made with both counted after the
+results are compared and outside the timing. It sets no gate, and pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -172,6 +175,13 @@ def pipeline_case(package):
 RUN_NFA_OPS = [inputs.run_nfa_op(pool, index) for pool in ("nfa-enum", "nfa-sample")
                for index in every_10th(pool)]
 COMPILE_OPS = [inputs.compile_op(index) for index in every_10th("compile")]
+# The benchmark's ``fold`` ops, each writing its ``--trace`` and ``--svg``
+# files: the glider at delay 3 with 6, 8 and 10 periods, plain and
+# mirrored, and at delay 4 with 3 periods; and every 20th member of the
+# random-fold pool.
+GLIDER_FOLD_OPS = [*(inputs.glider_op(3, periods, mirrored) for periods in (6, 8, 10)
+                     for mirrored in (False, True)), inputs.glider_op(4, 3, False)]
+POOL_FOLD_OPS = [inputs.random_fold_op(index) for index in POOL[::2]]
 
 
 def command_case(package, ops):
@@ -211,6 +221,14 @@ def run_nfa_case(package):
 
 def compile_case(package):
     return command_case(package, COMPILE_OPS)
+
+
+def fold_glider_case(package):
+    return command_case(package, GLIDER_FOLD_OPS)
+
+
+def fold_pool_case(package):
+    return command_case(package, POOL_FOLD_OPS)
 
 
 def demo_catalog(package):
@@ -257,6 +275,8 @@ CASES["parse"] = parse_case
 CASES["pipeline"] = pipeline_case
 CASES["run-nfa"] = run_nfa_case
 CASES["compile"] = compile_case
+CASES["fold-glider"] = fold_glider_case
+CASES["fold-pool"] = fold_pool_case
 CASES["bricks-demo"] = bricks_case(demo_catalog)
 CASES["bricks-1002"] = bricks_case(wide_catalog)
 

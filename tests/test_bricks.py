@@ -358,10 +358,11 @@ def replayed_period(nfa, code, state, letter):
 
 
 class TestPeriodTable:
-    def test_shared_rows_match_a_fresh_stage_replay(self):
+    def test_entries_match_a_fresh_stage_replay_and_own_their_slots(self):
         # Every (state, letter) of random machines, $ included, in a
-        # shuffled order: the table's rows are built once per state or slot
-        # and shared, and each entry equals the stages run afresh.
+        # shuffled order: each entry equals the stages run afresh, and each
+        # slot is chosen in exactly one entry, the one of its transition's
+        # origin and letter, so a per-slot cache of rows could never hit.
         rng = random.Random(2626)
         entries = halts = 0
         for _ in range(60):
@@ -370,19 +371,17 @@ class TestPeriodTable:
             table = _period_table(aug, code)
             pairs = [(q, a) for q in aug.states for a in (*aug.alphabet, aug.dollar)]
             rng.shuffle(pairs)
-            origin, choice = {}, {}
+            chosen_in = {}
             for state, letter in pairs:
                 options = table(state, letter)
                 assert options == replayed_period(aug, code, state, letter)
                 assert table(state, letter) is options
                 for trace, _ in options:
-                    assert origin.setdefault(state, trace.after_module1) is trace.after_module1
                     if not trace.halted:
-                        rows = (trace.after_module3, trace.after_module4)
-                        assert choice.setdefault(trace.chosen, rows) == rows
-                        assert all(a is b for a, b in zip(choice[trace.chosen], rows))
+                        chosen_in.setdefault(trace.chosen, []).append((state, letter))
                 entries += 1
                 halts += options[0][0].halted
+            assert chosen_in == {k + 1: [(t.origin, t.letter)] for k, t in enumerate(aug.transitions)}
         assert entries > 300 and 0 < halts < entries
 
 

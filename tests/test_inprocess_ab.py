@@ -54,3 +54,11 @@ def test_run_nfa_runs_alike_and_is_timed(capsys, monkeypatch):
 def test_compile_runs_alike_and_is_timed(capsys, monkeypatch):
     monkeypatch.setattr(inprocess_ab, "COMPILE_OPS", inprocess_ab.COMPILE_OPS[:3])
     run_one_case(capsys, "compile")
+
+
+def test_fold_command_runs_alike_and_is_timed(capsys, monkeypatch):
+    # One glider ``fold`` op with ``--trace`` and ``--svg``; its searches
+    # and pushes are counted through the command.
+    monkeypatch.setattr(inprocess_ab, "GLIDER_FOLD_OPS", inprocess_ab.GLIDER_FOLD_OPS[:1])
+    cells = run_one_case(capsys, "fold-glider")
+    assert cells[6:8] == cells[8:10] and int(cells[6]) > 0 and int(cells[7]) > 0
