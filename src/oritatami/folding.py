@@ -52,7 +52,8 @@ class LookaheadBudgetExceeded(Exception):
 # Default cap on the terminals an enumeration may produce.
 BRANCH_BUDGET = 10_000
 # Cap on the nascent beads one lookahead search may push: 22 times the most any
-# test, demo or benchmark input within it needs (4,497, at a delay-1,500 rail).
+# test, demo or benchmark input within it needs (4,497, at a delay-1,500 rail;
+# a glider needs at most 1,469 and a benchmark input 477).
 LOOKAHEAD_BUDGET = 100_000
 
 
@@ -319,8 +320,9 @@ class _Fold:
         no lists built. ``end`` is the path end, or a free point next to it
         where the bead before ``bead`` is scored without being pushed; that
         point is never scanned, since no step leads back to it. ``cap`` is
-        the bead's reach gain, an upper bound on the count, so stopping there
-        is exact."""
+        the bead's reach gain, at most ``min(arity, 5)``: the most bonds it
+        can form. The eligible partners at a free point can outnumber it, so
+        the return at ``cap`` is the clamp as well as the stop."""
         mates = self.rules.partners(bead)
         occupied, beads, bond_count, arity = self.occupied, self.beads, self.bond_count, self.arity
         best = 0
@@ -467,34 +469,53 @@ class _Lookahead:
     ``_walk``'s count below the node it searched last reads that search's
     best score and bound, and spends its budget through ``_spend``.
 
-    With ``first``, a search keeps only the first argmin choice: after the
-    first best, a later root is searched only for a strictly better score.
+    With ``first``, a search keeps only the first argmin choice: a root
+    before the best so far in canonical order is searched for a score that
+    ties it, one after it for a strictly better score.
+
+    Each search keeps the best line below every root it scores at or above
+    its alpha (``lines``): one choice per later bead, as a linked tuple
+    ``(choice, line below it)``, built by a ``_node`` frame only when its
+    best improves and handed up through ``line``. The next search, made
+    right after the walk pushes one of those roots, takes that root's line
+    (``root`` is the bead of the last search; a table hit drops the lines):
+    it searches the line's first choice as its first root, and at each bead
+    below it tries the line's point first among the placements. The order
+    moves no result: every root is still scored, and the kept roots are
+    returned in canonical order. It finds the best early, so the bound cuts
+    more, mostly among the choices scored in place.
 
     Argmin sets are remembered relative to the path end, keyed by the
-    transcript window and every occupied point within ``delay + 1`` steps,
-    and never more than one step past the transcript's length (with bead
-    type and bond count): that is everything the search can touch, so a
-    translated repeat of a situation is answered without searching. An
-    entry holds each argmin point's offset from the path end, in the
-    direction order of the search that stored it, with the partner offsets
-    of each of that point's bond subsets (see ``minimizers``). Only a
-    window with an id in ``window_ids`` keys the table: one that occurs more
-    than once in the transcript, since no other window can hit, and has
-    headroom after its first bead, since the search of any other is a scan
-    of at most six placements. And windows are keyed only while that disk,
-    of radius ``disk_radius``, is one of the fold geometry's ``disks``
-    (``min(delay, len(transcript)) + 1 <= _REACH``, so up to delay 6 on a
-    long transcript). Past it the window list, ``len(transcript)`` tuples
-    of ``delay`` beads, is not built, no step probes a disk of about
-    ``3 * delay ** 2`` keys, and every window is searched directly. A hit
-    only answers a situation that was searched before, so keying changes
-    no result. Every search of a keyed window is stored, since enumeration
-    meets a bead again on each sibling branch, and the table lives as long
-    as this object.
+    transcript window and, of each occupied point within ``delay + 1``
+    steps, what the window can reach: its offset, bead type and bond count
+    if a window bead ``k`` of a partner type reaches it (it lies within
+    ``k + 2`` steps, ``window_reach``), else its offset alone if a window
+    bead can be placed there (within ``delay`` steps), else nothing. That
+    is all the search reads of the fold: its placements, eligibilities and
+    reach bound. So a translated repeat of a situation is answered without
+    searching, and two situations that share a key are searched alike, but
+    for the line each search is given. An entry holds each argmin point's
+    offset from the path end, in the direction order of the search that
+    stored it, with the partner offsets of each of that point's bond
+    subsets (see ``minimizers``). Only a window with an id in
+    ``window_ids`` keys the table: one that occurs more than once in the
+    transcript, since no other window can hit (so it has all ``delay``
+    beads), and has headroom after its first bead, since the search of any
+    other is a scan of at most six placements. And windows are keyed only
+    while that disk, of radius ``disk_radius``, is one of the fold
+    geometry's ``disks`` (``min(delay, len(transcript)) + 1 <= _REACH``, so
+    up to delay 6 on a long transcript). Past it the window list,
+    ``len(transcript)`` tuples of ``delay`` beads, is not built, no step
+    probes a disk of about ``3 * delay ** 2`` keys, and every window is
+    searched directly. A hit only answers a situation that was searched
+    before, so keying changes no result. Every search of a keyed window is
+    stored, since enumeration meets a bead again on each sibling branch,
+    and the table lives as long as this object.
     """
 
     __slots__ = ("transcript", "start", "delay", "cap", "first", "headroom", "table", "window_ids",
-                 "disk_radius", "bound", "zeros", "reach", "best", "nodes_left", "root", "score")
+                 "window_reach", "disk_radius", "bound", "zeros", "reach", "best", "nodes_left", "root",
+                 "score", "line", "lines")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
@@ -522,30 +543,51 @@ class _Lookahead:
                 if count[w] > 1 and headroom[min(i + delay, len(t))] > headroom[i + 1] else None
                 for i, w in enumerate(windows)
             ]
+        # For each keyed window, the farthest any of its beads reaches a
+        # placed bead of each type it partners, k + 2 steps for bead k, and
+        # -1 for every other type of the fold.
+        self.window_reach: list[dict[str, int]] = []
+        for w in ids:
+            reach = dict.fromkeys(chain(system.seed.beads, t), -1)
+            for k, b in enumerate(w):
+                for mate in system.rules.partners(b):
+                    reach[mate] = k + 2
+            self.window_reach.append(reach)
         # Each search points bound at one of these (see _reach_gains).
         self.bound = self.zeros = [0] * (len(t) + 1)
         self.reach = [0] * (len(t) + 1)
+        # The best line below each root of the last search, and the line a
+        # _node frame reads as it starts and leaves as it ends (see the class).
+        self.lines: dict | None = None
+        self.line = None
 
     def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """``_search``'s argmin set for bead ``i``, from the table if it can.
         A hit rebuilds only the stored choices, scanning no placement: each
         point is the path end plus its stored offset, and each bond subset
         the indices of the beads at its partner offsets, read through
-        ``occupied``. Every partner lies within two steps of the path end,
-        inside the keyed disk, so it is occupied alike. Direction order
-        follows from the offsets, but the partners' indices may be ordered
-        unlike the stored situation's, so each point's subsets are sorted
-        again into canonical order (see ``_canonical``)."""
+        ``occupied``. Every partner lies within two steps of the path end
+        and partners bead ``i``, so the key holds its type and bond count,
+        and it is occupied alike. Direction order follows from the offsets,
+        but the partners' indices may be ordered unlike the stored
+        situation's, so each point's subsets are sorted again into canonical
+        order (see ``_canonical``)."""
         window = self.window_ids[i]
         if window is None:
             return self._search(fold, i)
         path, occupied, beads, counts = fold.path, fold.occupied, fold.beads, fold.bond_count
         end = path[-1]
+        reach, distance, delay = self.window_reach[window], fold.geometry.distance, self.delay
         hood = []
         for d in fold.geometry.disks[self.disk_radius]:
             idx = occupied.get(end + d)
             if idx is not None:
-                hood.append((d, beads[idx], counts[idx]))
+                b = beads[idx]
+                r = distance[d]
+                if r <= reach[b]:
+                    hood.append((d, b, counts[idx]))
+                elif r <= delay:
+                    hood.append(d)
         key = (window, tuple(hood))
         entry = self.table.get(key)
         if entry is None:
@@ -555,6 +597,8 @@ class _Lookahead:
                 spots.setdefault(k - end, []).append([path[q] - end for q in bonds])
             self.table[key] = tuple(spots.items())
             return found
+        # The next search is not below a root of the last one.
+        self.lines = None
         out = []
         for d, subsets in entry:
             bonds = sorted(tuple(sorted([occupied[end + m] for m in mates])) for mates in subsets)
@@ -563,37 +607,65 @@ class _Lookahead:
 
     def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical
-        order; with ``first``, only its first choice. That search looks for a
-        strictly better root only after the first best, so it scores a later
-        root only if its bound beats the best (with ``alpha`` one above it).
-        At a dead end, where the bead has no placement, the set is empty.
-        The set is collected as the roots are scored: a score below
-        ``alpha`` lies below the final best, so an inexact one never ties."""
+        order; with ``first``, only its first choice. The roots are tried in
+        canonical order, after the first choice of the line that the last
+        search found below the root pushed since, if any (see the class).
+        With ``first``, a root before the best so far in canonical order
+        wins a tie, so it is scored only if its bound reaches the best, and
+        a root after it only if its bound beats the best (with ``alpha`` one
+        above it). At a dead end, where the bead has no placement, the set is
+        empty. The set is collected as the roots are scored, by canonical
+        index: a score below ``alpha`` lies below the final best, so an
+        inexact one never ties."""
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
             return []
+        # The line the last search found below the root pushed since.
+        line, lead = None, 0
+        roots: Iterable[tuple[int, tuple]] = enumerate(options)
+        if self.lines and self.root == i - 1:
+            n = fold.bond_count[-1]
+            bonds = tuple([p for p, _ in fold.bond_log[-n:]]) if n else ()
+            line = self.lines.get((fold.path[-1], bonds))
+            if line is not None:
+                (key, bonds), line = line
+                lead = options.index((key, tuple(sorted(bonds))))
+                roots = [(lead, options[lead]), *enumerate(options[:lead]),
+                         *enumerate(options[lead + 1 :], lead + 1)]
         stop = min(i + self.delay, len(self.transcript))
         self._reach_gains(fold, i, stop)
         room = self.bound[stop] - self.bound[i + 1]
         base = len(fold.bond_log)
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
-        best = -1
         strict = self.first
-        kept = []
-        for option in options:
+        best, at, kept = -1, -1, []
+        lines = {}
+        for n, option in roots:
             key, bonds = option
             score = base + len(bonds) + room
-            alpha = best + strict
-            if room and score >= alpha:
-                fold.push(key, bonds, bead)
-                score = self._value(fold, i + 1, stop, alpha)
-                fold.pop()
+            if room:
+                # First mode keeps the first best, at ``at``: a later root
+                # must beat it.
+                alpha = best + (strict and n > at)
+                if score >= alpha:
+                    fold.push(key, bonds, bead)
+                    self.line, line = line, None
+                    score = self._value(fold, i + 1, stop, alpha)
+                    fold.pop()
+                    if score >= alpha:
+                        lines[option] = self.line
             if score > best:
-                best, kept = score, [option]
-            elif score == best and not strict:
-                kept.append(option)
-        self.best = best
+                best, at, kept = score, n, [option]
+            elif score == best:
+                if not strict:
+                    kept.append(option)
+                elif n < at:
+                    at, kept = n, [option]
+        self.best, self.lines = best, lines
+        if lead and not strict:
+            # The line's root came first: restore canonical order.
+            kept.sort(key=options.index)
         return kept
 
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
@@ -655,10 +727,11 @@ class _Lookahead:
         (fewer if the path gets stuck). Exact when that is at least
         ``alpha``; otherwise both the returned number and the exact value
         are below ``alpha``, and nothing more is promised. The caller has
-        just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
-        add bonds and that their bound reaches ``alpha``. Each pushed bead
-        gets a ``_node`` frame on a list, so only ``LOOKAHEAD_BUDGET`` limits
-        how deep a search goes."""
+        just pushed a bead, checked that beads ``j`` .. ``stop - 1`` can
+        add bonds and that their bound reaches ``alpha``, and set ``line`` to
+        the line to try first below it, or None; the best line below it is
+        left there. Each pushed bead gets a ``_node`` frame on a list, so
+        only ``LOOKAHEAD_BUDGET`` limits how deep a search goes."""
         frames = [self._node(fold, j, stop, alpha)]
         while frames:
             child = next(frames[-1], None)
@@ -672,24 +745,37 @@ class _Lookahead:
         """``_value``'s frame for bead ``j``. It yields each child's frame, then
         reads the child's score from ``score``; it writes its own there and
         returns, as closing a suspended frame would raise GeneratorExit in it.
-        Each frame, and each choice scored in place, spends one push."""
+        As it starts it reads from ``line`` the line to try first, and it
+        writes its best line there with its score. Each frame, and each
+        choice scored in place, spends one push."""
         self._spend()
+        line = self.line
         base = len(fold.bond_log)
         t, bounds = self.transcript, self.bound
         bead = t[j]
         room = bounds[stop] - bounds[j + 1]
         if not room:
             self.score = base + fold.most_bonds(bead, fold.path[-1], bounds[j + 1] - bounds[j])
+            self.line = None
             return
         bound = base + bounds[stop] - bounds[j]
-        best = base
+        best, found = base, None
         arity = fold.arity
         # When bead j + 1 is the last that can add bonds, each choice of bead
         # j is scored in place: its partners' bond counts go up by one while
         # bead j + 1 is scanned from its point.
         leaf = t[j + 1] if bounds[j + 2] == bounds[stop] else None
         counts = fold.bond_count
-        for key, eligible in fold.placements(bead):
+        spots = fold.placements(bead)
+        point = None
+        if line is not None:
+            # The line's point first, and its line below it.
+            (point, _), line = line
+            for n, spot in enumerate(spots):
+                if spot[0] == point:
+                    spots.insert(0, spots.pop(n))
+                    break
+        for key, eligible in spots:
             for r in range(min(len(eligible), arity), -1, -1):
                 top = base + r + room
                 if top < alpha or top <= best:
@@ -697,6 +783,7 @@ class _Lookahead:
                 for partners in combinations(eligible, r):
                     if leaf is None:
                         fold.push(key, partners, bead)
+                        self.line = line if key == point else None
                         yield self._node(fold, j + 1, stop, max(alpha, best + 1))
                         fold.pop()
                         score = self.score
@@ -709,13 +796,13 @@ class _Lookahead:
                         for p in partners:
                             counts[p] -= 1
                     if score > best:
-                        best = score
+                        best, found = score, ((key, partners), self.line if leaf is None else None)
                         if best == bound:
-                            self.score = best
+                            self.score, self.line = best, found
                             return
                         if top <= best:
                             break
-        self.score = best
+        self.score, self.line = best, found
 
     def _spend(self) -> None:
         """Spend one unit of the budget of the node searched last: a push

@@ -10,7 +10,10 @@ and 3), 5 (2) and 6 (1 period), plain and mirrored, and 300 systems from
 ``oracles.random_system(Random(5), max_delay=5, max_arity=3)``. At each
 ``LOOKAHEAD_BUDGET`` it runs ``fold_summary`` in enumerate mode at branch
 budgets 10,000 and 50, then in first mode and in sample mode (rng 5), and
-records each result or error message. It prints the digest of all of them.
+records each result or error message. It prints the digest of all of them,
+then one ``digest@<budget>`` line per lookahead budget, over that budget's
+results alone: a change to the search order moves the rows of a budget that
+some searches pass, and leaves the others.
 
 Then it runs ``run-nfa`` in process on the brick cases and prints their
 digest on a second line, ``bricks <digest>``, over each run's exit code,
@@ -180,6 +183,7 @@ def main(argv: list[str]) -> int:
     calls: Counter = Counter()
     count_calls(calls)
     digest = hashlib.sha256()
+    each = {budget: hashlib.sha256() for budget in budgets}
     rows = []
     for budget in budgets:
         folding.LOOKAHEAD_BUDGET = budget
@@ -187,11 +191,14 @@ def main(argv: list[str]) -> int:
             for part, systems in parts.items():
                 calls.clear()
                 for system in systems:
-                    text = result_text(system, mode, branches)
-                    digest.update(f"{budget} {mode} {branches} {text}\n".encode())
+                    line = f"{budget} {mode} {branches} {result_text(system, mode, branches)}\n".encode()
+                    digest.update(line)
+                    each[budget].update(line)
                 run = f"{mode} {branches}" if branches else mode
                 rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
     print(f"digest {digest.hexdigest()[:16]}")
+    for budget, budget_digest in each.items():
+        print(f"digest@{budget} {budget_digest.hexdigest()[:16]}")
     print(f"bricks {bricks_digest()}")
     print(seed)
     header = ("lookahead", "run", "part", *(f"{c.__name__}.{n}" for c, n in COUNTED))

@@ -43,9 +43,11 @@ goes first alternating from round to round; a side's time for a case in a
 round is the least of ``--folds`` calls. The script prints, per case, each
 side's least time over all rounds, the median of its per-round times, and
 the ratio of the change's least time to the parent's. Beside them it prints
-each side's work: the lookahead searches (``_Lookahead._search``) and bead
-pushes (``_Fold.push``) of one more call, made with both counted after the
-results are compared and outside the timing. It sets no gate, and pytest
+each side's work: the lookahead searches (``_Lookahead._search``), bead
+pushes (``_Fold.push``) and budget units (``_Lookahead._spend``: pushes below
+a search's root, choices scored in place and pushes of the count below the
+tail node) of one more call, made with all three counted after the results
+are compared and outside the timing. It sets no gate, and pytest
 does not collect it.
 """
 
@@ -309,12 +311,12 @@ def least_time(call, folds: int) -> float:
     return best
 
 
-def work(package, call) -> tuple[int, int]:
-    """The searches and pushes of one call of ``call``, counted on the
-    classes of ``package``'s ``folding``."""
-    made = [0, 0]
+def work(package, call) -> tuple[int, int, int]:
+    """The searches, pushes and budget units of one call of ``call``,
+    counted on the classes of ``package``'s ``folding``."""
+    made = [0, 0, 0]
     lookahead, fold = package.folding._Lookahead, package.folding._Fold
-    search, push = lookahead._search, fold.push
+    search, push, spend = lookahead._search, fold.push, lookahead._spend
 
     def searched(self, *args):
         made[0] += 1
@@ -324,12 +326,16 @@ def work(package, call) -> tuple[int, int]:
         made[1] += 1
         return push(self, *args)
 
-    lookahead._search, fold.push = searched, pushed
+    def spent(self):
+        made[2] += 1
+        return spend(self)
+
+    lookahead._search, fold.push, lookahead._spend = searched, pushed, spent
     try:
         call()
     finally:
-        lookahead._search, fold.push = search, push
-    return made[0], made[1]
+        lookahead._search, fold.push, lookahead._spend = search, push, spend
+    return made[0], made[1], made[2]
 
 
 def main(argv: list[str]) -> int:
@@ -362,7 +368,7 @@ def main(argv: list[str]) -> int:
                 times[name][side].append(least_time(pair[side], args.folds))
     print(f"{args.rounds} rounds, least of {args.folds} calls each; times in ms")
     print("case\tparent\tparent median\tchange\tchange median\tratio"
-          "\tparent searches\tparent pushes\tchange searches\tchange pushes")
+          "\tparent searches\tparent pushes\tparent units\tchange searches\tchange pushes\tchange units")
     for name, (parent, change) in times.items():
         ratio = min(change) / min(parent)
         cells = [min(parent), statistics.median(parent), min(change), statistics.median(change)]

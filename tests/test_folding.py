@@ -519,6 +519,51 @@ class TestTableFreeReplay:
         assert (len(outcomes), len(calls)) == (2164, 2229)
         assert outcomes == replay(sys_, "enumerate")
 
+    @staticmethod
+    def keyed_searches(monkeypatch, far, bonds):
+        """For each (far bead, seed bonds) pair, the lookup of bead 0 on a
+        seed whose first bead, three steps from the path end, is that far
+        bead, all through one lookahead. Gives the argmin sets as choices,
+        each checked against ``stabilize_next``, and the number of searches.
+        The window (b, c) recurs at delay 2; b partners a and reaches 2
+        steps, c partners e and reaches 3, and a bead is placed at most 2
+        steps out."""
+        calls = []
+        search = _Lookahead._search
+        monkeypatch.setattr(
+            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+        )
+        rules = RuleSet([("a", "b"), ("c", "e")])
+        path = [(-1, 3), (-1, 2), (-1, 1), (-2, 1), (-2, 0), (-1, 0), (0, 0)]
+        systems = [
+            OritatamiSystem(rules, 1, 2, Conformation.build(path, [bead, "q", "b", "q", "e", "a", "s"], pairs),
+                            tuple("bcbc"))
+            for bead, pairs in zip(far, bonds)
+        ]
+        lookahead = _Lookahead(systems[0])
+        assert lookahead.window_ids[0] is not None
+        found = []
+        for sys_ in systems:
+            fold = _Fold(rules, 1, sys_.seed, len(path) + 4)
+            found.append([StabilizationChoice(fold.point(k), s) for k, s in lookahead.minimizers(fold, 0)])
+        searches = len(calls)
+        assert found == [stabilize_next(sys_, sys_.seed, 0) for sys_ in systems]
+        return found, searches
+
+    def test_key_drops_a_bead_no_window_bead_reaches(self, monkeypatch):
+        # An a three steps out is past b's reach, and no bead of the window
+        # is placed there: the fold with a q in its place shares its entry.
+        found, searches = self.keyed_searches(monkeypatch, "aq", [(), ()])
+        assert searches == 1 and found[0] == found[1]
+
+    def test_key_keeps_the_bond_count_of_a_partner_in_reach(self, monkeypatch):
+        # The a next to the path end is in b's reach. Bonded to the b of the
+        # seed, it is saturated at arity 1, so the two folds do not share an
+        # entry, and their argmin sets differ.
+        found, searches = self.keyed_searches(monkeypatch, "qq", [(), [(2, 5)]])
+        assert searches == 2
+        assert found == [[StabilizationChoice(Point(0, -1), (5,))], [StabilizationChoice(Point(0, -1), ())]]
+
     def test_windows_are_keyed_only_while_the_disk_fits_the_rings(self):
         # From delay 7 on the key disk would pass the widest disk of the
         # fold's geometry, so no window is keyed and the windows are not
@@ -648,7 +693,7 @@ class TestSymmetricSeeds:
         for mirrored in (False, True):
             calls.clear()
             fold_all(glider_system(periods=3, mirrored=mirrored), "enumerate")
-            assert len(calls) == 24
+            assert len(calls) == 20
 
 
 def periodic_systems(rng, count):
@@ -777,7 +822,7 @@ class TestFoldSummary:
     def test_table_hit_scans_no_placement(self, monkeypatch):
         # A hit rebuilds its stored choices from the occupied points; only a
         # search lists a bead's placements. The count of the 10-period
-        # glider looks up beads 0-116 (0-based), and the table answers 95.
+        # glider looks up beads 0-116 (0-based), and the table answers 99.
         calls, lookups = [], []
         search, placements, minimizers = _Lookahead._search, _Fold.placements, _Lookahead.minimizers
         monkeypatch.setattr(
@@ -796,7 +841,7 @@ class TestFoldSummary:
         monkeypatch.setattr(_Lookahead, "minimizers", lookup)
         fold_summary(glider_system(periods=10))
         hits = [made for made in lookups if "search" not in made]
-        assert len(lookups) == 117 and hits == [[]] * 95
+        assert len(lookups) == 117 and hits == [[]] * 99
 
     def test_budget_is_passed_as_in_fold_all(self):
         rules = RuleSet([("a", "b"), ("a", "c")])
@@ -846,13 +891,13 @@ class TestFoldSummary:
             calls.clear()
             assert fold_summary(sys_) == want
             assert calls == searched
-        # fold_all searches all 24 of the glider's nodes. Counting searches
+        # fold_all searches 20 of the glider's nodes. Counting searches
         # the tail node, bead 33 (0-based), though the table holds its
-        # window, and none of the two below it (23).
+        # window, and none of the two below it (19).
         want = summary_of(glider_system(periods=3))
         calls.clear()
         assert fold_summary(glider_system(periods=3)) == want
-        assert len(calls) == 23
+        assert len(calls) == 19
 
     @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 198), (5, 4, 283)])
     def test_every_choice_but_the_last_beads_is_pushed(self, monkeypatch, delay, terminals, pushed):
@@ -962,16 +1007,16 @@ class TestEngineWork:
     """The work of a fold, pinned: a change that keeps every result but
     searches or pushes more or less moves one of these counts."""
 
-    @pytest.mark.parametrize("delay, periods, searches, pushes", [(3, 10, 23, 218), (4, 3, 26, 569)])
+    @pytest.mark.parametrize("delay, periods, searches, pushes", [(3, 10, 19, 201), (4, 3, 22, 444)])
     def test_glider_count(self, work, delay, periods, searches, pushes):
         assert work(fold_summary, glider_at(delay, periods))[1:] == (searches, pushes)
 
     def test_glider_first_mode(self, work):
-        # Both first modes make the same search: 36 searches, 2,050 pushes.
+        # Both first modes make the same search: 36 searches, 1,767 pushes.
         sys_ = glider_at(5, 3)
         (outcome,), *spent = work(fold_all, sys_, "first")
-        assert spent == [36, 2050]
-        assert work(fold_summary, sys_, "first") == ((1, 1, outcome), 36, 2050)
+        assert spent == [36, 1767]
+        assert work(fold_summary, sys_, "first") == ((1, 1, outcome), 36, 1767)
 
     def test_pool_slice_count(self, work, monkeypatch):
         # Members 380-389 of the benchmark's random-fold pool.
@@ -979,7 +1024,7 @@ class TestEngineWork:
         from perfbench.inputs import random_system
 
         made = [work(fold_summary, random_system(k))[1:] for k in range(380, 390)]
-        assert [sum(column) for column in zip(*made)] == [335, 8058]
+        assert [sum(column) for column in zip(*made)] == [335, 7800]
 
     def test_first_modes_push_alike(self, work):
         rng = random.Random(3636)
@@ -990,6 +1035,55 @@ class TestEngineWork:
             summary = (1, int(outcome.completed), outcome)
             assert work(fold_summary, sys_, "first") == (summary, searches, pushes)
 
+
+class Primed(dict):
+    """``_Lookahead.lines`` that gives ``line`` below whatever root was pushed."""
+
+    def __init__(self, line):
+        super().__init__(primed=line)
+        self.line = line
+
+    def get(self, key, default=None):
+        return self.line
+
+
+class TestSearchOrder:
+    """A search tries first the line that the search before it found: the
+    order moves its work, never its argmin set."""
+
+    @staticmethod
+    def search(system, conf, i, first, line=None):
+        """``step_search`` with ``line`` given as the best line below the
+        bead pushed last: its argmin set and the lines it keeps."""
+        window = system.transcript[i : i + system.delay]
+        step = OritatamiSystem(system.rules, system.arity, system.delay, conf, window)
+        fold = _Fold(system.rules, system.arity, conf, len(conf) + len(window))
+        lookahead = _Lookahead(step, i, first=first)
+        if line is not None:
+            lookahead.lines, lookahead.root = Primed(line), -1
+        return lookahead._search(fold, 0), lookahead.lines, fold.options(window[0])
+
+    def test_any_first_root_finds_the_same_set(self):
+        # Each state of the first fold of gliders at delays 3-6 and of random
+        # systems is searched fresh, then once with each option put first,
+        # with the line the fresh search found below it (if it pushed it).
+        rng = random.Random(3838)
+        systems = [glider_at(delay, 2, mirrored) for delay in (3, 4, 5, 6) for mirrored in (False, True)]
+        systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(20)]
+        primed = below = 0
+        for sys_ in systems:
+            (outcome,) = fold_all(sys_, "first")
+            conf, seed = outcome.conformation, len(sys_.seed)
+            for i in range(len(conf) - seed):
+                state = prefix(conf, seed + i)
+                for first in (False, True):
+                    fresh, lines, options = self.search(sys_, state, i, first)
+                    for option in options:
+                        line = (option, lines.get(option))
+                        assert self.search(sys_, state, i, first, line)[0] == fresh
+                        primed += 1
+                        below += line[1] is not None
+        assert primed >= 2_000 and below >= 500
 
 class TestGridSymmetry:
     def test_moved_systems_fold_to_moved_terminals(self):
@@ -1111,6 +1205,17 @@ class TestLookaheadBounds:
         got, pushes = self.search_first_bead(OritatamiSystem(rules, 2, 2, seed, ("r", "z")), monkeypatch)
         assert len(got) == 2
         assert pushes > 0
+
+    def test_last_bead_bonds_no_more_than_its_arity(self, monkeypatch):
+        # z bonds only with p. Where r steps to (1, -1), z can sit at (1, 0)
+        # between the two p-beads, but at arity 1 it bonds only one of them:
+        # the scan of z's free points stops at its reach gain of one bond,
+        # which is also its count there. So every step of r that lets z bond
+        # ties.
+        seed = Conformation.build([(2, 0), (1, 1), (0, 1), (0, 0)], ["p", "p", "q", "q"])
+        sys_ = OritatamiSystem(RuleSet([("z", "p")]), 1, 2, seed, ("r", "z"))
+        got, _ = self.search_first_bead(sys_, monkeypatch)
+        assert got == [StabilizationChoice(Point(1, 0), ()), StabilizationChoice(Point(1, -1), ())]
 
     def test_leaf_skips_a_partner_its_predecessor_saturates(self, monkeypatch):
         # x and z bond only with p, two steps from the path end; z, the last
@@ -1268,7 +1373,7 @@ class TestLookaheadBounds:
         assert seen["below"] >= 1_000 and seen["above the result"] >= 500
 
     def test_delay_six_glider_within_a_small_budget(self, monkeypatch):
-        # The costliest step, at transcript bead 12, pushes 961 beads (977
+        # The costliest step, at transcript bead 12, pushes 500 beads (514
         # mirrored) in first mode and 1,150 (1,182) in a full search;
         # counting a partner type seen anywhere before as in reach, the full
         # search pushed 2,350.
@@ -1291,7 +1396,7 @@ class TestLookaheadBounds:
         monkeypatch.setattr(folding, "LOOKAHEAD_BUDGET", needed)
         assert stabilize_next(sys_, conf, 11)
 
-    @pytest.mark.parametrize("mirrored, needed", [(False, 961), (True, 977)])
+    @pytest.mark.parametrize("mirrored, needed", [(False, 500), (True, 514)])
     def test_delay_six_glider_first_fold_budget_is_exact(self, monkeypatch, mirrored, needed):
         # First mode searches bead 12 for a strictly better root only after
         # the first best, so both of its folds spend exactly ``needed``

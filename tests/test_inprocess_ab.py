@@ -9,15 +9,16 @@ def run_one_case(capsys, case):
     assert inprocess_ab.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split("\t") == ["case", "parent", "parent median", "change", "change median", "ratio",
-                                    "parent searches", "parent pushes", "change searches", "change pushes"]
+                                    "parent searches", "parent pushes", "parent units",
+                                    "change searches", "change pushes", "change units"]
     assert len(lines) == 3 and lines[2].split("\t")[0] == case
     return lines[2].split("\t")
 
 
 def test_one_case_folds_alike_and_is_timed(capsys):
-    # The one-period glider at delay 3 makes 10 searches and 55 pushes on
-    # each side, the same tree.
-    assert run_one_case(capsys, "d3p1")[6:] == ["10", "55", "10", "55"]
+    # The one-period glider at delay 3 makes 10 searches and 55 pushes, and
+    # spends 129 budget units, on each side, the same tree.
+    assert run_one_case(capsys, "d3p1")[6:] == ["10", "55", "129", "10", "55", "129"]
 
 
 def test_brick_check_runs_alike_and_is_timed(capsys):
@@ -57,8 +58,8 @@ def test_compile_runs_alike_and_is_timed(capsys, monkeypatch):
 
 
 def test_fold_command_runs_alike_and_is_timed(capsys, monkeypatch):
-    # One glider ``fold`` op with ``--trace`` and ``--svg``; its searches
-    # and pushes are counted through the command.
+    # One glider ``fold`` op with ``--trace`` and ``--svg``; its searches,
+    # pushes and budget units are counted through the command.
     monkeypatch.setattr(inprocess_ab, "GLIDER_FOLD_OPS", inprocess_ab.GLIDER_FOLD_OPS[:1])
     cells = run_one_case(capsys, "fold-glider")
-    assert cells[6:8] == cells[8:10] and int(cells[6]) > 0 and int(cells[7]) > 0
+    assert cells[6:9] == cells[9:12] and all(int(cell) > 0 for cell in cells[6:9])
