@@ -53,7 +53,7 @@ class LookaheadBudgetExceeded(Exception):
 BRANCH_BUDGET = 10_000
 # Cap on the nascent beads one lookahead search may push: 22 times the most any
 # test, demo or benchmark input within it needs (4,497, at a delay-1,500 rail;
-# a glider needs at most 1,469 and a benchmark input 477).
+# a glider needs at most 1,469 and a benchmark input 408).
 LOOKAHEAD_BUDGET = 100_000
 
 
@@ -476,14 +476,15 @@ class _Lookahead:
     Each search keeps the best line below every root it scores at or above
     its alpha (``lines``): one choice per later bead, as a linked tuple
     ``(choice, line below it)``, built by a ``_node`` frame only when its
-    best improves and handed up through ``line``. The next search, made
-    right after the walk pushes one of those roots, takes that root's line
-    (``root`` is the bead of the last search; a table hit drops the lines):
-    it searches the line's first choice as its first root, and at each bead
-    below it tries the line's point first among the placements. The order
-    moves no result: every root is still scored, and the kept roots are
-    returned in canonical order. It finds the best early, so the bound cuts
-    more, mostly among the choices scored in place.
+    best improves and handed up through ``line``; a table hit keeps none.
+    ``_walk`` stores each kept root's line in its stack entry and gives it
+    to the search below that root, on every sibling alike. That search
+    tries the line's first choice as its first root, and each frame below
+    tries the line's point first among its placements, handing the line
+    below it to its children there. The order moves no result: every root
+    is still scored, and the kept roots are returned in canonical order. It
+    finds the best early, so the bound cuts more, mostly among the choices
+    scored in place.
 
     Argmin sets are remembered relative to the path end, keyed by the
     transcript window and, of each occupied point within ``delay + 1``
@@ -556,16 +557,17 @@ class _Lookahead:
         # Each search points bound at one of these (see _reach_gains).
         self.bound = self.zeros = [0] * (len(t) + 1)
         self.reach = [0] * (len(t) + 1)
-        # The best line below each root of the last search, and the line a
-        # _node frame reads as it starts and leaves as it ends (see the class).
-        self.lines: dict | None = None
+        # The best line below each root of the last search, and the best
+        # line a _node frame hands up with its score (see the class).
+        self.lines: dict = {}
         self.line = None
 
-    def minimizers(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
-        """``_search``'s argmin set for bead ``i``, from the table if it can.
-        A hit rebuilds only the stored choices, scanning no placement: each
-        point is the path end plus its stored offset, and each bond subset
-        the indices of the beads at its partner offsets, read through
+    def minimizers(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...]]]:
+        """``_search``'s argmin set for bead ``i``, given ``line``, from the
+        table if it can. A hit keeps no ``lines`` and rebuilds only the
+        stored choices, scanning no placement: each point is the path end
+        plus its stored offset, and each bond subset the indices of the
+        beads at its partner offsets, read through
         ``occupied``. Every partner lies within two steps of the path end
         and partners bead ``i``, so the key holds its type and bond count,
         and it is occupied alike. Direction order follows from the offsets,
@@ -574,7 +576,7 @@ class _Lookahead:
         order (see ``_canonical``)."""
         window = self.window_ids[i]
         if window is None:
-            return self._search(fold, i)
+            return self._search(fold, i, line)
         path, occupied, beads, counts = fold.path, fold.occupied, fold.beads, fold.bond_count
         end = path[-1]
         reach, distance, delay = self.window_reach[window], fold.geometry.distance, self.delay
@@ -591,48 +593,42 @@ class _Lookahead:
         key = (window, tuple(hood))
         entry = self.table.get(key)
         if entry is None:
-            found = self._search(fold, i)
+            found = self._search(fold, i, line)
             spots: dict[int, list[list[int]]] = {}
             for k, bonds in found:
                 spots.setdefault(k - end, []).append([path[q] - end for q in bonds])
             self.table[key] = tuple(spots.items())
             return found
-        # The next search is not below a root of the last one.
-        self.lines = None
+        self.lines = {}
         out = []
         for d, subsets in entry:
             bonds = sorted(tuple(sorted([occupied[end + m] for m in mates])) for mates in subsets)
             out.extend((end + d, s) for s in bonds)
         return out
 
-    def _search(self, fold: _Fold, i: int) -> list[tuple[int, tuple[int, ...]]]:
+    def _search(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...]]]:
         """The argmin set for bead ``i`` as (point key, bonds), in canonical
         order; with ``first``, only its first choice. The roots are tried in
-        canonical order, after the first choice of the line that the last
-        search found below the root pushed since, if any (see the class).
-        With ``first``, a root before the best so far in canonical order
-        wins a tie, so it is scored only if its bound reaches the best, and
-        a root after it only if its bound beats the best (with ``alpha`` one
-        above it). At a dead end, where the bead has no placement, the set is
-        empty. The set is collected as the roots are scored, by canonical
-        index: a score below ``alpha`` lies below the final best, so an
-        inexact one never ties."""
+        canonical order, after the first choice of ``line``, if given: the
+        line that the parent node's search kept below the bead pushed last.
+        The best line below each root scored at or above its ``alpha`` is
+        left in ``lines`` (see the class). With ``first``, a root before the
+        best so far in canonical order wins a tie, so it is scored only if
+        its bound reaches the best, and a root after it only if its bound
+        beats the best (with ``alpha`` one above it). At a dead end, where
+        the bead has no placement, the set is empty. The set is collected as
+        the roots are scored, by canonical index: a score below ``alpha``
+        lies below the final best, so an inexact one never ties."""
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
             return []
-        # The line the last search found below the root pushed since.
-        line, lead = None, 0
+        lead = 0
         roots: Iterable[tuple[int, tuple]] = enumerate(options)
-        if self.lines and self.root == i - 1:
-            n = fold.bond_count[-1]
-            bonds = tuple([p for p, _ in fold.bond_log[-n:]]) if n else ()
-            line = self.lines.get((fold.path[-1], bonds))
-            if line is not None:
-                (key, bonds), line = line
-                lead = options.index((key, tuple(sorted(bonds))))
-                roots = [(lead, options[lead]), *enumerate(options[:lead]),
-                         *enumerate(options[lead + 1 :], lead + 1)]
+        if line is not None:
+            (key, bonds), line = line
+            lead = options.index((key, tuple(sorted(bonds))))
+            roots = [(lead, options[lead]), *enumerate(options[:lead]), *enumerate(options[lead + 1 :], lead + 1)]
         stop = min(i + self.delay, len(self.transcript))
         self._reach_gains(fold, i, stop)
         room = self.bound[stop] - self.bound[i + 1]
@@ -650,8 +646,7 @@ class _Lookahead:
                 alpha = best + (strict and n > at)
                 if score >= alpha:
                     fold.push(key, bonds, bead)
-                    self.line, line = line, None
-                    score = self._value(fold, i + 1, stop, alpha)
+                    score = self._value(fold, i + 1, stop, alpha, line if n == lead else None)
                     fold.pop()
                     if score >= alpha:
                         lines[option] = self.line
@@ -722,17 +717,17 @@ class _Lookahead:
                 total += min(cap, n)
             bound[k + 1] = total
 
-    def _value(self, fold: _Fold, j: int, stop: int, alpha: int) -> int:
+    def _value(self, fold: _Fold, j: int, stop: int, alpha: int, line) -> int:
         """Most bonds reachable by placing transcript beads ``j`` .. ``stop - 1``
         (fewer if the path gets stuck). Exact when that is at least
         ``alpha``; otherwise both the returned number and the exact value
         are below ``alpha``, and nothing more is promised. The caller has
-        just pushed a bead, checked that beads ``j`` .. ``stop - 1`` can
-        add bonds and that their bound reaches ``alpha``, and set ``line`` to
-        the line to try first below it, or None; the best line below it is
-        left there. Each pushed bead gets a ``_node`` frame on a list, so
-        only ``LOOKAHEAD_BUDGET`` limits how deep a search goes."""
-        frames = [self._node(fold, j, stop, alpha)]
+        just pushed a bead and checked that beads ``j`` .. ``stop - 1`` can
+        add bonds and that their bound reaches ``alpha``. ``line`` is the
+        line to try first below the bead, or None; the best line below it
+        is left in ``self.line``. Each pushed bead gets a ``_node`` frame on
+        a list, so only ``LOOKAHEAD_BUDGET`` limits how deep a search goes."""
+        frames = [self._node(fold, j, stop, alpha, line)]
         while frames:
             child = next(frames[-1], None)
             if child is None:
@@ -741,15 +736,15 @@ class _Lookahead:
                 frames.append(child)
         return self.score
 
-    def _node(self, fold: _Fold, j: int, stop: int, alpha: int) -> Iterator[Iterator]:
+    def _node(self, fold: _Fold, j: int, stop: int, alpha: int, line) -> Iterator[Iterator]:
         """``_value``'s frame for bead ``j``. It yields each child's frame, then
         reads the child's score from ``score``; it writes its own there and
         returns, as closing a suspended frame would raise GeneratorExit in it.
-        As it starts it reads from ``line`` the line to try first, and it
-        writes its best line there with its score. Each frame, and each
-        choice scored in place, spends one push."""
+        It tries the point of ``line`` first, if given, and hands the line
+        below that point to the children on it; it writes its best line to
+        ``self.line`` with its score. Each frame, and each choice scored in
+        place, spends one push."""
         self._spend()
-        line = self.line
         base = len(fold.bond_log)
         t, bounds = self.transcript, self.bound
         bead = t[j]
@@ -783,8 +778,7 @@ class _Lookahead:
                 for partners in combinations(eligible, r):
                     if leaf is None:
                         fold.push(key, partners, bead)
-                        self.line = line if key == point else None
-                        yield self._node(fold, j + 1, stop, max(alpha, best + 1))
+                        yield self._node(fold, j + 1, stop, max(alpha, best + 1), line if key == point else None)
                         fold.pop()
                         score = self.score
                     else:
@@ -916,8 +910,10 @@ def _walk(
     order, as (1, 1 if completed else 0, the outcome). From each step's
     argmin set, given as (point key, bonds) pairs, enumerate keeps every
     choice, first the first one, which its search gives alone (see
-    ``_Lookahead._search``), and sample one drawn by ``rng``. A branch ends
-    where the transcript does, or at a dead end, whose argmin set is empty.
+    ``_Lookahead._search``), and sample one drawn by ``rng``; each one's
+    entry carries the line its search kept below it, for the search there.
+    A branch ends where the transcript does, or at a dead end, whose argmin
+    set is empty.
     In enumerate mode it raises BranchBudgetExceeded past ``budget``
     terminals; first and sample follow one branch, with no budget.
 
@@ -966,20 +962,21 @@ def _walk(
         path = (*seed, *map(fold.point, fold.path[base:]))
         return FoldOutcome(Conformation(path, tuple(fold.beads), frozenset(fold.bond_log)), completed)
 
-    # Choices still to try, as (bead index i, point key, bonds, group,
+    # Choices still to try, as (bead index i, point key, bonds, line, group,
     # weight) (see _children); taking one first rewinds the fold to its
     # first i stabilized beads.
     stack: list[Sequence] = []
     # Far from seed[0], a symmetry seldom fixes a point: try the end first.
     fixed =(g for g in SYMMETRIES[1:] if all(transform(g, p, seed[0]) == p for p in reversed(seed)))
     group = tuple(fixed) if count else ()
-    i, weight = 0, 1
+    i, line, weight = 0, None, 1
     total = 0
     while True:
-        kept, n = (), 0
+        kept, n, lines = (), 0, {}
         if i <= tail:
             if i < stop:
-                kept = (search._search if i == tail else search.minimizers)(fold, i)
+                kept = (search._search if i == tail else search.minimizers)(fold, i, line)
+                lines = search.lines
                 if kept and mode == "sample":
                     kept = [rng.choice(kept)]
             if not kept:
@@ -999,7 +996,7 @@ def _walk(
                 # A dead end with the best score.
                 n = 1
         if kept:
-            stack.extend(reversed(_children(kept, group, fold, i, weight)))
+            stack.extend(reversed(_children(kept, lines, group, fold, i, weight)))
         elif n:
             if count and total:
                 outcome = None
@@ -1018,7 +1015,7 @@ def _walk(
             yield n * weight, done * weight, outcome
         if not stack:
             return
-        i, key, bonds, group, weight = stack.pop()
+        i, key, bonds, line, group, weight = stack.pop()
         while len(fold.path) > base + i:
             fold.pop()
         if i > tail:
@@ -1028,16 +1025,18 @@ def _walk(
 
 
 def _children(
-    kept: Sequence[tuple[int, tuple[int, ...]]], group: Sequence[Symmetry], fold: _Fold, i: int, weight: int
+    kept: Sequence[tuple[int, tuple[int, ...]]], lines: dict, group: Sequence[Symmetry], fold: _Fold, i: int,
+    weight: int,
 ) -> list[Sequence]:
-    """The ``_walk`` stack entries (i, point key, bonds, group, weight) of
-    the choices ``kept`` for bead ``i`` at a node whose points ``group``
-    fixes, below a choice of weight ``weight``. Each entry's group holds the
+    """The ``_walk`` stack entries (i, point key, bonds, line, group, weight)
+    of the choices ``kept`` for bead ``i`` at a node whose points ``group``
+    fixes, below a choice of weight ``weight``. Each entry's line is the one
+    ``lines`` holds for its choice, or None. Each entry's group holds the
     symmetries of ``group`` that fix its choice. A choice that an element of
     ``group`` makes out of an earlier kept choice has no entry: it adds
     ``weight`` to that choice's."""
     if not group:
-        return [(i, key, bonds, (), weight) for key, bonds in kept]
+        return [(i, key, bonds, lines.get((key, bonds)), (), weight) for key, bonds in kept]
     # The entry of the choice each symmetry makes a kept choice from.
     images: dict[tuple[int, tuple[int, ...]], list] = {}
     entries = []
@@ -1048,7 +1047,7 @@ def _children(
             continue
         point = fold.point(choice[0])
         fixing: list[Symmetry] = []
-        entry = [i, *choice, fixing, weight]
+        entry = [i, *choice, lines.get(choice), fixing, weight]
         for g in group:
             image = (fold.key(transform(g, point, fold.origin)), choice[1])
             if image == choice:

@@ -82,18 +82,6 @@ def corpus() -> dict[str, list]:
     }
 
 
-def count_calls(calls: Counter) -> None:
-    """Wrap each counted method so that every call adds one to ``calls``."""
-    for cls, name in COUNTED:
-        method = getattr(cls, name)
-
-        def counted(*args, _method=method, _name=f"{cls.__name__}.{name}"):
-            calls[_name] += 1
-            return _method(*args)
-
-        setattr(cls, name, counted)
-
-
 def outcome_text(outcome) -> str:
     c = outcome.conformation
     return repr((c.path, c.beads, sorted(c.bonds), outcome.completed))
@@ -180,22 +168,21 @@ def main(argv: list[str]) -> int:
     budgets = [int(a) for a in argv] or [folding.LOOKAHEAD_BUDGET]
     seed = seed_line()
     parts = corpus()
-    calls: Counter = Counter()
-    count_calls(calls)
     digest = hashlib.sha256()
     each = {budget: hashlib.sha256() for budget in budgets}
     rows = []
-    for budget in budgets:
-        folding.LOOKAHEAD_BUDGET = budget
-        for mode, branches in RUNS:
-            for part, systems in parts.items():
-                calls.clear()
-                for system in systems:
-                    line = f"{budget} {mode} {branches} {result_text(system, mode, branches)}\n".encode()
-                    digest.update(line)
-                    each[budget].update(line)
-                run = f"{mode} {branches}" if branches else mode
-                rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
+    with oracles.counting(Counter(), COUNTED) as calls:
+        for budget in budgets:
+            folding.LOOKAHEAD_BUDGET = budget
+            for mode, branches in RUNS:
+                for part, systems in parts.items():
+                    calls.clear()
+                    for system in systems:
+                        line = f"{budget} {mode} {branches} {result_text(system, mode, branches)}\n".encode()
+                        digest.update(line)
+                        each[budget].update(line)
+                    run = f"{mode} {branches}" if branches else mode
+                    rows.append((budget, run, part, *(calls[f"{c.__name__}.{n}"] for c, n in COUNTED)))
     print(f"digest {digest.hexdigest()[:16]}")
     for budget, budget_digest in each.items():
         print(f"digest@{budget} {budget_digest.hexdigest()[:16]}")

@@ -63,12 +63,14 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from itertools import chain, zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import oracles  # noqa: E402
 from fold_corpus import BRANCHING, PIPELINE_HEAD  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -314,28 +316,11 @@ def least_time(call, folds: int) -> float:
 def work(package, call) -> tuple[int, int, int]:
     """The searches, pushes and budget units of one call of ``call``,
     counted on the classes of ``package``'s ``folding``."""
-    made = [0, 0, 0]
     lookahead, fold = package.folding._Lookahead, package.folding._Fold
-    search, push, spend = lookahead._search, fold.push, lookahead._spend
-
-    def searched(self, *args):
-        made[0] += 1
-        return search(self, *args)
-
-    def pushed(self, *args):
-        made[1] += 1
-        return push(self, *args)
-
-    def spent(self):
-        made[2] += 1
-        return spend(self)
-
-    lookahead._search, fold.push, lookahead._spend = searched, pushed, spent
-    try:
+    counted = ((lookahead, "_search"), (fold, "push"), (lookahead, "_spend"))
+    with oracles.counting(Counter(), counted) as made:
         call()
-    finally:
-        lookahead._search, fold.push, lookahead._spend = search, push, spend
-    return made[0], made[1], made[2]
+    return tuple(made[f"{cls.__name__}.{name}"] for cls, name in counted)
 
 
 def main(argv: list[str]) -> int:

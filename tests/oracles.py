@@ -5,12 +5,14 @@ immutable tuples, written from scratch on purpose: it shares no code with
 the engine (its own offset table, its own elongation enumerator, no
 workspace, no ordering tricks), so agreement between the two is meaningful.
 The hand-traceable branching machine that the NFA, brick and seed tests
-share lives here too (``branching_machine``), and so does the glider's
-period shift.
+share lives here too (``branching_machine``), and so do the glider's
+period shift and ``counting``, the call counter that the engine's work pins
+and the tools measuring it share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from collections import Counter
@@ -308,3 +310,23 @@ def branching_machine() -> tuple[AugmentedNfa, Encoding]:
         letter_bits=3,
     )
     return machine, encoding
+
+
+@contextlib.contextmanager
+def counting(calls: Counter, methods):
+    """While the block runs, add one to ``calls["Class.name"]`` at each call
+    of each method ``(Class, "name")`` of ``methods``, its arguments passed
+    through; then put the methods back."""
+    saved = [(cls, name, getattr(cls, name)) for cls, name in methods]
+    for cls, name, method in saved:
+
+        def counted(*args, _method=method, _name=f"{cls.__name__}.{name}"):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(cls, name, counted)
+    try:
+        yield calls
+    finally:
+        for cls, name, method in saved:
+            setattr(cls, name, method)

@@ -140,6 +140,11 @@ class TestModule3:
         row = BrickRow(("N",) * 4, (None,) * 4)
         assert module3(row) == (HALT,)
 
+    def test_unknown_choice_mode_rejected(self):
+        row = BrickRow(("N", "Y"), (None,) * 2)
+        with pytest.raises(ValueError, match="^unknown choice mode 'flip'$"):
+            module3(row, "flip")
+
     def test_single_survivor_is_forced(self):
         row = BrickRow(("N", "N", "Y", "N"), (None,) * 4)
         outcomes = module3(row)
@@ -428,6 +433,11 @@ class TestBranches:
                 walked.append((traces, list(states), accepted))
             assert walked == replayed_branches(aug, code, word)
         assert pairs > 500
+
+    def test_unknown_run_mode_rejected(self):
+        aug, code = oracles.branching_machine()
+        with pytest.raises(ValueError, match="^unknown run mode 'first'$"):
+            branches(aug, code, ["100"], "first")
 
 
 class TestRunVerdict:

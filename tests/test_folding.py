@@ -165,6 +165,22 @@ class TestConformationBasics:
         with pytest.raises(ValueError):
             validate_conformation(c, RuleSet([]))
 
+    def test_validation_messages_number_beads_from_one(self):
+        with pytest.raises(ValueError, match=r"^2 beads on a 1-point path$"):
+            validate_conformation(Conformation((Point(0, 0),), ("a", "b")))
+        # 0-based bonds (0, 1) and (0, 5): consecutive beads, and a bead past the path end.
+        for bonds, named in (([(0, 1)], "1, 2"), ([(0, 5)], "1, 6")):
+            c = Conformation.build([(0, 0), (1, 0), (1, 1)], ["a", "b", "c"], bonds)
+            message = rf"^bond \({named}\) out of range or between near-consecutive beads$"
+            with pytest.raises(ValueError, match=message):
+                validate_conformation(c)
+
+    @pytest.mark.parametrize("arity, delay, message", [(0, 1, "arity"), (1, 0, "delay")])
+    def test_system_needs_an_arity_and_a_delay_of_one_or_more(self, arity, delay, message):
+        seed = Conformation.build([(0, 0)], ["a"])
+        with pytest.raises(ValueError, match=rf"^{message} must be >= 1$"):
+            OritatamiSystem(RuleSet([("a", "a")]), arity, delay, seed, ("a",))
+
 
 class TestElongations:
     def test_two_bead_seed_choices(self):
@@ -490,7 +506,7 @@ class TestTableFreeReplay:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         path = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)]
         seed = Conformation.build(path, ["a"] + ["s"] * 6)
@@ -511,7 +527,7 @@ class TestTableFreeReplay:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         seed = Conformation.build([(0, 0), (-1, 1)], ["b0", "b0"])
         sys_ = OritatamiSystem(RuleSet([("b0", "b0")]), 1, 3, seed, ("b0",) * 6)
@@ -531,7 +547,7 @@ class TestTableFreeReplay:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         rules = RuleSet([("a", "b"), ("c", "e")])
         path = [(-1, 3), (-1, 2), (-1, 1), (-2, 1), (-2, 0), (-1, 0), (0, 0)]
@@ -649,7 +665,7 @@ class TestSymmetricSeeds:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         # From a single bead, bead 0's six placements are one set of images
         # and bead 1's two choices mirror each other (beads are 0-based), so
@@ -676,7 +692,7 @@ class TestSymmetricSeeds:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         # The horizontal mirror fixes this seed, and all 12 symmetries fix a
         # single bead; fold_all moves no point and searches below every
@@ -808,12 +824,12 @@ class TestFoldSummary:
         searched = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: searched.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: searched.append(i) or search(self, fold, i, *args)
         )
         with_table = results()
         hits = -len(searched)
         searched.clear()
-        monkeypatch.setattr(_Lookahead, "minimizers", lambda self, fold, i: self._search(fold, i))
+        monkeypatch.setattr(_Lookahead, "minimizers", lambda self, *args: self._search(*args))
         assert results() == with_table
         hits += len(searched)
         # The table answered 755 nodes.
@@ -826,15 +842,15 @@ class TestFoldSummary:
         calls, lookups = [], []
         search, placements, minimizers = _Lookahead._search, _Fold.placements, _Lookahead.minimizers
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append("search") or search(self, fold, i)
+            _Lookahead, "_search", lambda self, *args: calls.append("search") or search(self, *args)
         )
         monkeypatch.setattr(
             _Fold, "placements", lambda self, bead: calls.append("placements") or placements(self, bead)
         )
 
-        def lookup(self, fold, i):
+        def lookup(self, *args):
             start = len(calls)
-            found = minimizers(self, fold, i)
+            found = minimizers(self, *args)
             lookups.append(calls[start:])
             return found
 
@@ -877,7 +893,7 @@ class TestFoldSummary:
         calls = []
         search = _Lookahead._search
         monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i: calls.append(i) or search(self, fold, i)
+            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
         )
         # test_fold_all_searches_every_node's systems: fold_all searches
         # 77 and 103 nodes. Counting searches down to bead 3, the first whose
@@ -899,12 +915,12 @@ class TestFoldSummary:
         assert fold_summary(glider_system(periods=3)) == want
         assert len(calls) == 19
 
-    @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 198), (5, 4, 283)])
+    @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 194), (5, 4, 283)])
     def test_every_choice_but_the_last_beads_is_pushed(self, monkeypatch, delay, terminals, pushed):
         # Below the tail node the count pushes each choice it keeps, down to
         # the bead before the last; the last bead's ways are counted by
         # binomials, with no push. The walk, the searches and the count push
-        # 104, 198 and 283 beads for 102, 28 and 4 terminals.
+        # 104, 194 and 283 beads for 102, 28 and 4 terminals.
         pushes = []
         push = _Fold.push
         monkeypatch.setattr(
@@ -979,22 +995,17 @@ class TestFoldSummary:
 
 
 @pytest.fixture
-def work(monkeypatch):
+def work():
     """A function calling ``call(*args)`` and giving its result with the
     numbers of searches (``_Lookahead._search``) and pushes (``_Fold.push``)
     it made."""
-    made = Counter()
-    search, push = _Lookahead._search, _Fold.push
-    monkeypatch.setattr(
-        _Lookahead, "_search", lambda self, fold, i: made.update(["searches"]) or search(self, fold, i)
-    )
-    monkeypatch.setattr(_Fold, "push", lambda self, *args: made.update(["pushes"]) or push(self, *args))
+    with oracles.counting(Counter(), ((_Lookahead, "_search"), (_Fold, "push"))) as made:
 
-    def measure(call, *args):
-        made.clear()
-        return call(*args), made["searches"], made["pushes"]
+        def measure(call, *args):
+            made.clear()
+            return call(*args), made["_Lookahead._search"], made["_Fold.push"]
 
-    return measure
+        yield measure
 
 
 def glider_at(delay, periods, mirrored=False):
@@ -1024,7 +1035,7 @@ class TestEngineWork:
         from perfbench.inputs import random_system
 
         made = [work(fold_summary, random_system(k))[1:] for k in range(380, 390)]
-        assert [sum(column) for column in zip(*made)] == [335, 7800]
+        assert [sum(column) for column in zip(*made)] == [335, 7584]
 
     def test_first_modes_push_alike(self, work):
         rng = random.Random(3636)
@@ -1036,32 +1047,20 @@ class TestEngineWork:
             assert work(fold_summary, sys_, "first") == (summary, searches, pushes)
 
 
-class Primed(dict):
-    """``_Lookahead.lines`` that gives ``line`` below whatever root was pushed."""
-
-    def __init__(self, line):
-        super().__init__(primed=line)
-        self.line = line
-
-    def get(self, key, default=None):
-        return self.line
-
-
 class TestSearchOrder:
-    """A search tries first the line that the search before it found: the
-    order moves its work, never its argmin set."""
+    """A search tries first the line that its parent node's search found
+    below the choice pushed since: the order moves its work, never its
+    argmin set."""
 
     @staticmethod
     def search(system, conf, i, first, line=None):
-        """``step_search`` with ``line`` given as the best line below the
-        bead pushed last: its argmin set and the lines it keeps."""
+        """``step_search`` given ``line`` to try first: its argmin set and
+        the lines it keeps."""
         window = system.transcript[i : i + system.delay]
         step = OritatamiSystem(system.rules, system.arity, system.delay, conf, window)
         fold = _Fold(system.rules, system.arity, conf, len(conf) + len(window))
         lookahead = _Lookahead(step, i, first=first)
-        if line is not None:
-            lookahead.lines, lookahead.root = Primed(line), -1
-        return lookahead._search(fold, 0), lookahead.lines, fold.options(window[0])
+        return lookahead._search(fold, 0, line), lookahead.lines, fold.options(window[0])
 
     def test_any_first_root_finds_the_same_set(self):
         # Each state of the first fold of gliders at delays 3-6 and of random
@@ -1084,6 +1083,44 @@ class TestSearchOrder:
                         primed += 1
                         below += line[1] is not None
         assert primed >= 2_000 and below >= 500
+
+    def test_every_kept_sibling_starts_on_its_line(self, monkeypatch):
+        # An enumerate walk hands each search the line that the search of
+        # its parent node kept below the choice pushed since: on every kept
+        # sibling, not only on the first child. Below a node the table
+        # answers, no line is kept.
+        searched = {}
+        seen = Counter()
+        search = _Lookahead._search
+
+        def spy(self, fold, i, line=None):
+            pushed = fold.bond_count[-1]
+            bonds = tuple(p for p, _ in fold.bond_log[len(fold.bond_log) - pushed :])
+            parent = searched.get((tuple(fold.path[:-1]), tuple(fold.bond_log[: len(fold.bond_log) - pushed])))
+            if parent is not None:
+                lines, kept = parent
+                choice = (fold.path[-1], bonds)
+                assert line == lines.get(choice)
+                seen["later sibling" if kept.index(choice) else "first child"] += line is not None
+            else:
+                assert line is None
+            kept = search(self, fold, i, line)
+            searched[tuple(fold.path), tuple(fold.bond_log)] = self.lines, kept
+            return kept
+
+        monkeypatch.setattr(_Lookahead, "_search", spy)
+        rng = random.Random(3939)
+        systems = [glider_at(delay, 2, mirrored) for delay in (3, 4) for mirrored in (False, True)]
+        systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(40)]
+        for sys_ in systems:
+            searched.clear()
+            try:
+                fold_all(sys_, "enumerate", branch_budget=300)
+            except BranchBudgetExceeded:
+                pass
+        # 429 first children and 559 later siblings start on a line.
+        assert seen["first child"] >= 400 and seen["later sibling"] >= 500
+
 
 class TestGridSymmetry:
     def test_moved_systems_fold_to_moved_terminals(self):
@@ -1341,15 +1378,15 @@ class TestLookaheadBounds:
         node = _Lookahead._node
         seen = Counter()
 
-        def checked(self, fold, j, stop, alpha):
+        def checked(self, fold, j, stop, alpha, *args):
             if seen["rerunning"]:
-                return node(self, fold, j, stop, alpha)
+                return node(self, fold, j, stop, alpha, *args)
             left = self.nodes_left
             seen["rerunning"] = 1
-            exact = self._value(fold, j, stop, -1)
+            exact = self._value(fold, j, stop, -1, *args)
             seen["rerunning"] = 0
             self.nodes_left = left
-            return check(self, node(self, fold, j, stop, alpha), exact, alpha)
+            return check(self, node(self, fold, j, stop, alpha, *args), exact, alpha)
 
         def check(search, frame, exact, alpha):
             yield from frame

@@ -47,6 +47,14 @@ def bottom_env():
 
 
 class TestFoldInEnvironment:
+    @pytest.mark.parametrize("entry, input_bit, message", [
+        ("X", "1", r"^entry must be T or B, got 'X'$"),
+        ("T", "2", r"^input must be 0, 1, N or Y, got '2'$"),
+    ])
+    def test_environment_rejects_an_unknown_entry_or_input(self, entry, input_bit, message):
+        with pytest.raises(ValueError, match=message):
+            Environment("band", glider_seed(), entry, input_bit)
+
     def test_top_entry_brick(self):
         brick = fold_in_environment(gspacer(), top_env())
         assert brick.name == "gspacer_-t1"

@@ -5,6 +5,7 @@ import pytest
 from oritatami.nfa import (
     DOLLAR,
     SINK,
+    AugmentedNfa,
     Encoding,
     EncodingClash,
     Nfa,
@@ -82,6 +83,13 @@ class TestAugment:
     def test_degenerate_machine_rejected(self):
         with pytest.raises(ValueError):
             augment(Nfa(("q0",), ("a",), "q0", (), ()))
+
+    def test_sink_must_be_a_state_with_no_outgoing_move(self):
+        with pytest.raises(ValueError, match="^sink state must be declared among the states$"):
+            AugmentedNfa(("q0",), ("a",), "q0", (("q0", "a", "q0"),))
+        moves = (("q0", "a", SINK), (SINK, "a", "q0"))
+        with pytest.raises(ValueError, match="^sink state must have no outgoing transitions$"):
+            AugmentedNfa(("q0", SINK), ("a",), "q0", moves)
 
     def test_language_identity_exhaustive(self):
         rng = random.Random(99)
