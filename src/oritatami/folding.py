@@ -473,18 +473,18 @@ class _Lookahead:
     before the best so far in canonical order is searched for a score that
     ties it, one after it for a strictly better score.
 
-    Each search keeps the best line below every root it scores at or above
-    its alpha (``lines``): one choice per later bead, as a linked tuple
-    ``(choice, line below it)``, built by a ``_node`` frame only when its
-    best improves and handed up through ``line``; a table hit keeps none.
-    ``_walk`` stores each kept root's line in its stack entry and gives it
-    to the search below that root, on every sibling alike. That search
-    tries the line's first choice as its first root, and each frame below
-    tries the line's point first among its placements, handing the line
-    below it to its children there. The order moves no result: every root
-    is still scored, and the kept roots are returned in canonical order. It
-    finds the best early, so the bound cuts more, mostly among the choices
-    scored in place.
+    A search returns each kept root with the best line below it: one choice
+    per later bead, as a linked tuple ``(choice, line below it)``, built by
+    a ``_node`` frame only when its best improves and handed up through
+    ``line``. A root below which no bead can add bonds, and every root a
+    table hit returns, has none; the table stores no line. ``_walk`` stores
+    each kept root's line in its stack entry and gives it to the search
+    below that root, on every sibling alike. That search tries the line's
+    first choice as its first root, and each frame below tries the line's
+    point first among its placements, handing the line below it to its
+    children there. The order moves no result: every root is still scored,
+    and the kept roots are returned in canonical order. It finds the best
+    early, so the bound cuts more, mostly among the choices scored in place.
 
     Argmin sets are remembered relative to the path end, keyed by the
     transcript window and, of each occupied point within ``delay + 1``
@@ -516,7 +516,7 @@ class _Lookahead:
 
     __slots__ = ("transcript", "start", "delay", "cap", "first", "headroom", "table", "window_ids",
                  "window_reach", "disk_radius", "bound", "zeros", "reach", "best", "nodes_left", "root",
-                 "score", "line", "lines")
+                 "score", "line")
 
     def __init__(self, system: OritatamiSystem, start: int = 0, first: bool = False):
         self.transcript = t = system.transcript
@@ -557,23 +557,21 @@ class _Lookahead:
         # Each search points bound at one of these (see _reach_gains).
         self.bound = self.zeros = [0] * (len(t) + 1)
         self.reach = [0] * (len(t) + 1)
-        # The best line below each root of the last search, and the best
-        # line a _node frame hands up with its score (see the class).
-        self.lines: dict = {}
+        # The best line a _node frame hands up with its score (see the class).
         self.line = None
 
-    def minimizers(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...]]]:
+    def minimizers(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...], tuple | None]]:
         """``_search``'s argmin set for bead ``i``, given ``line``, from the
-        table if it can. A hit keeps no ``lines`` and rebuilds only the
+        table if it can. A hit gives no choice a line and rebuilds only the
         stored choices, scanning no placement: each point is the path end
         plus its stored offset, and each bond subset the indices of the
-        beads at its partner offsets, read through
-        ``occupied``. Every partner lies within two steps of the path end
-        and partners bead ``i``, so the key holds its type and bond count,
-        and it is occupied alike. Direction order follows from the offsets,
-        but the partners' indices may be ordered unlike the stored
-        situation's, so each point's subsets are sorted again into canonical
-        order (see ``_canonical``)."""
+        beads at its partner offsets, read through ``occupied``. Every
+        partner lies within two steps of the path end and partners bead
+        ``i``, so the key holds its type and bond count, and it is occupied
+        alike. Direction order follows from the offsets, but the partners'
+        indices may be ordered unlike the stored situation's, so each
+        point's subsets are sorted again into canonical order (see
+        ``_canonical``)."""
         window = self.window_ids[i]
         if window is None:
             return self._search(fold, i, line)
@@ -595,30 +593,30 @@ class _Lookahead:
         if entry is None:
             found = self._search(fold, i, line)
             spots: dict[int, list[list[int]]] = {}
-            for k, bonds in found:
+            for k, bonds, _ in found:
                 spots.setdefault(k - end, []).append([path[q] - end for q in bonds])
             self.table[key] = tuple(spots.items())
             return found
-        self.lines = {}
         out = []
         for d, subsets in entry:
             bonds = sorted(tuple(sorted([occupied[end + m] for m in mates])) for mates in subsets)
-            out.extend((end + d, s) for s in bonds)
+            out.extend((end + d, s, None) for s in bonds)
         return out
 
-    def _search(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...]]]:
-        """The argmin set for bead ``i`` as (point key, bonds), in canonical
-        order; with ``first``, only its first choice. The roots are tried in
-        canonical order, after the first choice of ``line``, if given: the
-        line that the parent node's search kept below the bead pushed last.
-        The best line below each root scored at or above its ``alpha`` is
-        left in ``lines`` (see the class). With ``first``, a root before the
-        best so far in canonical order wins a tie, so it is scored only if
-        its bound reaches the best, and a root after it only if its bound
-        beats the best (with ``alpha`` one above it). At a dead end, where
-        the bead has no placement, the set is empty. The set is collected as
-        the roots are scored, by canonical index: a score below ``alpha``
-        lies below the final best, so an inexact one never ties."""
+    def _search(self, fold: _Fold, i: int, line=None) -> list[tuple[int, tuple[int, ...], tuple | None]]:
+        """The argmin set for bead ``i`` as (point key, bonds, line), in
+        canonical order; with ``first``, only its first choice. Each choice's
+        line is the best line below it, or None if no later bead can add
+        bonds (see the class). The roots are tried in canonical order, after
+        the first choice of ``line``, if given: the line that the parent
+        node's search kept below the bead pushed last. With ``first``, a
+        root before the best so far in canonical order wins a tie, so it is
+        scored only if its bound reaches the best, and a root after it only
+        if its bound beats the best (with ``alpha`` one above it). At a dead
+        end, where the bead has no placement, the set is empty. The set is
+        collected as the roots are scored, by canonical index: a score below
+        ``alpha`` lies below the final best, so an inexact one, and the line
+        found with it, is never kept."""
         bead = self.transcript[i]
         options = fold.options(bead)
         if not options:
@@ -636,10 +634,8 @@ class _Lookahead:
         self.nodes_left, self.root = LOOKAHEAD_BUDGET, i
         strict = self.first
         best, at, kept = -1, -1, []
-        lines = {}
-        for n, option in roots:
-            key, bonds = option
-            score = base + len(bonds) + room
+        for n, (key, bonds) in roots:
+            score, below = base + len(bonds) + room, None
             if room:
                 # First mode keeps the first best, at ``at``: a later root
                 # must beat it.
@@ -648,19 +644,18 @@ class _Lookahead:
                     fold.push(key, bonds, bead)
                     score = self._value(fold, i + 1, stop, alpha, line if n == lead else None)
                     fold.pop()
-                    if score >= alpha:
-                        lines[option] = self.line
+                    below = self.line
             if score > best:
-                best, at, kept = score, n, [option]
+                best, at, kept = score, n, [(key, bonds, below)]
             elif score == best:
                 if not strict:
-                    kept.append(option)
+                    kept.append((key, bonds, below))
                 elif n < at:
-                    at, kept = n, [option]
-        self.best, self.lines = best, lines
+                    at, kept = n, [(key, bonds, below)]
+        self.best = best
         if lead and not strict:
             # The line's root came first: restore canonical order.
-            kept.sort(key=options.index)
+            kept.sort(key=lambda choice: options.index(choice[:2]))
         return kept
 
     def _reach_gains(self, fold: _Fold, i: int, stop: int) -> None:
@@ -835,7 +830,7 @@ def stabilize_next(
     found = _Lookahead(step, i)._search(fold, 0)
     if not found:
         raise DeadEnd(f"no placement for transcript bead {i + 1} ({system.transcript[i]})")
-    return [StabilizationChoice(fold.point(k), bonds) for k, bonds in found]
+    return [StabilizationChoice(fold.point(k), bonds) for k, bonds, _ in found]
 
 
 def fold_all(
@@ -908,10 +903,11 @@ def _walk(
 ) -> Iterator[tuple[int, int, FoldOutcome | None]]:
     """Every terminal of the depth-first walk of a fold in ``mode``, in
     order, as (1, 1 if completed else 0, the outcome). From each step's
-    argmin set, given as (point key, bonds) pairs, enumerate keeps every
-    choice, first the first one, which its search gives alone (see
+    argmin set, given as (point key, bonds, line) choices, enumerate keeps
+    every choice, first the first one, which its search gives alone (see
     ``_Lookahead._search``), and sample one drawn by ``rng``; each one's
-    entry carries the line its search kept below it, for the search there.
+    entry carries the line its search returned with it, for the search
+    there.
     A branch ends where the transcript does, or at a dead end, whose argmin
     set is empty.
     In enumerate mode it raises BranchBudgetExceeded past ``budget``
@@ -972,11 +968,10 @@ def _walk(
     i, line, weight = 0, None, 1
     total = 0
     while True:
-        kept, n, lines = (), 0, {}
+        kept, n = (), 0
         if i <= tail:
             if i < stop:
                 kept = (search._search if i == tail else search.minimizers)(fold, i, line)
-                lines = search.lines
                 if kept and mode == "sample":
                     kept = [rng.choice(kept)]
             if not kept:
@@ -990,13 +985,14 @@ def _walk(
                 n = fold.ways(transcript[i], r)
             else:
                 room = search.bound[stop] - search.bound[i + 1]
-                kept, group = _canonical(fold.placements(transcript[i]), system.arity, r - room), ()
+                kept = [(k, s, None) for k, s in _canonical(fold.placements(transcript[i]), system.arity, r - room)]
+                group = ()
             done = n
             if not (n or r or kept):
                 # A dead end with the best score.
                 n = 1
         if kept:
-            stack.extend(reversed(_children(kept, lines, group, fold, i, weight)))
+            stack.extend(reversed(_children(kept, group, fold, i, weight)))
         elif n:
             if count and total:
                 outcome = None
@@ -1025,34 +1021,33 @@ def _walk(
 
 
 def _children(
-    kept: Sequence[tuple[int, tuple[int, ...]]], lines: dict, group: Sequence[Symmetry], fold: _Fold, i: int,
+    kept: Sequence[tuple[int, tuple[int, ...], tuple | None]], group: Sequence[Symmetry], fold: _Fold, i: int,
     weight: int,
 ) -> list[Sequence]:
     """The ``_walk`` stack entries (i, point key, bonds, line, group, weight)
-    of the choices ``kept`` for bead ``i`` at a node whose points ``group``
-    fixes, below a choice of weight ``weight``. Each entry's line is the one
-    ``lines`` holds for its choice, or None. Each entry's group holds the
-    symmetries of ``group`` that fix its choice. A choice that an element of
-    ``group`` makes out of an earlier kept choice has no entry: it adds
-    ``weight`` to that choice's."""
+    of the choices ``kept``, as (point key, bonds, line), for bead ``i`` at
+    a node whose points ``group`` fixes, below a choice of weight
+    ``weight``. Each entry's group holds the symmetries of ``group`` that
+    fix its choice. A choice that an element of ``group`` makes out of an
+    earlier kept choice has no entry: it adds ``weight`` to that choice's."""
     if not group:
-        return [(i, key, bonds, lines.get((key, bonds)), (), weight) for key, bonds in kept]
+        return [(i, *choice, (), weight) for choice in kept]
     # The entry of the choice each symmetry makes a kept choice from.
     images: dict[tuple[int, tuple[int, ...]], list] = {}
     entries = []
-    for choice in kept:
-        entry = images.get(choice)
+    for key, bonds, line in kept:
+        entry = images.get((key, bonds))
         if entry is not None:
             entry[-1] += weight
             continue
-        point = fold.point(choice[0])
+        point = fold.point(key)
         fixing: list[Symmetry] = []
-        entry = [i, *choice, lines.get(choice), fixing, weight]
+        entry = [i, key, bonds, line, fixing, weight]
         for g in group:
-            image = (fold.key(transform(g, point, fold.origin)), choice[1])
-            if image == choice:
+            image = fold.key(transform(g, point, fold.origin))
+            if image == key:
                 fixing.append(g)
             else:
-                images.setdefault(image, entry)
+                images.setdefault((image, bonds), entry)
         entries.append(entry)
     return entries

@@ -432,6 +432,18 @@ class TestGlider:
         assert outcomes == fold_all(sys_, "first")
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """The bead index of each ``_Lookahead._search`` call the test makes, in
+    order; clear it to count afresh."""
+    calls = []
+    search = _Lookahead._search
+    monkeypatch.setattr(
+        _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
+    )
+    return calls
+
+
 class TestTableFreeReplay:
     """``fold_all`` (with its per-fold table) against step-by-step ``stabilize_next``."""
 
@@ -481,9 +493,9 @@ class TestTableFreeReplay:
         search = _Lookahead(sys_)
 
         def minimizers(conf):
-            # minimizers gives (point key, bonds) pairs; read them as choices.
+            # minimizers gives (point key, bonds, line); read them as choices.
             fold = _Fold(rules, 1, conf, len(conf) + 3)
-            return [StabilizationChoice(fold.point(k), s) for k, s in search.minimizers(fold, 0)]
+            return [StabilizationChoice(fold.point(k), s) for k, s, _ in search.minimizers(fold, 0)]
 
         got_first = minimizers(first)
         assert got_first == [
@@ -499,15 +511,10 @@ class TestTableFreeReplay:
             StabilizationChoice(Point(1, 0), (5,)),
         ]
 
-    def test_repeated_dead_end_is_answered_from_the_table(self, monkeypatch):
+    def test_repeated_dead_end_is_answered_from_the_table(self, searched):
         # A dead end is an empty argmin set, stored like any other: with the
         # path end boxed in at the center of a hexagon, at a keyed window,
         # the second lookup of the same situation searches nothing.
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
         path = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)]
         seed = Conformation.build(path, ["a"] + ["s"] * 6)
         sys_ = OritatamiSystem(RuleSet([("a", "b")]), 1, 2, seed, ("b", "b", "b"))
@@ -516,27 +523,22 @@ class TestTableFreeReplay:
         for _ in range(2):
             fold = _Fold(sys_.rules, 1, seed, len(seed) + 3)
             assert lookahead.minimizers(fold, 0) == []
-        assert calls == [0] and len(lookahead.table) == 1
+        assert searched == [0] and len(lookahead.table) == 1
 
-    def test_last_occurrence_of_a_window_is_stored(self, monkeypatch):
+    def test_last_occurrence_of_a_window_is_stored(self, searched):
         # Enumeration meets a bead again on each sibling branch, so the
         # search at the last occurrence of the window (b0, b0, b0), bead 3,
         # is stored too, and answers that bead on a later branch: fold_all
         # makes 2,229 searches, where storing only windows that recur later
         # made 2,235.
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
         seed = Conformation.build([(0, 0), (-1, 1)], ["b0", "b0"])
         sys_ = OritatamiSystem(RuleSet([("b0", "b0")]), 1, 3, seed, ("b0",) * 6)
         outcomes = fold_all(sys_, "enumerate")
-        assert (len(outcomes), len(calls)) == (2164, 2229)
+        assert (len(outcomes), len(searched)) == (2164, 2229)
         assert outcomes == replay(sys_, "enumerate")
 
     @staticmethod
-    def keyed_searches(monkeypatch, far, bonds):
+    def keyed_searches(searched, far, bonds):
         """For each (far bead, seed bonds) pair, the lookup of bead 0 on a
         seed whose first bead, three steps from the path end, is that far
         bead, all through one lookahead. Gives the argmin sets as choices,
@@ -544,11 +546,6 @@ class TestTableFreeReplay:
         The window (b, c) recurs at delay 2; b partners a and reaches 2
         steps, c partners e and reaches 3, and a bead is placed at most 2
         steps out."""
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
         rules = RuleSet([("a", "b"), ("c", "e")])
         path = [(-1, 3), (-1, 2), (-1, 1), (-2, 1), (-2, 0), (-1, 0), (0, 0)]
         systems = [
@@ -561,22 +558,22 @@ class TestTableFreeReplay:
         found = []
         for sys_ in systems:
             fold = _Fold(rules, 1, sys_.seed, len(path) + 4)
-            found.append([StabilizationChoice(fold.point(k), s) for k, s in lookahead.minimizers(fold, 0)])
-        searches = len(calls)
+            found.append([StabilizationChoice(fold.point(k), s) for k, s, _ in lookahead.minimizers(fold, 0)])
+        searches = len(searched)
         assert found == [stabilize_next(sys_, sys_.seed, 0) for sys_ in systems]
         return found, searches
 
-    def test_key_drops_a_bead_no_window_bead_reaches(self, monkeypatch):
+    def test_key_drops_a_bead_no_window_bead_reaches(self, searched):
         # An a three steps out is past b's reach, and no bead of the window
         # is placed there: the fold with a q in its place shares its entry.
-        found, searches = self.keyed_searches(monkeypatch, "aq", [(), ()])
+        found, searches = self.keyed_searches(searched, "aq", [(), ()])
         assert searches == 1 and found[0] == found[1]
 
-    def test_key_keeps_the_bond_count_of_a_partner_in_reach(self, monkeypatch):
+    def test_key_keeps_the_bond_count_of_a_partner_in_reach(self, searched):
         # The a next to the path end is in b's reach. Bonded to the b of the
         # seed, it is saturated at arity 1, so the two folds do not share an
         # entry, and their argmin sets differ.
-        found, searches = self.keyed_searches(monkeypatch, "qq", [(), [(2, 5)]])
+        found, searches = self.keyed_searches(searched, "qq", [(), [(2, 5)]])
         assert searches == 2
         assert found == [[StabilizationChoice(Point(0, -1), (5,))], [StabilizationChoice(Point(0, -1), ())]]
 
@@ -661,12 +658,7 @@ class TestSymmetricSeeds:
         assert compared >= 60
         assert symmetric >= 15
 
-    def test_budget_stops_at_the_first_weighted_count(self, monkeypatch):
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
+    def test_budget_stops_at_the_first_weighted_count(self, searched):
         # From a single bead, bead 0's six placements are one set of images
         # and bead 1's two choices mirror each other (beads are 0-based), so
         # each subtree walked stands for 12. Below the three nodes of bead 3
@@ -676,40 +668,35 @@ class TestSymmetricSeeds:
         rules = RuleSet([("a", "b"), ("a", "c")])
         sys_ = OritatamiSystem(rules, 2, 3, Conformation.build([(0, 0)], ["a"]), tuple("cbcabc"))
         want = summary_of(sys_)
-        calls.clear()
+        searched.clear()
         assert fold_summary(sys_) == want and want[:2] == (120, 120)
-        assert calls == [0, 1, 2, 3, 3, 3]
-        calls.clear()
+        assert searched == [0, 1, 2, 3, 3, 3]
+        searched.clear()
         with pytest.raises(BranchBudgetExceeded, match="more than 10 terminal branches"):
             fold_summary(sys_, branch_budget=10)
-        assert calls == [0, 1, 2, 3]
+        assert searched == [0, 1, 2, 3]
 
-    def test_fold_all_searches_every_node(self, monkeypatch):
+    def test_fold_all_searches_every_node(self, monkeypatch, searched):
         def refuse(*args):
             raise AssertionError("fold_all moved a point by a grid symmetry")
 
         monkeypatch.setattr(folding, "transform", refuse)
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
         # The horizontal mirror fixes this seed, and all 12 symmetries fix a
         # single bead; fold_all moves no point and searches below every
         # mirror image, as replay does.
         rules = RuleSet([("a", "b"), ("a", "c")])
-        for path, terminals, searched in (([(0, 0), (1, 0), (2, 0)], 102, 77), ([(0, 0)], 108, 103)):
+        for path, terminals, searches in (([(0, 0), (1, 0), (2, 0)], 102, 77), ([(0, 0)], 108, 103)):
             seed = Conformation.build(path, ["a", "a", "b"][: len(path)])
             sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
-            calls.clear()
+            searched.clear()
             outcomes = fold_all(sys_, "enumerate")
-            assert (len(outcomes), len(calls)) == (terminals, searched)
+            assert (len(outcomes), len(searched)) == (terminals, searches)
             assert outcomes == replay(sys_, "enumerate")
         # No symmetry fixes the glider's hexagonal seed, plain or mirrored.
         for mirrored in (False, True):
-            calls.clear()
+            searched.clear()
             fold_all(glider_system(periods=3, mirrored=mirrored), "enumerate")
-            assert len(calls) == 20
+            assert len(searched) == 20
 
 
 def periodic_systems(rng, count):
@@ -736,7 +723,7 @@ def step_search(system, conf, i, first):
     window = system.transcript[i : i + system.delay]
     step = OritatamiSystem(system.rules, system.arity, system.delay, conf, window)
     fold = _Fold(system.rules, system.arity, conf, len(conf) + len(step.transcript))
-    return _Lookahead(step, i, first=first)._search(fold, 0)
+    return [(k, s) for k, s, _ in _Lookahead(step, i, first=first)._search(fold, 0)]
 
 
 def summary_of(system, mode="enumerate", **kwargs):
@@ -799,7 +786,7 @@ class TestFoldSummary:
                 continue
             assert fold_summary(sys_, branch_budget=300) == want
 
-    def test_table_is_a_pure_memo(self, monkeypatch):
+    def test_table_is_a_pure_memo(self, monkeypatch, searched):
         # With minimizers replaced by _search no node reads the table, and
         # every result, count and budget error comes out as with it.
         systems = periodic_systems(random.Random(9090), 100)
@@ -821,11 +808,6 @@ class TestFoldSummary:
                         out.append(str(exc))
             return out
 
-        searched = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: searched.append(i) or search(self, fold, i, *args)
-        )
         with_table = results()
         hits = -len(searched)
         searched.clear()
@@ -889,31 +871,26 @@ class TestFoldSummary:
         with pytest.raises(ValueError, match="unknown fold mode"):
             fold_all(sys_, "all")
 
-    def test_counts_are_not_searched(self, monkeypatch):
-        calls = []
-        search = _Lookahead._search
-        monkeypatch.setattr(
-            _Lookahead, "_search", lambda self, fold, i, *args: calls.append(i) or search(self, fold, i, *args)
-        )
+    def test_counts_are_not_searched(self, searched):
         # test_fold_all_searches_every_node's systems: fold_all searches
         # 77 and 103 nodes. Counting searches down to bead 3, the first whose
         # window reaches the transcript end, one node per mirror orbit, and
         # nothing below it.
         rules = RuleSet([("a", "b"), ("a", "c")])
-        for path, searched in (([(0, 0), (1, 0), (2, 0)], [0, 1, 2, 2, 2, 2]), ([(0, 0)], [0, 1, 2])):
+        for path, searches in (([(0, 0), (1, 0), (2, 0)], [0, 1, 2, 2, 2, 2]), ([(0, 0)], [0, 1, 2])):
             seed = Conformation.build(path, ["a", "a", "b"][: len(path)])
             sys_ = OritatamiSystem(rules, 2, 3, seed, tuple("cbcab"))
             want = summary_of(sys_)
-            calls.clear()
+            searched.clear()
             assert fold_summary(sys_) == want
-            assert calls == searched
+            assert searched == searches
         # fold_all searches 20 of the glider's nodes. Counting searches
         # the tail node, bead 33 (0-based), though the table holds its
         # window, and none of the two below it (19).
         want = summary_of(glider_system(periods=3))
-        calls.clear()
+        searched.clear()
         assert fold_summary(glider_system(periods=3)) == want
-        assert len(calls) == 19
+        assert len(searched) == 19
 
     @pytest.mark.parametrize("delay, terminals, pushed", [(3, 102, 104), (4, 28, 194), (5, 4, 283)])
     def test_every_choice_but_the_last_beads_is_pushed(self, monkeypatch, delay, terminals, pushed):
@@ -1054,18 +1031,29 @@ class TestSearchOrder:
 
     @staticmethod
     def search(system, conf, i, first, line=None):
-        """``step_search`` given ``line`` to try first: its argmin set and
-        the lines it keeps."""
+        """``step_search`` given ``line`` to try first, its argmin set as
+        (point key, bonds). With no line, also the options of bead ``i`` and
+        the best line below each of them whose later beads can add bonds."""
         window = system.transcript[i : i + system.delay]
         step = OritatamiSystem(system.rules, system.arity, system.delay, conf, window)
         fold = _Fold(system.rules, system.arity, conf, len(conf) + len(window))
         lookahead = _Lookahead(step, i, first=first)
-        return lookahead._search(fold, 0, line), lookahead.lines, fold.options(window[0])
+        found = [(k, s) for k, s, _ in lookahead._search(fold, 0, line)]
+        if line is not None:
+            return found
+        options, stop, lines = fold.options(window[0]), len(window), {}
+        if lookahead.bound[stop] > lookahead.bound[1]:
+            for option in options:
+                fold.push(*option, window[0])
+                lookahead._value(fold, 1, stop, 0, None)
+                lines[option] = lookahead.line
+                fold.pop()
+        return found, options, lines
 
     def test_any_first_root_finds_the_same_set(self):
         # Each state of the first fold of gliders at delays 3-6 and of random
         # systems is searched fresh, then once with each option put first,
-        # with the line the fresh search found below it (if it pushed it).
+        # with the best line below it (if a later bead can add bonds).
         rng = random.Random(3838)
         systems = [glider_at(delay, 2, mirrored) for delay in (3, 4, 5, 6) for mirrored in (False, True)]
         systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(20)]
@@ -1076,36 +1064,35 @@ class TestSearchOrder:
             for i in range(len(conf) - seed):
                 state = prefix(conf, seed + i)
                 for first in (False, True):
-                    fresh, lines, options = self.search(sys_, state, i, first)
+                    fresh, options, lines = self.search(sys_, state, i, first)
                     for option in options:
                         line = (option, lines.get(option))
-                        assert self.search(sys_, state, i, first, line)[0] == fresh
+                        assert self.search(sys_, state, i, first, line) == fresh
                         primed += 1
                         below += line[1] is not None
-        assert primed >= 2_000 and below >= 500
+        assert primed >= 2_000 and below >= 1_000
 
     def test_every_kept_sibling_starts_on_its_line(self, monkeypatch):
         # An enumerate walk hands each search the line that the search of
         # its parent node kept below the choice pushed since: on every kept
         # sibling, not only on the first child. Below a node the table
         # answers, no line is kept.
-        searched = {}
+        kept_at = {}
         seen = Counter()
         search = _Lookahead._search
 
         def spy(self, fold, i, line=None):
             pushed = fold.bond_count[-1]
             bonds = tuple(p for p, _ in fold.bond_log[len(fold.bond_log) - pushed :])
-            parent = searched.get((tuple(fold.path[:-1]), tuple(fold.bond_log[: len(fold.bond_log) - pushed])))
+            parent = kept_at.get((tuple(fold.path[:-1]), tuple(fold.bond_log[: len(fold.bond_log) - pushed])))
             if parent is not None:
-                lines, kept = parent
-                choice = (fold.path[-1], bonds)
-                assert line == lines.get(choice)
-                seen["later sibling" if kept.index(choice) else "first child"] += line is not None
+                n = [choice[:2] for choice in parent].index((fold.path[-1], bonds))
+                assert line == parent[n][2]
+                seen["later sibling" if n else "first child"] += line is not None
             else:
                 assert line is None
             kept = search(self, fold, i, line)
-            searched[tuple(fold.path), tuple(fold.bond_log)] = self.lines, kept
+            kept_at[tuple(fold.path), tuple(fold.bond_log)] = kept
             return kept
 
         monkeypatch.setattr(_Lookahead, "_search", spy)
@@ -1113,7 +1100,7 @@ class TestSearchOrder:
         systems = [glider_at(delay, 2, mirrored) for delay in (3, 4) for mirrored in (False, True)]
         systems += [oracles.random_system(rng, max_delay=4, max_arity=3) for _ in range(40)]
         for sys_ in systems:
-            searched.clear()
+            kept_at.clear()
             try:
                 fold_all(sys_, "enumerate", branch_budget=300)
             except BranchBudgetExceeded:
